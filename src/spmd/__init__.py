@@ -16,8 +16,7 @@ from .data import (LabeledDataset, MulticlassDataset, kfold_split, load_dataset,
 from .margins import (MarginSummary, margin_mean, margin_variance,
                       mode_margin_stats, signed_margins, summarize_margins)
 from .multiclass import OvoEnsemble, ovo_predict, ovo_train, pairwise_accuracy
-from .qp import (QpProblem, QpSolution, build_dual, recover_primal,
-                 regularized_solve, solve_box_qp)
+from .qp import QpProblem, QpSolution, build_dual, solve_box_qp
 from .tensor import (DenseTensor, cp_reconstruct, inner, khatri_rao, kron,
                      mode_n_product, outer_product, refold, tucker_reconstruct,
                      unfold)

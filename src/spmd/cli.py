@@ -222,18 +222,32 @@ def _load_idx_pair(ds: dict, images_key: str, labels_key: str):
         raise ConfigError(f"dataset file missing: {e}")
 
 
+def _split_per_class(n_classes: int, n_train: int, n_test: int):
+    """Train and test row indices of a draw laid out in per-class blocks.
+
+    Each class's block holds n_train + n_test rows; its first n_train rows
+    go to training. Train and test rows thus share the draw's class centres.
+    """
+    per = n_train + n_test
+    starts = np.arange(n_classes) * per
+    train = np.concatenate([np.arange(s, s + n_train) for s in starts])
+    test = np.concatenate([np.arange(s + n_train, s + per) for s in starts])
+    return train, test
+
+
 def build_binary_dataset(ds: dict, seed: int):
     """(train, test-or-None) LabeledDatasets from a dataset section."""
     src = ds["source"]
     if src == "synth":
         _need(ds.get("n_classes") in (None, 2),
               "binary commands need a 2-class dataset (drop 'n_classes')")
-        train_set = synth_blobs(ds["shape"], ds["n_per_class"], ds["margin"],
-                                ds["noise"], ds["seed"])
-        test_set = None
-        if ds.get("test_n_per_class"):
-            test_set = synth_blobs(ds["shape"], ds["test_n_per_class"],
-                                   ds["margin"], ds["noise"], ds["seed"] + 1)
+        n_train, n_test = ds["n_per_class"], ds.get("test_n_per_class") or 0
+        drawn = synth_blobs(ds["shape"], n_train + n_test, ds["margin"],
+                            ds["noise"], ds["seed"])
+        train_set, test_set = drawn, None
+        if n_test:
+            train, test = _split_per_class(2, n_train, n_test)
+            train_set, test_set = drawn.subset(train), drawn.subset(test)
     elif src == "idx":
         _need(len(ds["classes"]) == 2,
               "field 'dataset.classes' must name exactly 2 classes for binary runs")
@@ -265,11 +279,12 @@ def build_multiclass_dataset(ds: dict):
     src = ds["source"]
     if src == "synth":
         k = ds.get("n_classes") or 3
-        train_set = synth_multiclass(ds["shape"], k, ds["n_per_class"],
-                                     ds["margin"], ds["noise"], ds["seed"])
-        test_set = synth_multiclass(ds["shape"], k,
-                                    ds.get("test_n_per_class") or ds["n_per_class"],
-                                    ds["margin"], ds["noise"], ds["seed"] + 1)
+        n_train = ds["n_per_class"]
+        n_test = ds.get("test_n_per_class") or n_train
+        drawn = synth_multiclass(ds["shape"], k, n_train + n_test,
+                                 ds["margin"], ds["noise"], ds["seed"])
+        train, test = _split_per_class(k, n_train, n_test)
+        train_set, test_set = drawn.subset(train), drawn.subset(test)
     elif src == "idx":
         raw = _load_idx_pair(ds, "images", "labels")
         train_set = select_multiclass(raw, ds["classes"], ds.get("per_class"),

@@ -130,6 +130,11 @@ class MulticlassDataset:
     def classes(self) -> np.ndarray:
         return np.unique(self.labels)
 
+    def subset(self, idx) -> "MulticlassDataset":
+        idx = np.asarray(idx)
+        return MulticlassDataset(self.samples[idx], self.dims, self.labels[idx],
+                                 dict(self.meta))
+
     def binary_view(self, a: int, b: int) -> LabeledDataset:
         """Samples of classes a (-> +1) and b (-> -1) as a binary dataset."""
         mask = (self.labels == a) | (self.labels == b)

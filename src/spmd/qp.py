@@ -4,16 +4,26 @@ Each block subproblem minimizes, over v in R^D,
 
     0.5 v'v + mu1 * var(margins) - mu2 * mean(margins) + (lam/N) * sum hinge_i
 
-with margins t_i z_i'v. Eliminating the slack via Lagrange duality gives
+with margins m_i = y_i'v, where y_i = t_i z_i are the signed feature
+columns, Y = Z T. The first two terms are the quadratic 0.5 v'Sv with
+
+    S = I + (2*mu1/N) Yc Yc' = I + c (N Z Z' - (Z t)(Z t)'),  c = 2*mu1/N^2,
+
+where Yc is Y with its row means removed, so that var(margins) =
+v' ((1/N) Yc Yc') v. Eliminating the slack via Lagrange duality gives
 
     min_alpha  0.5 alpha' H alpha + g' alpha,   0 <= alpha_i <= lam/N,
 
-with G = Z'Z, Q = (2*mu1/N^2) (N I - t t'), H = T G (I + Q G)^{-1} T,
-g = (mu2/N) H e - e, and primal recovery
-v = Z (I + Q G)^{-1} T ((mu2/N) e + alpha).
+with S = L L' (Cholesky), B = L^{-1} Y, H = B'B, g = (mu2/N) B'(B e) - e,
+and primal recovery v = L^{-T} B (alpha + (mu2/N) e).
 
-The (I + QG) factorization is computed once per subproblem and reused for
-both the H build and the recovery.
+The whole assembly works in the D x D feature space: one Cholesky of S, one
+triangular solve for the D x N matrix B, and the N x N product B'B, which
+numpy forms with a symmetric rank-k update so H is exactly symmetric. S is
+at least I, so the factorization cannot fail; at mu1 = 0 it is I itself.
+By the push-through identity G (I + QG)^{-1} = Z' S^{-1} Z, this is the
+same dual as the sample-space form H = T G (I + QG)^{-1} T with G = Z'Z and
+Q = (2*mu1/N^2)(N I - t t'), without its N x N factorization.
 """
 
 from __future__ import annotations
@@ -23,9 +33,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-
-ASYMMETRY_WARN = 1e-6
-RIDGE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -69,70 +76,6 @@ class QpSolution:
     objective_trace: tuple = field(default=())
 
 
-class _Factor:
-    """LU factorization of (I + QG) with a scaled-ridge retry on near-singularity."""
-
-    def __init__(self, Q: np.ndarray | None, G: np.ndarray):
-        self.identity = Q is None
-        self.ridge_added = False
-        if self.identity:
-            return
-        A = np.eye(G.shape[0]) + Q @ G
-        self._lu = self._factor_checked(A)
-        if self._lu is None:
-            scale = max(1.0, float(np.abs(A).max()))
-            self._lu = self._factor_checked(A + (RIDGE * scale) * np.eye(G.shape[0]))
-            self.ridge_added = True
-            if self._lu is None:
-                cond = np.linalg.cond(A)
-                raise np.linalg.LinAlgError(
-                    "dual system (I + QG) is singular even after ridge "
-                    f"regularization (condition estimate {cond:.3g})"
-                )
-            warnings.warn(
-                "near-singular dual system; added scaled ridge "
-                f"{RIDGE * scale:g} to (I + QG)",
-                stacklevel=3,
-            )
-
-    @staticmethod
-    def _factor_checked(A):
-        lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
-        d = np.abs(np.diag(lu))
-        if d.min() <= 1e-14 * max(1.0, d.max()):
-            return None
-        return (lu, piv)
-
-    def solve(self, b: np.ndarray, trans: int = 0) -> np.ndarray:
-        """Solve (I+QG) x = b, or its transpose system with trans=1."""
-        if self.identity:
-            return np.asarray(b, dtype=np.float64)
-        return scipy.linalg.lu_solve(self._lu, b, trans=trans, check_finite=False)
-
-
-def regularized_solve(G: np.ndarray, Q: np.ndarray | None, B: np.ndarray) -> np.ndarray:
-    """Solve (I + QG) X = B with the ridge-on-near-singularity policy.
-
-    Q may be None (or all zeros) for the identity system. Raises
-    LinAlgError with a condition estimate if the system stays singular
-    after the ridge retry.
-    """
-    G = np.asarray(G, dtype=np.float64)
-    if Q is not None:
-        Q = np.asarray(Q, dtype=np.float64)
-        if not np.any(Q):
-            Q = None
-    fac = _Factor(Q, G)
-    return fac.solve(np.asarray(B, dtype=np.float64))
-
-
-def variance_curvature(labels: np.ndarray, mu1: float) -> np.ndarray:
-    """Q = (2*mu1/N^2) (N I - t t'), the margin-variance curvature in the dual."""
-    t = np.asarray(labels, dtype=np.float64).ravel()
-    n = t.size
-    return (2.0 * mu1 / n**2) * (n * np.eye(n) - np.outer(t, t))
-
-
 def _validate(features, labels, mu1, mu2, lam):
     Z = np.asarray(features, dtype=np.float64)
     t = np.asarray(labels, dtype=np.float64).ravel()
@@ -152,57 +95,35 @@ def _validate(features, labels, mu1, mu2, lam):
 
 
 def assemble_dual(features, labels, mu1, mu2, lam):
-    """Build the dual QP and a recovery closure sharing one factorization.
+    """Build the dual QP and a recovery closure sharing one Cholesky factor.
 
     Returns (problem, recover, info) where recover(alpha) gives the primal
-    block vector v and info records ridge/asymmetry diagnostics.
+    block vector v. info["ridge_added"] is always False: S is positive
+    definite by construction, so no regularization is ever added.
     """
     Z, t = _validate(features, labels, mu1, mu2, lam)
     n = t.size
-    G = Z.T @ Z
-    if mu1 == 0.0:
-        fac = _Factor(None, G)
-        M = G
-    else:
-        Q = variance_curvature(t, mu1)
-        fac = _Factor(Q, G)
-        # G (I+QG)^{-1} = [(I+QG)^{-T} G]^T via the transposed solve
-        M = fac.solve(G, trans=1).T
-    H = M * np.outer(t, t)
-    asym = float(np.abs(H - H.T).max())
-    scale = max(1.0, float(np.abs(H).max()))
-    if asym > ASYMMETRY_WARN * scale:
-        warnings.warn(f"dual matrix asymmetry {asym:g}; symmetrizing", stacklevel=2)
-    H = 0.5 * (H + H.T)
-    e = np.ones(n)
-    g = (mu2 / n) * (H @ e) - e
+    Y = Z * t
+    Yc = Y - Y.mean(axis=1, keepdims=True)
+    S = np.eye(Z.shape[0]) + (2.0 * mu1 / n) * (Yc @ Yc.T)
+    L = scipy.linalg.cholesky(S, lower=True, check_finite=False)
+    B = scipy.linalg.solve_triangular(L, Y, lower=True, check_finite=False)
+    H = B.T @ B
+    g = (mu2 / n) * (B.T @ B.sum(axis=1)) - 1.0
     problem = QpProblem(H, g, lam / n)
 
     def recover(alpha: np.ndarray) -> np.ndarray:
         alpha = np.asarray(alpha, dtype=np.float64).ravel()
-        y = fac.solve(t * (mu2 / n + alpha))
-        return Z @ y
+        return scipy.linalg.solve_triangular(L, B @ (alpha + mu2 / n), lower=True,
+                                             trans="T", check_finite=False)
 
-    info = {"ridge_added": fac.ridge_added, "asymmetry": asym}
-    return problem, recover, info
+    return problem, recover, {"ridge_added": False}
 
 
 def build_dual(features, labels, mu1, mu2, lam) -> QpProblem:
     """Dual QP for one block: H, g and the box bound lam/N."""
     problem, _, _ = assemble_dual(features, labels, mu1, mu2, lam)
     return problem
-
-
-def recover_primal(features, labels, Q, G, mu2, alpha) -> np.ndarray:
-    """Primal block vector v = Z (I+QG)^{-1} T ((mu2/N) e + alpha)."""
-    Z = np.asarray(features, dtype=np.float64)
-    t = np.asarray(labels, dtype=np.float64).ravel()
-    alpha = np.asarray(alpha, dtype=np.float64).ravel()
-    n = t.size
-    fac = _Factor(None if Q is None or not np.any(Q) else np.asarray(Q, float),
-                  np.asarray(G, dtype=np.float64))
-    y = fac.solve(t * (mu2 / n + alpha))
-    return Z @ y
 
 
 def solve_box_qp(problem: QpProblem, tol: float = 1e-8, max_passes: int = 5000,
@@ -230,7 +151,7 @@ def solve_box_qp(problem: QpProblem, tol: float = 1e-8, max_passes: int = 5000,
     if alpha.size != n:
         raise ValueError(f"warm start has {alpha.size} entries, need {n}")
     order = np.arange(n) if perm is None else np.asarray(perm, dtype=np.int64)
-    if sorted(order.tolist()) != list(range(n)):
+    if not np.array_equal(np.sort(order), np.arange(n)):
         raise ValueError("perm must be a permutation of 0..N-1")
 
     grad = H @ alpha + g
@@ -243,7 +164,11 @@ def solve_box_qp(problem: QpProblem, tol: float = 1e-8, max_passes: int = 5000,
             gi = grad[i]
             hii = diag[i]
             if hii > 0.0:
-                new = min(max(alpha[i] - gi / hii, 0.0), upper)
+                new = alpha[i] - gi / hii
+                if new < 0.0:
+                    new = 0.0
+                elif new > upper:
+                    new = upper
             elif gi > 0.0:
                 new = 0.0
             elif gi < 0.0:

@@ -1,9 +1,11 @@
 """Independent reference solvers used by the test suite.
 
 These share no code with the production solvers: the box QP reference is a
-coarse grid search polished by projected gradient, and the hinge-loss
-reference is averaged subgradient descent finished by an exact active-set
-polish whose KKT conditions are verified before the result is trusted.
+coarse grid search polished by projected gradient, the block-dual reference
+builds the dual in sample space with a dense N x N inverse, and the
+hinge-loss reference is averaged subgradient descent finished by an exact
+active-set polish whose KKT conditions are verified before the result is
+trusted.
 """
 
 import itertools
@@ -45,6 +47,36 @@ def box_qp_reference(H, g, upper, grid_points=9, pg_tol=1e-12,
             break
         a = new
     return a, float(obj(a))
+
+
+def variance_curvature(labels, mu1):
+    """Q = (2*mu1/N^2) (N I - t t'), the margin-variance curvature in the dual."""
+    t = np.asarray(labels, dtype=np.float64).ravel()
+    n = t.size
+    return (2.0 * mu1 / n**2) * (n * np.eye(n) - np.outer(t, t))
+
+
+def sample_space_dual(features, labels, mu1, mu2):
+    """Block dual in sample space by a dense inverse: (H, g, recover).
+
+    With G = Z'Z, Q the variance curvature and T = diag(t):
+    H = T G (I + QG)^{-1} T, g = (mu2/N) H e - e, and
+    recover(alpha) = Z (I + QG)^{-1} T ((mu2/N) e + alpha).
+    """
+    Z = np.asarray(features, dtype=np.float64)
+    t = np.asarray(labels, dtype=np.float64).ravel()
+    n = t.size
+    G = Z.T @ Z
+    inv = np.linalg.inv(np.eye(n) + variance_curvature(t, mu1) @ G)
+    T = np.diag(t)
+    H = T @ G @ inv @ T
+    e = np.ones(n)
+    g = (mu2 / n) * (H @ e) - e
+
+    def recover(alpha):
+        return Z @ (inv @ (T @ ((mu2 / n) * e + np.asarray(alpha, dtype=np.float64))))
+
+    return H, g, recover
 
 
 def hinge_objective(w, samples, labels, lam):

@@ -257,6 +257,17 @@ class TestTrainCommand:
         main(["train", "--config", cfg, "--out", str(out)])
         assert "test_accuracy" in (out / "summary.txt").read_text()
 
+    def test_synth_test_rows_share_training_centres(self, tmp_path):
+        # held-out rows come from the training draw, so a separable config
+        # scores well on them (a second draw would move the class centres)
+        ds = dict(SYNTH, shape=[4, 4], margin=2.0, noise=0.5, test_n_per_class=50)
+        cfg = write_config(tmp_path, dataset=ds)
+        out = tmp_path / "out"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+        line = next(x for x in (out / "summary.txt").read_text().splitlines()
+                    if x.startswith("test_accuracy"))
+        assert float(line.split()[1]) > 0.9
+
 
 class TestEvalCommand:
     def train_once(self, tmp_path):
@@ -349,6 +360,14 @@ class TestBenchCommand:
         main(["bench", "--config", cfg, "--out", str(seq), "--workers", "1"])
         main(["bench", "--config", cfg, "--out", str(par), "--workers", "3"])
         assert (seq / "bench.csv").read_bytes() == (par / "bench.csv").read_bytes()
+
+    def test_synth_test_rows_share_training_centres(self, tmp_path):
+        cfg = self.bench_config(tmp_path, methods=["spmd-r1"])
+        out = tmp_path / "out"
+        assert main(["bench", "--config", cfg, "--out", str(out)]) == 0
+        rows = [ln.split(",") for ln in
+                (out / "bench.csv").read_text().strip().split("\n")[1:]]
+        assert rows and all(float(r[5]) > 0.9 for r in rows)
 
     def test_empty_method_list_exits_2(self, tmp_path, capsys):
         cfg = self.bench_config(tmp_path, methods=[])

@@ -1,18 +1,19 @@
 """Dual QP assembly and solver tests.
 
-Three independent oracles anchor this module: a dense-inverse oracle for
-the H assembly, a finite-difference gradient oracle for the variance
-curvature (including its factor of two), and a grid-plus-projected-gradient
-oracle for solver optimality.
+Three independent oracles anchor this module: the sample-space dual built
+with a dense N x N inverse for the feature-space assembly (H, g and the
+primal recovery), a finite-difference gradient oracle for the variance
+curvature that the sample-space dual uses (including its factor of two),
+and a grid-plus-projected-gradient oracle for solver optimality.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from oracles import box_qp_reference
-from spmd.qp import (QpProblem, QpSolution, assemble_dual, build_dual,
-                     recover_primal, regularized_solve, solve_box_qp,
-                     variance_curvature)
+from oracles import box_qp_reference, sample_space_dual, variance_curvature
+from spmd.qp import QpProblem, QpSolution, assemble_dual, build_dual, solve_box_qp
 
 
 def random_instance(rng, d, n, mu1=1.0, mu2=1.0, lam=1.0):
@@ -38,52 +39,6 @@ class TestQpProblem:
             QpProblem(np.eye(2), np.zeros(2), 0.0)
         with pytest.raises(ValueError):
             QpProblem(np.full((1, 1), np.nan), np.zeros(1), 1.0)
-
-
-class TestRegularizedSolve:
-    def test_zero_q_is_identity_system(self):
-        rng = np.random.default_rng(0)
-        G = rng.standard_normal((4, 4))
-        B = rng.standard_normal((4, 2))
-        np.testing.assert_array_equal(regularized_solve(G, None, B), B)
-        np.testing.assert_array_equal(regularized_solve(G, np.zeros((4, 4)), B), B)
-
-    def test_scalar_case(self):
-        q = 0.7
-        B = np.array([2.0, -4.0])
-        out = regularized_solve(np.eye(2), q * np.eye(2), B)
-        np.testing.assert_allclose(out, B / (1 + q), rtol=1e-14)
-
-    def test_dense_lu_oracle(self):
-        rng = np.random.default_rng(1)
-        n = 6
-        M1, M2 = rng.standard_normal((n, n)), rng.standard_normal((n, n))
-        G, Q = M1 @ M1.T, M2 @ M2.T / n
-        B = rng.standard_normal((n, 3))
-        X = regularized_solve(G, Q, B)
-        ref = np.linalg.solve(np.eye(n) + Q @ G, B)
-        np.testing.assert_allclose(X, ref, rtol=1e-10, atol=1e-12)
-
-    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
-    def test_near_singular_ridge_rescue_warns(self):
-        # I + Q = rank-1 ones matrix; the scaled ridge restores solvability
-        G = np.eye(2)
-        Q = np.array([[0.0, 1.0], [1.0, 0.0]])
-        with pytest.warns(UserWarning, match="ridge"):
-            X = regularized_solve(G, Q, np.ones(2))
-        assert np.isfinite(X).all()
-
-    def test_singular_beyond_repair_raises(self):
-        # crafted so that the LU pivot is exactly zero both before and
-        # after the ridge shift: A = [[0,1],[1e-20,0]], ridge 1e-10
-        import warnings
-
-        G = np.eye(2)
-        Q = np.array([[-1.0, 1.0], [1e-20, -1.0]])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with pytest.raises(np.linalg.LinAlgError, match="condition"):
-                regularized_solve(G, Q, np.ones(2))
 
 
 class TestVarianceCurvature:
@@ -135,17 +90,16 @@ class TestBuildDual:
         assert p.upper == 1.0
 
     def test_dense_inverse_oracle(self):
+        # D < N at N >= 200, D > N, and mu1 = 0 (where S is the identity)
         rng = np.random.default_rng(4)
-        Z, t, mu1, mu2, lam = random_instance(rng, 3, 4, mu1=0.8, mu2=1.2, lam=2.0)
-        p = build_dual(Z, t, mu1, mu2, lam)
-        G = Z.T @ Z
-        Q = variance_curvature(t, mu1)
-        T = np.diag(t)
-        H_ref = T @ G @ np.linalg.inv(np.eye(4) + Q @ G) @ T
-        H_ref = 0.5 * (H_ref + H_ref.T)
-        np.testing.assert_allclose(p.H, H_ref, rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(p.g, (mu2 / 4) * (H_ref @ np.ones(4)) - 1, rtol=1e-10)
-        assert p.upper == pytest.approx(lam / 4)
+        for d, n, mu1 in [(28, 240, 0.8), (3, 4, 0.8), (12, 5, 1.7), (6, 30, 0.0)]:
+            Z, t, mu1, mu2, lam = random_instance(rng, d, n, mu1=mu1, mu2=1.2, lam=2.0)
+            p = build_dual(Z, t, mu1, mu2, lam)
+            H_ref, g_ref, _ = sample_space_dual(Z, t, mu1, mu2)
+            np.testing.assert_array_equal(p.H, p.H.T)
+            assert np.abs(p.H - H_ref).max() <= 1e-12 * np.abs(H_ref).max()
+            assert np.abs(p.g - g_ref).max() <= 1e-12 * np.abs(g_ref).max()
+            assert p.upper == pytest.approx(lam / n)
 
     def test_h_symmetric_psd(self):
         rng = np.random.default_rng(5)
@@ -169,30 +123,46 @@ class TestBuildDual:
         with pytest.raises(ValueError, match="finite"):
             build_dual(np.full((2, 3), np.inf), t, 1, 1, 1)
 
+    def test_assembly_memory_below_three_n_squared_doubles(self):
+        # H itself is 8 N^2 bytes; the feature-space assembly keeps no other
+        # N x N float array alive at its peak
+        rng = np.random.default_rng(18)
+        n = 2000
+        Z, t, mu1, mu2, lam = random_instance(rng, 28, n)
+        tracemalloc.start()
+        try:
+            assemble_dual(Z, t, mu1, mu2, lam)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * n**2
+
 
 class TestRecoverPrimal:
+    """The recovery closure that assemble_dual returns."""
+
     def test_representer_form_at_zero_mu(self):
         rng = np.random.default_rng(6)
         Z, t, *_ = random_instance(rng, 3, 5)
         alpha = rng.random(5) * 0.2
-        v = recover_primal(Z, t, None, Z.T @ Z, 0.0, alpha)
-        np.testing.assert_allclose(v, Z @ (t * alpha), rtol=1e-12)
+        _, recover, _ = assemble_dual(Z, t, 0.0, 0.0, 1.0)
+        np.testing.assert_allclose(recover(alpha), Z @ (t * alpha), rtol=1e-12)
 
     def test_zero_alpha_zero_mu2(self):
         rng = np.random.default_rng(7)
         Z, t, *_ = random_instance(rng, 3, 5)
-        Q = variance_curvature(t, 1.0)
-        v = recover_primal(Z, t, Q, Z.T @ Z, 0.0, np.zeros(5))
-        np.testing.assert_allclose(v, np.zeros(3), atol=1e-14)
+        _, recover, _ = assemble_dual(Z, t, 1.0, 0.0, 1.0)
+        np.testing.assert_allclose(recover(np.zeros(5)), np.zeros(3), atol=1e-14)
 
     def test_matches_assembly_closure(self):
+        # the sample-space recovery Z (I+QG)^{-1} T ((mu2/N) e + alpha)
         rng = np.random.default_rng(8)
-        Z, t, mu1, mu2, lam = random_instance(rng, 4, 5)
-        problem, recover, _ = assemble_dual(Z, t, mu1, mu2, lam)
-        alpha = rng.random(5) * (lam / 5)
-        v1 = recover(alpha)
-        v2 = recover_primal(Z, t, variance_curvature(t, mu1), Z.T @ Z, mu2, alpha)
-        np.testing.assert_allclose(v1, v2, rtol=1e-12)
+        for d, n, mu1 in [(4, 5, 1.0), (28, 240, 1.0), (12, 5, 0.6), (6, 30, 0.0)]:
+            Z, t, mu1, mu2, lam = random_instance(rng, d, n, mu1=mu1)
+            _, recover, _ = assemble_dual(Z, t, mu1, mu2, lam)
+            alpha = rng.random(n) * (lam / n)
+            v_ref = sample_space_dual(Z, t, mu1, mu2)[2](alpha)
+            assert np.abs(recover(alpha) - v_ref).max() <= 1e-12 * np.abs(v_ref).max()
 
     def test_stationarity_of_block_lagrangian(self):
         # at the dual optimum, v must satisfy
