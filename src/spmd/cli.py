@@ -547,8 +547,8 @@ def cmd_check(args) -> int:
                            iterations=1, objectives=[1.0, 1.0 + 1e-3],
                            block_labels=["init", "mode1"], weight_norms=[1.0, 1.0],
                            history=[], final_objective=1.0 + 1e-3, gamma_m=0.0,
-                           gamma_v=0.0, qp_passes=0, ridge_events=0,
-                           clamp_events=0, wall_time=0.0)
+                           gamma_v=0.0, qp_passes=0, clamp_events=0,
+                           wall_time=0.0)
         ok = theory.descent_certificate(fake)
         reports.append(("theorem2", theory.BoundReport.make(
             "descent_certificate[injected]", 0.0, None if ok else 1e-3,

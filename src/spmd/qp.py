@@ -24,6 +24,15 @@ at least I, so the factorization cannot fail; at mu1 = 0 it is I itself.
 By the push-through identity G (I + QG)^{-1} = Z' S^{-1} Z, this is the
 same dual as the sample-space form H = T G (I + QG)^{-1} T with G = Z'Z and
 Q = (2*mu1/N^2)(N I - t t'), without its N x N factorization.
+
+H has rank at most D, often far below N, and cyclic coordinate descent
+alone crawls on such degenerate duals. The solver therefore ends each pass
+whose free set {i : 0 < alpha_i < lam/N} repeats the previous pass's with
+one subspace step on that set: a least-squares Newton step on H_FF, or a
+step along the part of -grad_F that H_FF cannot reach, whichever lowers
+the objective more, cut at the box. Each coordinate visit and each such
+step is an exact or box-capped line minimization along a descent
+direction, so the objective never rises.
 """
 
 from __future__ import annotations
@@ -126,16 +135,72 @@ def build_dual(features, labels, mu1, mu2, lam) -> QpProblem:
     return problem
 
 
+def _box_line_step(a: np.ndarray, d: np.ndarray, slope: float, curv: float,
+                   upper: float) -> tuple[np.ndarray, float]:
+    """Minimize slope*t + curv*t^2/2 over t >= 0 with a + t d kept in the box.
+
+    Returns the new point and the objective decrease. Coordinates that the
+    step carries onto the box land on it exactly.
+    """
+    with np.errstate(divide="ignore"):
+        room = np.where(d > 0.0, (upper - a) / d, np.where(d < 0.0, -a / d, np.inf))
+    t = float(room.min())
+    if curv > 0.0:
+        t = min(t, -slope / curv)
+    new = np.clip(a + t * d, 0.0, upper)
+    hit = room <= t
+    new[hit] = np.where(d[hit] > 0.0, upper, 0.0)
+    return new, -(slope + 0.5 * curv * t) * t
+
+
+def _free_set_step(hf: np.ndarray, gf: np.ndarray, a: np.ndarray,
+                   upper: float) -> np.ndarray:
+    """One descent step on the free coordinates a (gradient gf, Hessian hf).
+
+    Two directions are tried and the one that lowers the objective more is
+    taken. The Newton direction p is the min-norm least-squares solution of
+    hf p = -gf; along it gf'p = -p'hf p, so the line minimum is at t = 1
+    unless the box stops it first. The residual r = gf + hf p is the part
+    of gf outside range(hf); along -r the objective falls linearly
+    (gf'r = r'r, r'hf r = 0), so when r is not zero the face is unbounded
+    below and that step runs to the box. Each step is a line minimization
+    along a descent direction, so the objective never rises.
+    """
+    p = np.linalg.lstsq(hf, -gf, rcond=None)[0]
+    best, gain = a, 0.0
+    for d in (p, -(gf + hf @ p)):
+        slope = float(gf @ d)
+        if slope < 0.0:
+            new, drop = _box_line_step(a, d, slope, float(d @ (hf @ d)), upper)
+            if drop > gain:
+                best, gain = new, drop
+    return best
+
+
 def solve_box_qp(problem: QpProblem, tol: float = 1e-8, max_passes: int = 5000,
                  alpha0: np.ndarray | None = None,
                  perm: np.ndarray | None = None) -> QpSolution:
-    """Cyclic coordinate descent with exact per-coordinate minimization.
+    """Cyclic coordinate descent with a subspace step on a settled free set.
 
-    Coordinates are visited in a fixed permutation every pass. Each visit
+    Each pass visits the coordinates in a fixed permutation. Each visit
     minimizes the quadratic exactly along that coordinate and clips to the
     box; a zero diagonal falls back to the linear rule (move to whichever
-    box end decreases the objective). Terminates when the maximum projected
-    gradient residual max_i |a_i - clip(a_i - grad_i)| drops to ``tol``.
+    box end decreases the objective).
+
+    When the free set F = {i : 0 < a_i < upper} after a pass is non-empty
+    and equal to the previous pass's, the pass ends with one subspace
+    minimization step on F, as in gradient projection for bound-constrained
+    QPs (More & Toraldo, SIAM J. Optim. 1991): a least-squares Newton step
+    on H_FF, or a zero-curvature step when grad_F leaves range(H_FF), cut
+    at the box (see ``_free_set_step``), after which grad is recomputed
+    exactly. Neither the coordinate visits nor this step raise the
+    objective, so ``objective_trace`` is non-increasing. On the rank-D
+    duals of small blocks, where coordinate descent alone crawls for
+    thousands of passes, the step finishes the solve as soon as the active
+    set settles.
+
+    Terminates when the maximum projected gradient residual
+    max_i |a_i - clip(a_i - grad_i)| drops to ``tol``.
 
     Parameters
     ----------
@@ -159,6 +224,7 @@ def solve_box_qp(problem: QpProblem, tol: float = 1e-8, max_passes: int = 5000,
     residual = np.inf
     converged = False
     passes = 0
+    free_prev = np.empty(0, dtype=np.int64)
     for passes in range(1, max_passes + 1):
         for i in order:
             gi = grad[i]
@@ -179,8 +245,14 @@ def solve_box_qp(problem: QpProblem, tol: float = 1e-8, max_passes: int = 5000,
             if delta != 0.0:
                 alpha[i] = new
                 grad += delta * H[i]
-        if passes % 32 == 0:
+        free = np.flatnonzero((alpha > 0.0) & (alpha < upper))
+        if free.size and np.array_equal(free, free_prev):
+            alpha[free] = _free_set_step(H[np.ix_(free, free)], grad[free],
+                                         alpha[free], upper)
+            grad = H @ alpha + g
+        elif passes % 32 == 0:
             grad = H @ alpha + g  # shed incremental rounding drift
+        free_prev = free
         trace.append(float(0.5 * alpha @ (grad + g)))
         residual = float(np.abs(alpha - np.clip(alpha - grad, 0.0, upper)).max())
         if residual <= tol:

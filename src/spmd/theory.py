@@ -41,30 +41,12 @@ class BoundReport:
                    holds, dict(inputs or {}))
 
 
-def spectral_norm(mat: np.ndarray, tol: float = 1e-10, max_iter: int = 10000) -> float:
-    """Largest singular value by power iteration on the smaller Gram matrix."""
+def spectral_norm(mat: np.ndarray) -> float:
+    """Largest singular value (a vector is treated as one row)."""
     a = np.atleast_2d(np.asarray(mat, dtype=np.float64))
     if a.size == 0:
         raise ValueError("empty matrix")
-    s = a.T @ a if a.shape[1] <= a.shape[0] else a @ a.T
-    d = s.shape[0]
-    if d == 1:
-        return float(np.sqrt(s[0, 0]))
-    # deterministic start with unequal entries so no eigenvector is missed
-    v = 1.0 + np.arange(d) / d
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for _ in range(max_iter):
-        w = s @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        new = math.sqrt(float(v @ (s @ v)))
-        if abs(new - sigma) <= tol * max(new, 1.0):
-            return new
-        sigma = new
-    return sigma
+    return float(np.linalg.norm(a, 2))
 
 
 def tucker_norm_inequality(core: DenseTensor, factors) -> BoundReport:

@@ -166,7 +166,6 @@ class TrainReport:
     gamma_m: float
     gamma_v: float
     qp_passes: int
-    ridge_events: int
     clamp_events: int
     wall_time: float
 
@@ -213,28 +212,6 @@ def apply_bias(data: LabeledDataset) -> LabeledDataset:
                           data.labels, meta)
 
 
-class _Workspace:
-    """Per-dataset caches: batch view and per-mode unfolding index maps."""
-
-    def __init__(self, data: LabeledDataset):
-        self.data = data
-        self.arrays = data.arrays()
-        self._maps: dict[int, np.ndarray] = {}
-
-    def unfold_map(self, mode: int) -> np.ndarray:
-        m = self._maps.get(mode)
-        if m is None:
-            p = self.data.samples.shape[1]
-            idx = DenseTensor(self.data.dims, np.arange(p, dtype=np.float64))
-            m = unfold(idx, mode).astype(np.int64)
-            self._maps[mode] = m
-        return m
-
-    def mode_unfoldings(self, mode: int) -> np.ndarray:
-        """(N, I_m, J) stack of per-sample mode unfoldings."""
-        return self.data.samples[:, self.unfold_map(mode)]
-
-
 def _mode_coefficient(kind: str, factors, core, mode: int) -> np.ndarray:
     """P with rows R_m such that unfold(W, mode) = V_mode @ P."""
     order = len(factors)
@@ -245,10 +222,23 @@ def _mode_coefficient(kind: str, factors, core, mode: int) -> np.ndarray:
     return khatri_rao(others, empty_cols=r).T
 
 
-def _whiten_columns(stacks: np.ndarray, coeff: np.ndarray, root: MetricRoot) -> np.ndarray:
+def _mode_contract(arrays: np.ndarray, mode: int, c: np.ndarray) -> np.ndarray:
+    """(N, I_m, R) stack of unfold(X_i, mode) @ c for an (N, I1..IM) batch.
+
+    The rows of c follow the unfolding's columns (lower modes fastest), so
+    c reshaped column-major over the other modes contracts with them
+    directly, without gathering each sample's unfolding.
+    """
+    dims = arrays.shape[1:]
+    others = [k for k in range(1, len(dims) + 1) if k != mode]
+    cr = c.reshape(tuple(dims[k - 1] for k in others) + (c.shape[1],), order="F")
+    return np.tensordot(arrays, cr, axes=(others, list(range(len(others)))))
+
+
+def _whiten_columns(arrays: np.ndarray, mode: int, coeff: np.ndarray,
+                    root: MetricRoot) -> np.ndarray:
     """z_i = vec(U_i @ coeff' @ root^{-T}) for every sample, as a D x N matrix."""
-    c = coeff.T @ root.inv_half.T
-    feats = stacks @ c
+    feats = _mode_contract(arrays, mode, coeff.T @ root.inv_half.T)
     n = feats.shape[0]
     return feats.transpose(0, 2, 1).reshape(n, -1).T
 
@@ -264,28 +254,25 @@ def _contract_factors(arrays: np.ndarray, factors) -> np.ndarray:
 def mode_features_tucker(data: LabeledDataset, factors, core: DenseTensor,
                          mode: int):
     """Whitened mode-``mode`` features and the metric root for a Tucker block."""
-    ws = _Workspace(data)
     p = _mode_coefficient("tucker", list(factors), core, mode)
     root = psd_root(p @ p.T, context=f"mode {mode} metric")
-    return _whiten_columns(ws.mode_unfoldings(mode), p, root), root
+    return _whiten_columns(data.arrays(), mode, p, root), root
 
 
 def mode_features_cp(data: LabeledDataset, factors, mode: int):
     """Whitened mode-``mode`` features and the metric root for a CP block."""
-    ws = _Workspace(data)
     p = _mode_coefficient("cp", list(factors), None, mode)
     root = psd_root(p @ p.T, context=f"mode {mode} metric")
-    return _whiten_columns(ws.mode_unfoldings(mode), p, root), root
+    return _whiten_columns(data.arrays(), mode, p, root), root
 
 
 def core_features(data: LabeledDataset, factors):
     """Whitened core features and the Gram-Kronecker metric root."""
-    ws = _Workspace(data)
     factors = [np.asarray(v, dtype=np.float64) for v in factors]
     grams = [v.T @ v for v in factors]
     k = kron_chain(list(reversed(grams)))
     root = psd_root(k, context="core metric")
-    raw = _contract_factors(ws.arrays, factors)
+    raw = _contract_factors(data.arrays(), factors)
     n = raw.shape[0]
     order = raw.ndim - 1
     flat = raw.transpose((0,) + tuple(range(order, 0, -1))).reshape(n, -1)
@@ -371,7 +358,7 @@ def train(data: LabeledDataset, cfg: TrainConfig):
     ss = np.random.SeedSequence(cfg.seed)
     rng = np.random.default_rng(ss)
     factors, core = _init_state(dims, mode_ranks, cfg.kind, rng)
-    ws = _Workspace(data)
+    arrays = data.arrays()
     n = len(data)
 
     blocks = [("mode", m) for m in range(1, len(dims) + 1)]
@@ -393,7 +380,7 @@ def train(data: LabeledDataset, cfg: TrainConfig):
     weight_norms = [w.norm()]
     best = (j, snapshot())
     history = []
-    qp_passes = ridge_events = clamp_events = 0
+    qp_passes = clamp_events = 0
     converged = False
     outer = 0
     w_prev = w
@@ -410,8 +397,8 @@ def train(data: LabeledDataset, cfg: TrainConfig):
                         "tucker" if cfg.kind == "tucker" else "cp",
                         factors, core, m)
                     root = psd_root(coeff @ coeff.T, context=f"mode {m} metric")
-                    feats = _whiten_columns(ws.mode_unfoldings(m), coeff, root)
-                v, sol, info = block_update(
+                    feats = _whiten_columns(arrays, m, coeff, root)
+                v, sol, _ = block_update(
                     feats, data.labels, hyper, cfg.qp_tol, cfg.qp_max_passes,
                     warm_alpha=warm[b], perm=perms[b])
                 if cfg.kind == "vector":
@@ -422,7 +409,7 @@ def train(data: LabeledDataset, cfg: TrainConfig):
                 label = f"mode{which}"
             else:
                 feats, root = core_features(data, factors)
-                v, sol, info = block_update(
+                v, sol, _ = block_update(
                     feats, data.labels, hyper, cfg.qp_tol, cfg.qp_max_passes,
                     warm_alpha=warm[b], perm=perms[b])
                 core = DenseTensor(mode_ranks, root.inv_half.T @ v)
@@ -430,7 +417,6 @@ def train(data: LabeledDataset, cfg: TrainConfig):
                 label = "core"
             warm[b] = sol.alpha
             qp_passes += sol.iterations
-            ridge_events += int(info["ridge_added"])
 
             w = _reconstruct(cfg.kind, dims, factors, core)
             j = primal_objective(w, data, hyper)
@@ -498,7 +484,6 @@ def train(data: LabeledDataset, cfg: TrainConfig):
         gamma_m=summ.mean,
         gamma_v=summ.variance,
         qp_passes=qp_passes,
-        ridge_events=ridge_events,
         clamp_events=clamp_events,
         wall_time=time.perf_counter() - t0,
     )

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from oracles import box_qp_reference, sample_space_dual, variance_curvature
-from spmd.qp import QpProblem, QpSolution, assemble_dual, build_dual, solve_box_qp
+from spmd.qp import (QpProblem, QpSolution, _free_set_step, assemble_dual, build_dual,
+                     solve_box_qp)
 
 
 def random_instance(rng, d, n, mu1=1.0, mu2=1.0, lam=1.0):
@@ -280,6 +281,35 @@ class TestSolveBoxQp:
         with pytest.raises(ValueError, match="perm"):
             solve_box_qp(p, perm=np.array([0, 0]))
 
+    def test_rank_deficient_dual_converges_in_few_passes(self):
+        # D=4, N=64 with near-duplicate sample pairs: H has rank 4 and H_FF
+        # is ill-conditioned, so coordinate descent alone needs more than
+        # the trainer's 4000-pass cap
+        rng = np.random.default_rng(1)
+        base = rng.standard_normal((4, 32))
+        t = np.repeat([1.0, -1.0], 16)
+        base[0] += 0.5 * t
+        Z = np.hstack([base, base + 1e-3 * rng.standard_normal((4, 32))])
+        p = build_dual(Z, np.concatenate([t, t]), 1.0, 1.0, 2.0)
+        assert np.linalg.matrix_rank(p.H) == 4
+        tol = 1e-8
+        sol = solve_box_qp(p, tol=tol, max_passes=4000)
+        assert sol.converged
+        assert sol.iterations <= 20
+        assert sol.kkt_residual <= tol
+
+    def test_unbounded_face_dual_converges(self):
+        # mu1 = 0 and a wide box: the free set outgrows rank(H) = 4 and the
+        # gradient on it leaves range(H_FF), so the step must also follow
+        # the zero-curvature direction to the box
+        rng = np.random.default_rng(2)
+        Z, t, *_ = random_instance(rng, 4, 60)
+        p = build_dual(3.0 * Z, t, 0.0, 1.0, 1000.0)
+        sol = solve_box_qp(p, tol=1e-8, max_passes=4000)
+        assert sol.converged
+        assert np.diff(np.array(sol.objective_trace)).max() <= 1e-12 * abs(sol.objective)
+
+
     def test_unconverged_warns(self):
         rng = np.random.default_rng(17)
         Z, t, *_ = random_instance(rng, 6, 12)
@@ -288,3 +318,27 @@ class TestSolveBoxQp:
             sol = solve_box_qp(p, tol=1e-14, max_passes=1)
         assert not sol.converged
         assert isinstance(sol, QpSolution)
+
+
+class TestFreeSetStep:
+    def test_newton_step_reaches_face_minimizer(self):
+        hf, gf = np.diag([2.0, 4.0]), np.array([-1.0, -2.0])
+        a = _free_set_step(hf, gf, np.array([0.1, 0.1]), 10.0)
+        np.testing.assert_allclose(a, [0.6, 0.6], rtol=1e-15)
+
+    def test_newton_step_cut_at_box(self):
+        hf, gf = np.diag([2.0, 4.0]), np.array([-1.0, -2.0])
+        a = _free_set_step(hf, gf, np.array([0.1, 0.1]), 0.35)
+        np.testing.assert_allclose(a, [0.35, 0.35], rtol=1e-15)
+
+    def test_zero_curvature_direction_runs_to_box(self):
+        # gf is orthogonal to range(hf): the face is unbounded below along -gf
+        hf, gf = np.ones((2, 2)), np.array([0.5, -0.5])
+        a = _free_set_step(hf, gf, np.array([0.5, 0.5]), 1.0)
+        np.testing.assert_allclose(a, [0.0, 1.0], rtol=0.0, atol=1e-15)
+        assert a[0] == 0.0 or a[1] == 1.0  # the limiting coordinate lands exactly
+
+    def test_stationary_point_unchanged(self):
+        a0 = np.array([0.3, 0.7])
+        a = _free_set_step(np.eye(2), np.zeros(2), a0, 1.0)
+        np.testing.assert_array_equal(a, a0)

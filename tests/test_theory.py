@@ -41,8 +41,8 @@ def fake_report(objectives, weight_norms=None):
         iterations=max(len(objs) - 1, 0), objectives=objs,
         block_labels=["init"] + ["mode1"] * (len(objs) - 1),
         weight_norms=norms, history=[], final_objective=objs[-1] if objs else 0.0,
-        gamma_m=0.0, gamma_v=0.0, qp_passes=0, ridge_events=0,
-        clamp_events=0, wall_time=0.0,
+        gamma_m=0.0, gamma_v=0.0, qp_passes=0, clamp_events=0,
+        wall_time=0.0,
     )
 
 
@@ -104,6 +104,14 @@ class TestSpectralNorm:
         v, _ = np.linalg.qr(rng.standard_normal((4, 3)))
         a = u @ np.diag([3.0, 1.0, 0.5]) @ v.T
         assert spectral_norm(a) == pytest.approx(3.0, rel=1e-8)
+
+    def test_close_top_singular_values(self):
+        # a relative gap of 1e-3 between the top two singular values
+        rng = np.random.default_rng(3)
+        u, _ = np.linalg.qr(rng.standard_normal((6, 4)))
+        v, _ = np.linalg.qr(rng.standard_normal((5, 4)))
+        a = u @ np.diag([1.0, 0.999, 0.5, 0.1]) @ v.T
+        assert spectral_norm(a) == pytest.approx(1.0, rel=1e-12)
 
     def test_one_by_one(self):
         assert spectral_norm(np.array([[-4.0]])) == 4.0
@@ -428,6 +436,14 @@ class TestDescentSweep:
             assert rep.empirical_value is None  # no violation magnitude
             assert rep.bound_value == 0.0
             assert "iterations" in rep.inputs and "converged" in rep.inputs
+
+    def test_seed_27_certified_without_capped_solves(self):
+        # a late Tucker core dual here (D=4, N=60) once stopped at the pass
+        # cap, and the objective rose past the certificate's slack
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", message="coordinate descent stopped")
+            reports = theorem2_sweep(12, seed=27)
+        assert [r.name for r in reports if not r.holds] == []
 
     def test_sweep_reproducible(self):
         a = theorem2_sweep(n_runs=2, seed=5)

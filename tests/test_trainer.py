@@ -16,7 +16,7 @@ from spmd.trainer import (Hyper, MetricCollapseError, TrainConfig, WeightModel,
                           apply_bias, block_update, core_features, load_model,
                           mode_features_cp, mode_features_tucker, predict,
                           primal_objective, psd_root, decision_scores,
-                          save_model, train, _mode_ranks, _Workspace)
+                          save_model, train, _mode_contract, _mode_ranks)
 from spmd.tensor import cp_reconstruct, tucker_reconstruct, unfold, vec
 
 
@@ -86,15 +86,18 @@ class TestPsdRoot:
             psd_root(np.full((2, 2), np.nan))
 
 
-class TestWorkspace:
-    def test_mode_unfoldings_match_per_sample_unfold(self):
+class TestModeContraction:
+    def test_matches_per_sample_unfold_times_coefficient(self):
         rng = np.random.default_rng(2)
-        data = random_dataset(rng, (2, 3, 2), 4)
-        ws = _Workspace(data)
-        for m in (1, 2, 3):
-            stacks = ws.mode_unfoldings(m)
-            for i in range(4):
-                np.testing.assert_array_equal(stacks[i], unfold(data.sample(i), m))
+        for dims in [(5,), (2, 3), (2, 3, 2), (3, 2, 4, 2)]:
+            data = random_dataset(rng, dims, 4)
+            for m in range(1, len(dims) + 1):
+                c = rng.standard_normal((int(np.prod(dims)) // dims[m - 1], 3))
+                got = _mode_contract(data.arrays(), m, c)
+                assert got.shape == (4, dims[m - 1], 3)
+                for i in range(4):
+                    want = unfold(data.sample(i), m) @ c
+                    np.testing.assert_allclose(got[i], want, rtol=1e-13, atol=1e-13)
 
 
 class TestModeFeatureIdentities:
