@@ -17,22 +17,27 @@ v' ((1/N) Yc Yc') v. Eliminating the slack via Lagrange duality gives
 with S = L L' (Cholesky), B = L^{-1} Y, H = B'B, g = (mu2/N) B'(B e) - e,
 and primal recovery v = L^{-T} B (alpha + (mu2/N) e).
 
-The whole assembly works in the D x D feature space: one Cholesky of S, one
-triangular solve for the D x N matrix B, and the N x N product B'B, which
-numpy forms with a symmetric rank-k update so H is exactly symmetric. S is
-at least I, so the factorization cannot fail; at mu1 = 0 it is I itself.
+The whole assembly works in the D x D feature space: one Cholesky of S and
+one triangular solve for the D x N matrix B. S is at least I, so the
+factorization cannot fail; at mu1 = 0 it is I itself. H is never formed:
+the problem keeps the factor B, so assembly memory is O(N D), not O(N^2).
 By the push-through identity G (I + QG)^{-1} = Z' S^{-1} Z, this is the
-same dual as the sample-space form H = T G (I + QG)^{-1} T with G = Z'Z and
-Q = (2*mu1/N^2)(N I - t t'), without its N x N factorization.
+same dual as the sample-space form H = T G (I + QG)^{-1} T with G = Z'Z
+and Q = (2*mu1/N^2)(N I - t t'), without its N x N factorization.
 
-H has rank at most D, often far below N, and cyclic coordinate descent
-alone crawls on such degenerate duals. The solver therefore ends each pass
-whose free set {i : 0 < alpha_i < lam/N} repeats the previous pass's with
-one subspace step on that set: a least-squares Newton step on H_FF, or a
-step along the part of -grad_F that H_FF cannot reach, whichever lowers
-the objective more, cut at the box. Each coordinate visit and each such
-step is an exact or box-capped line minimization along a descent
-direction, so the objective never rises.
+The solver is dual coordinate descent in the factor form of Hsieh et al.
+(ICML 2008): it keeps u = B alpha, so the gradient of one coordinate,
+b_i'u + g_i, and the update of u after a step each cost O(D). Each pass
+visits only the coordinates that violate the KKT conditions at its start
+(a working set, as in Fan, Chen & Lin, JMLR 2005). H has rank at most D,
+often far below N, and coordinate descent alone crawls on such degenerate
+duals, so every pass that leaves the solve unconverged ends with one
+subspace step on the free set F = {i : 0 < alpha_i < lam/N}: a
+least-squares Newton step on H_FF = B_F'B_F (the only square array the
+solver builds, |F| x |F|), or a step along the part of -grad_F that H_FF
+cannot reach, whichever lowers the objective more, cut at the box. Each
+coordinate visit and each such step is an exact or box-capped line
+minimization along a descent direction, so the objective never rises.
 """
 
 from __future__ import annotations
@@ -46,24 +51,27 @@ import scipy.linalg
 
 @dataclass(frozen=True)
 class QpProblem:
-    """min 0.5 a'Ha + g'a subject to 0 <= a <= upper (elementwise)."""
+    """min 0.5 ||B a||^2 + g'a subject to 0 <= a <= upper (elementwise).
 
-    H: np.ndarray
+    B is the D x N factor of the Hessian H = B'B, which is never formed.
+    """
+
+    B: np.ndarray
     g: np.ndarray
     upper: float
 
     def __post_init__(self):
-        H = np.asarray(self.H, dtype=np.float64)
+        B = np.asarray(self.B, dtype=np.float64)
         g = np.asarray(self.g, dtype=np.float64).ravel()
-        if H.ndim != 2 or H.shape[0] != H.shape[1]:
-            raise ValueError("H must be square")
-        if g.size != H.shape[0]:
-            raise ValueError(f"g has {g.size} entries, H is {H.shape[0]}x{H.shape[0]}")
-        if not np.isfinite(H).all() or not np.isfinite(g).all():
+        if B.ndim != 2:
+            raise ValueError("B must be a D x N matrix")
+        if g.size != B.shape[1]:
+            raise ValueError(f"g has {g.size} entries, B has {B.shape[1]} columns")
+        if not np.isfinite(B).all() or not np.isfinite(g).all():
             raise ValueError("non-finite entries in QP data")
         if not self.upper > 0:
             raise ValueError(f"upper bound must be positive, got {self.upper}")
-        object.__setattr__(self, "H", H)
+        object.__setattr__(self, "B", B)
         object.__setattr__(self, "g", g)
 
     @property
@@ -72,7 +80,8 @@ class QpProblem:
 
     def objective(self, alpha: np.ndarray) -> float:
         alpha = np.asarray(alpha, dtype=np.float64)
-        return float(0.5 * alpha @ (self.H @ alpha) + self.g @ alpha)
+        u = self.B @ alpha
+        return float(0.5 * (u @ u) + self.g @ alpha)
 
 
 @dataclass(frozen=True)
@@ -117,9 +126,8 @@ def assemble_dual(features, labels, mu1, mu2, lam):
     S = np.eye(Z.shape[0]) + (2.0 * mu1 / n) * (Yc @ Yc.T)
     L = scipy.linalg.cholesky(S, lower=True, check_finite=False)
     B = scipy.linalg.solve_triangular(L, Y, lower=True, check_finite=False)
-    H = B.T @ B
-    g = (mu2 / n) * (B.T @ B.sum(axis=1)) - 1.0
-    problem = QpProblem(H, g, lam / n)
+    g = (mu2 / n) * (B.sum(axis=1) @ B) - 1.0
+    problem = QpProblem(B, g, lam / n)
 
     def recover(alpha: np.ndarray) -> np.ndarray:
         alpha = np.asarray(alpha, dtype=np.float64).ravel()
@@ -130,7 +138,7 @@ def assemble_dual(features, labels, mu1, mu2, lam):
 
 
 def build_dual(features, labels, mu1, mu2, lam) -> QpProblem:
-    """Dual QP for one block: H, g and the box bound lam/N."""
+    """Dual QP for one block: the factor B, g and the box bound lam/N."""
     problem, _, _ = assemble_dual(features, labels, mu1, mu2, lam)
     return problem
 
@@ -180,24 +188,27 @@ def _free_set_step(hf: np.ndarray, gf: np.ndarray, a: np.ndarray,
 def solve_box_qp(problem: QpProblem, tol: float = 1e-8, max_passes: int = 5000,
                  alpha0: np.ndarray | None = None,
                  perm: np.ndarray | None = None) -> QpSolution:
-    """Cyclic coordinate descent with a subspace step on a settled free set.
+    """Dual coordinate descent on u = B a with a subspace step on the free set.
 
-    Each pass visits the coordinates in a fixed permutation. Each visit
+    The solver works on the factor B of H = B'B and keeps u = B a, so H is
+    never formed. Each pass visits, in the order of ``perm``, only
+    the coordinates whose projected gradient is non-zero at the start of
+    the pass (the KKT violators). A visit computes g_i = b_i'u + g_i,
     minimizes the quadratic exactly along that coordinate and clips to the
     box; a zero diagonal falls back to the linear rule (move to whichever
-    box end decreases the objective).
+    box end decreases the objective). When a_i changes by d, u += d b_i.
 
-    When the free set F = {i : 0 < a_i < upper} after a pass is non-empty
-    and equal to the previous pass's, the pass ends with one subspace
-    minimization step on F, as in gradient projection for bound-constrained
-    QPs (More & Toraldo, SIAM J. Optim. 1991): a least-squares Newton step
-    on H_FF, or a zero-curvature step when grad_F leaves range(H_FF), cut
-    at the box (see ``_free_set_step``), after which grad is recomputed
-    exactly. Neither the coordinate visits nor this step raise the
-    objective, so ``objective_trace`` is non-increasing. On the rank-D
-    duals of small blocks, where coordinate descent alone crawls for
-    thousands of passes, the step finishes the solve as soon as the active
-    set settles.
+    After the pass the gradient B'u + g is formed. If the solve has not
+    converged and the free set F = {i : 0 < a_i < upper} is non-empty, the
+    pass ends with one subspace minimization step on F, as in gradient
+    projection for bound-constrained QPs (More & Toraldo, SIAM J. Optim.
+    1991): a least-squares Newton step on H_FF = B_F'B_F, or a
+    zero-curvature step when grad_F leaves range(H_FF), cut at the box
+    (see ``_free_set_step``), after which u = B a is recomputed exactly.
+    Neither the coordinate visits nor this step raise the objective, so
+    ``objective_trace`` is non-increasing. On the rank-D duals of small
+    blocks, where coordinate descent alone crawls for thousands of passes,
+    the step finishes the solve as soon as the active set settles.
 
     Terminates when the maximum projected gradient residual
     max_i |a_i - clip(a_i - grad_i)| drops to ``tol``.
@@ -208,9 +219,10 @@ def solve_box_qp(problem: QpProblem, tol: float = 1e-8, max_passes: int = 5000,
     perm : visit order; defaults to 0..N-1. Pass a seeded permutation for
         run-reproducible schedules.
     """
-    H, g, upper = problem.H, problem.g, problem.upper
+    B, g, upper = problem.B, problem.g, problem.upper
     n = problem.n
-    diag = np.diag(H).copy()
+    rows = np.ascontiguousarray(B.T)  # rows[i] is the column b_i of B
+    diag = np.einsum("ij,ij->i", rows, rows)
     alpha = np.zeros(n) if alpha0 is None else np.clip(
         np.asarray(alpha0, dtype=np.float64).ravel(), 0.0, upper)
     if alpha.size != n:
@@ -219,15 +231,19 @@ def solve_box_qp(problem: QpProblem, tol: float = 1e-8, max_passes: int = 5000,
     if not np.array_equal(np.sort(order), np.arange(n)):
         raise ValueError("perm must be a permutation of 0..N-1")
 
-    grad = H @ alpha + g
+    def residual_of(grad):
+        return float(np.abs(alpha - np.clip(alpha - grad, 0.0, upper)).max())
+
+    u = B @ alpha
+    grad = rows @ u + g
     trace = []
-    residual = np.inf
     converged = False
     passes = 0
-    free_prev = np.empty(0, dtype=np.int64)
     for passes in range(1, max_passes + 1):
-        for i in order:
-            gi = grad[i]
+        a, gr = alpha[order], grad[order]
+        for i in order[((gr < 0.0) & (a < upper)) | ((gr > 0.0) & (a > 0.0))]:
+            bi = rows[i]
+            gi = bi @ u + g[i]
             hii = diag[i]
             if hii > 0.0:
                 new = alpha[i] - gi / hii
@@ -244,22 +260,25 @@ def solve_box_qp(problem: QpProblem, tol: float = 1e-8, max_passes: int = 5000,
             delta = new - alpha[i]
             if delta != 0.0:
                 alpha[i] = new
-                grad += delta * H[i]
-        free = np.flatnonzero((alpha > 0.0) & (alpha < upper))
-        if free.size and np.array_equal(free, free_prev):
-            alpha[free] = _free_set_step(H[np.ix_(free, free)], grad[free],
-                                         alpha[free], upper)
-            grad = H @ alpha + g
-        elif passes % 32 == 0:
-            grad = H @ alpha + g  # shed incremental rounding drift
-        free_prev = free
-        trace.append(float(0.5 * alpha @ (grad + g)))
-        residual = float(np.abs(alpha - np.clip(alpha - grad, 0.0, upper)).max())
+                u += delta * bi
+        grad = rows @ u + g
+        residual = residual_of(grad)
+        if residual > tol:
+            free = np.flatnonzero((alpha > 0.0) & (alpha < upper))
+            if free.size:
+                bf = rows[free]
+                alpha[free] = _free_set_step(bf @ bf.T, grad[free], alpha[free],
+                                             upper)
+            if free.size or passes % 32 == 0:
+                u = B @ alpha  # exact again, which also sheds rounding drift
+                grad = rows @ u + g
+                residual = residual_of(grad)
+        trace.append(float(0.5 * (u @ u) + g @ alpha))
         if residual <= tol:
             converged = True
             break
-    grad = H @ alpha + g
-    residual = float(np.abs(alpha - np.clip(alpha - grad, 0.0, upper)).max())
+    grad = rows @ (B @ alpha) + g
+    residual = residual_of(grad)
     if not converged and residual > tol:
         warnings.warn(
             f"coordinate descent stopped at residual {residual:g} after "

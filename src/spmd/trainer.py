@@ -500,16 +500,14 @@ def decision_scores(model: WeightModel, samples: np.ndarray,
         raise ValueError(f"sample dims {tuple(dims)} do not match model shape {model.shape}")
     if model.kind == "vector":
         return samples @ model.factors[0][:, 0]
+    if model.kind != "tucker":
+        # vec(W) = khatri_rao(V_M, ..., V_1) 1 for the column-major rows
+        return samples @ khatri_rao(list(reversed(model.factors))).sum(axis=1)
     t = _contract_factors(batch_view(samples, model.shape), list(model.factors))
-    if model.kind == "tucker":
-        n = t.shape[0]
-        order = t.ndim - 1
-        flat = t.transpose((0,) + tuple(range(order, 0, -1))).reshape(n, -1)
-        return flat @ model.core.data
-    r = model.ranks[0]
-    idx = (slice(None),) + tuple([np.arange(r)] * (t.ndim - 1))
-    diag = t[idx]
-    return diag.sum(axis=1) if diag.ndim > 1 else diag
+    n = t.shape[0]
+    order = t.ndim - 1
+    flat = t.transpose((0,) + tuple(range(order, 0, -1))).reshape(n, -1)
+    return flat @ model.core.data
 
 
 def predict(model: WeightModel, sample) -> tuple[int, float]:

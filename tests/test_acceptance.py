@@ -119,9 +119,10 @@ def test_criterion_2_qp_oracle_equivalence():
         lam = float(rng.uniform(0.5, 4.0))
         problem = build_dual(feats, labels, mu1, mu2, lam)
         sol = solve_box_qp(problem, tol=1e-8)
-        _, ref_obj = box_qp_reference(problem.H, problem.g, problem.upper)
+        H = problem.B.T @ problem.B
+        _, ref_obj = box_qp_reference(H, problem.g, problem.upper)
         worst_obj = max(worst_obj, abs(sol.objective - ref_obj))
-        grad = problem.H @ sol.alpha + problem.g
+        grad = H @ sol.alpha + problem.g
         resid = float(np.max(np.abs(
             sol.alpha - np.clip(sol.alpha - grad, 0.0, problem.upper))))
         worst_kkt = max(worst_kkt, resid, sol.kkt_residual)

@@ -7,10 +7,14 @@ curvature that the sample-space dual uses (including its factor of two),
 and a grid-plus-projected-gradient oracle for solver optimality.
 """
 
+import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import box_qp_reference, sample_space_dual, variance_curvature
 from spmd.qp import (QpProblem, QpSolution, _free_set_step, assemble_dual, build_dual,
@@ -40,6 +44,15 @@ class TestQpProblem:
             QpProblem(np.eye(2), np.zeros(2), 0.0)
         with pytest.raises(ValueError):
             QpProblem(np.full((1, 1), np.nan), np.zeros(1), 1.0)
+
+    @pytest.mark.parametrize("B, n, match", [
+        (np.ones(3), 3, "D x N"),
+        (np.ones((2, 3)), 2, "3 columns"),  # g sized to the rows, not the columns
+        (np.array([[1.0, 2.0, np.inf]]), 3, "non-finite"),
+    ], ids=["not-2d", "g-sized-to-rows", "non-finite"])
+    def test_malformed_factor_rejected(self, B, n, match):
+        with pytest.raises(ValueError, match=match):
+            QpProblem(B, np.zeros(n), 1.0)
 
 
 class TestVarianceCurvature:
@@ -82,11 +95,11 @@ class TestBuildDual:
         Z, t, *_ = random_instance(rng, 3, 4)
         p = build_dual(Z, t, 0.0, 1.0, 1.0)
         G = Z.T @ Z
-        np.testing.assert_allclose(p.H, np.outer(t, t) * G, rtol=1e-12)
+        np.testing.assert_allclose(p.B.T @ p.B, np.outer(t, t) * G, rtol=1e-12)
 
     def test_scalar_unit_instance(self):
         p = build_dual(np.array([[1.0]]), np.array([1.0]), 0.0, 0.0, 1.0)
-        np.testing.assert_allclose(p.H, [[1.0]])
+        np.testing.assert_allclose(p.B.T @ p.B, [[1.0]])
         np.testing.assert_allclose(p.g, [-1.0])
         assert p.upper == 1.0
 
@@ -97,8 +110,9 @@ class TestBuildDual:
             Z, t, mu1, mu2, lam = random_instance(rng, d, n, mu1=mu1, mu2=1.2, lam=2.0)
             p = build_dual(Z, t, mu1, mu2, lam)
             H_ref, g_ref, _ = sample_space_dual(Z, t, mu1, mu2)
-            np.testing.assert_array_equal(p.H, p.H.T)
-            assert np.abs(p.H - H_ref).max() <= 1e-12 * np.abs(H_ref).max()
+            H = p.B.T @ p.B
+            np.testing.assert_array_equal(H, H.T)
+            assert np.abs(H - H_ref).max() <= 1e-12 * np.abs(H_ref).max()
             assert np.abs(p.g - g_ref).max() <= 1e-12 * np.abs(g_ref).max()
             assert p.upper == pytest.approx(lam / n)
 
@@ -107,8 +121,9 @@ class TestBuildDual:
         for _ in range(10):
             Z, t, *_ = random_instance(rng, 4, 6)
             p = build_dual(Z, t, 1.0, 1.0, 1.0)
-            np.testing.assert_array_equal(p.H, p.H.T)
-            assert np.linalg.eigvalsh(p.H).min() >= -1e-10
+            H = p.B.T @ p.B
+            np.testing.assert_array_equal(H, H.T)
+            assert np.linalg.eigvalsh(H).min() >= -1e-10
 
     def test_validation_errors(self):
         Z = np.ones((2, 3))
@@ -124,19 +139,26 @@ class TestBuildDual:
         with pytest.raises(ValueError, match="finite"):
             build_dual(np.full((2, 3), np.inf), t, 1, 1, 1)
 
-    def test_assembly_memory_below_three_n_squared_doubles(self):
-        # H itself is 8 N^2 bytes; the feature-space assembly keeps no other
-        # N x N float array alive at its peak
+    def test_assembly_and_solve_memory_linear_in_n(self):
+        # at D = 28, N = 12000 an N x N H alone would be 1.15 GB; the factor
+        # B is 2.7 MB, and neither the assembly nor a cold solve (15 passes,
+        # each ending with a free-set step) may hold much more than a few
+        # D x N arrays at once
         rng = np.random.default_rng(18)
-        n = 2000
-        Z, t, mu1, mu2, lam = random_instance(rng, 28, n)
+        Z, t, *_ = random_instance(rng, 28, 12000)
+        Z[0] += 0.5 * t
         tracemalloc.start()
         try:
-            assemble_dual(Z, t, mu1, mu2, lam)
-            _, peak = tracemalloc.get_traced_memory()
+            problem, _, _ = assemble_dual(Z, t, 1.0, 1.0, 10.0)
+            _, assemble_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            sol = solve_box_qp(problem)
+            _, solve_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 3 * 8 * n**2
+        assert sol.converged
+        assert assemble_peak < 16e6
+        assert solve_peak < 16e6
 
 
 class TestRecoverPrimal:
@@ -210,7 +232,7 @@ class TestSolveBoxQp:
             H = M @ M.T
             g = rng.standard_normal(n)
             upper = float(0.2 + rng.random())
-            p = QpProblem(H, g, upper)
+            p = QpProblem(M.T, g, upper)
             sol = solve_box_qp(p, tol=1e-10, max_passes=20000)
             _, ref = box_qp_reference(H, g, upper)
             assert sol.objective <= ref + 1e-8
@@ -231,7 +253,7 @@ class TestSolveBoxQp:
             Z, t, *_ = random_instance(rng, 3, 5)
             p = build_dual(Z, t, 1.0, 1.0, 1.0)
             sol = solve_box_qp(p, tol=tol, max_passes=20000)
-            grad = p.H @ sol.alpha + p.g
+            grad = p.B.T @ (p.B @ sol.alpha) + p.g
             for i in range(p.n):
                 if sol.alpha[i] <= 0.0:
                     assert grad[i] >= -10 * tol
@@ -253,7 +275,7 @@ class TestSolveBoxQp:
         Z, t, *_ = random_instance(rng, 3, 5)
         p = build_dual(Z, t, 1.0, 1.0, 1.0)
         sol = solve_box_qp(p, tol=1e-10)
-        grad = p.H @ sol.alpha + p.g
+        grad = p.B.T @ (p.B @ sol.alpha) + p.g
         res = np.abs(sol.alpha - np.clip(sol.alpha - grad, 0.0, p.upper)).max()
         assert sol.kkt_residual == pytest.approx(res, abs=1e-15)
         assert sol.kkt_residual <= 1e-10
@@ -291,7 +313,7 @@ class TestSolveBoxQp:
         base[0] += 0.5 * t
         Z = np.hstack([base, base + 1e-3 * rng.standard_normal((4, 32))])
         p = build_dual(Z, np.concatenate([t, t]), 1.0, 1.0, 2.0)
-        assert np.linalg.matrix_rank(p.H) == 4
+        assert np.linalg.matrix_rank(p.B.T @ p.B) == 4
         tol = 1e-8
         sol = solve_box_qp(p, tol=tol, max_passes=4000)
         assert sol.converged
@@ -309,6 +331,50 @@ class TestSolveBoxQp:
         assert sol.converged
         assert np.diff(np.array(sol.objective_trace)).max() <= 1e-12 * abs(sol.objective)
 
+    def test_wide_box_dual_with_shifting_free_set_converges(self):
+        # mu1 = 0, lam = 1000: the coordinate passes keep changing the free
+        # set, so a subspace step that waits for it to repeat took 3727 passes
+        rng = np.random.default_rng(0)
+        Z = rng.standard_normal((4, 60))
+        t = np.where(rng.random(60) < 0.5, 1.0, -1.0)
+        p = build_dual(3.0 * Z, t, 0.0, 1.0, 1000.0)
+        sol = solve_box_qp(p, tol=1e-8, max_passes=4000)
+        assert sol.converged
+        assert sol.iterations <= 1000
+
+    def test_rank4_sweep_converges_well_inside_cap(self):
+        # 60 rank-4 duals over mu1, lam and the feature scale
+        worst = 0
+        for mu1, lam, scale, seed in itertools.product(
+                (0.0, 1.0), (100.0, 1000.0), (0.3, 1.0, 3.0), range(5)):
+            Z, t, *_ = random_instance(np.random.default_rng(seed), 4, 60)
+            p = build_dual(scale * Z, t, mu1, 1.0, lam)
+            sol = solve_box_qp(p, tol=1e-8, max_passes=4000)
+            assert sol.converged
+            worst = max(worst, sol.iterations)
+        assert worst <= 500
+
+    @settings(derandomize=True, deadline=None)
+    @given(d=st.integers(1, 16), n=st.integers(2, 12),
+           mu1=st.floats(0.0, 2.0), mu2=st.floats(0.0, 2.0),
+           lam=st.floats(0.1, 1000.0), scale=st.floats(0.1, 3.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_property_converges_in_box_with_monotone_trace(
+            self, d, n, mu1, mu2, lam, scale, seed):
+        rng = np.random.default_rng(seed)
+        Z, t, *_ = random_instance(rng, d, n)
+        p = build_dual(scale * Z, t, mu1, mu2, lam)
+        alpha0 = rng.uniform(-0.5, 1.5, n) * p.upper  # clipped into the box
+        tol = 1e-8
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_box_qp(p, tol=tol, max_passes=4000, alpha0=alpha0,
+                               perm=rng.permutation(n))
+        assert np.all(sol.alpha >= 0.0) and np.all(sol.alpha <= p.upper)
+        grad = p.B.T @ (p.B @ sol.alpha) + p.g
+        assert np.abs(sol.alpha - np.clip(sol.alpha - grad, 0.0, p.upper)).max() <= tol
+        trace = np.array(sol.objective_trace)
+        assert np.all(np.diff(trace) <= 1e-12 * (1.0 + np.abs(trace[1:])))
 
     def test_unconverged_warns(self):
         rng = np.random.default_rng(17)

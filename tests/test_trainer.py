@@ -385,6 +385,18 @@ class TestPrediction:
             ref = data.samples @ w.data
             np.testing.assert_allclose(scores, ref, rtol=1e-10, atol=1e-12)
 
+    def test_cp_scores_match_reconstruction_at_orders_2_to_4(self):
+        rng = np.random.default_rng(24)
+        for dims in [(4, 3), (3, 2, 4), (2, 3, 2, 3)]:
+            r = 3
+            factors = tuple(rng.standard_normal((i, r)) for i in dims)
+            model = WeightModel("cp", dims, (r,) * len(dims), factors, None,
+                                Hyper(1, 1, 1))
+            samples = rng.standard_normal((7, int(np.prod(dims))))
+            ref = samples @ cp_reconstruct(list(factors)).data
+            np.testing.assert_allclose(decision_scores(model, samples, dims), ref,
+                                       rtol=1e-12)
+
     def test_vector_kind_scores(self):
         data = synth_blobs((5,), 8, margin=1.0, noise=0.3, seed=22)
         model, _ = train(data, TrainConfig(kind="vector", seed=23))
