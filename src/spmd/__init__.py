@@ -10,12 +10,11 @@ generalization guarantees, a one-vs-one multiclass harness, and a CLI.
 
 __version__ = "0.1.0"
 
-from .data import (LabeledDataset, MulticlassDataset, kfold_split, load_dataset,
-                   load_idx, reshape_samples, save_dataset, select_binary,
-                   synth_blobs, synth_multiclass)
-from .margins import (MarginSummary, margin_mean, margin_variance,
-                      mode_margin_stats, signed_margins, summarize_margins)
-from .multiclass import OvoEnsemble, ovo_predict, ovo_train, pairwise_accuracy
+from .data import (LabeledDataset, MulticlassDataset, load_dataset, load_idx,
+                   reshape_samples, save_dataset, select_binary, synth_blobs,
+                   synth_multiclass)
+from .margins import MarginSummary, margin_mean, margin_variance, signed_margins
+from .multiclass import OvoEnsemble, ovo_train, pairwise_accuracy
 from .qp import QpProblem, QpSolution, build_dual, solve_box_qp
 from .tensor import (DenseTensor, cp_reconstruct, inner, khatri_rao, kron,
                      mode_n_product, outer_product, refold, tucker_reconstruct,
@@ -24,8 +23,7 @@ from .theory import (BoundReport, cantelli_margin_tail, descent_certificate,
                      generalization_bound, rademacher_bound, spectral_norm,
                      tucker_norm_inequality)
 from .trainer import (Hyper, TrainConfig, TrainReport, WeightModel,
-                      block_update, core_features, load_model,
-                      mode_features_cp, mode_features_tucker, predict,
-                      primal_objective, save_model, train)
+                      block_features, block_update, core_features, load_model,
+                      predict, primal_objective, save_model, train)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -415,8 +415,8 @@ def cmd_train(args) -> int:
         f"wall_ms         {wall * 1e3:.1f}",
     ]
     if test_set is not None:
-        tscores = decision_scores(model, _biased(model, test_set).samples,
-                                  _biased(model, test_set).dims)
+        test_eval = _biased(model, test_set)
+        tscores = decision_scores(model, test_eval.samples, test_eval.dims)
         tacc = float(np.mean(np.where(tscores >= 0, 1.0, -1.0) == test_set.labels))
         lines.append(f"test_accuracy   {tacc:.4f}")
     summary = "\n".join(lines) + "\n"
@@ -446,8 +446,8 @@ def cmd_eval(args) -> int:
         raise ConfigError(str(e))
     cfg = resolve_config(load_config(args.config), need_method=False)
     data, _ = build_binary_dataset(cfg["dataset"], cfg["seed"])
-    if _METHOD_KIND.get(cfg.get("method") or "", "") == "vector" and data.order > 1:
-        data, _ = _maybe_flatten(cfg["method"], data, None)
+    if model.kind == "vector" and data.order > 1:
+        data = reshape_samples(data, [int(np.prod(data.dims))])
     data = _biased(model, data)
     if data.dims != model.shape:
         raise ConfigError(

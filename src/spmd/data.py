@@ -420,42 +420,6 @@ def synth_multiclass(shape, n_classes: int, n_per_class: int, margin: float = 1.
     return MulticlassDataset(samples, shape, labels, meta)
 
 
-def kfold_split(data: LabeledDataset, k: int, seed: int = 0):
-    """Stratified k-fold indices: list of (train_idx, test_idx) pairs.
-
-    Per-class indices are shuffled and dealt round-robin into folds. A class
-    with fewer than k members triggers a warning and a plain (unstratified)
-    shuffle-split instead.
-    """
-    n = len(data)
-    if not 2 <= k <= n:
-        raise ValueError(f"k must be in [2, {n}], got {k}")
-    rng = np.random.default_rng(seed)
-    folds = [[] for _ in range(k)]
-    classes = np.unique(data.labels)
-    counts = {c: int(np.sum(data.labels == c)) for c in classes}
-    if min(counts.values()) < k:
-        warnings.warn(
-            f"class counts {counts} below k={k}; falling back to unstratified split",
-            stacklevel=2,
-        )
-        perm = rng.permutation(n)
-        for pos, i in enumerate(perm):
-            folds[pos % k].append(i)
-    else:
-        for c in classes:
-            idx = rng.permutation(np.flatnonzero(data.labels == c))
-            for pos, i in enumerate(idx):
-                folds[pos % k].append(i)
-    out = []
-    all_idx = np.arange(n)
-    for f in folds:
-        test = np.sort(np.asarray(f, dtype=np.int64))
-        train = np.setdiff1d(all_idx, test)
-        out.append((train, test))
-    return out
-
-
 # --- dataset directory format ------------------------------------------------
 #
 # meta.json: {"dims": [...], "n": N, "labels": [...], "meta": {...}}

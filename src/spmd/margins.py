@@ -53,40 +53,7 @@ def margin_variance(margins: np.ndarray) -> float:
     return v
 
 
-def summarize_margins(w: DenseTensor, data: LabeledDataset) -> MarginSummary:
-    m = signed_margins(w, data)
-    return MarginSummary(m, margin_mean(m), margin_variance(m))
-
-
 def summarize_scores(scores: np.ndarray, labels: np.ndarray) -> MarginSummary:
     """Margin summary from precomputed raw scores <W, Z_i>."""
     m = np.asarray(labels, dtype=np.float64) * np.asarray(scores, dtype=np.float64)
     return MarginSummary(m, margin_mean(m), margin_variance(m))
-
-
-def mode_margin_stats(features: np.ndarray, labels: np.ndarray,
-                      v: np.ndarray) -> MarginSummary:
-    """Margin summary in mode-feature matrix form.
-
-    mean = (1/N) (Z t)' v and variance = v' Z (N I - t t')/N^2 Z' v, for a
-    D x N feature matrix Z; matches the elementwise forms on t_i * (v'z_i).
-    """
-    z = np.asarray(features, dtype=np.float64)
-    t = np.asarray(labels, dtype=np.float64).ravel()
-    v = np.asarray(v, dtype=np.float64).ravel()
-    if z.ndim != 2:
-        raise ValueError("features must be a D x N matrix")
-    if t.size != z.shape[1] or v.size != z.shape[0]:
-        raise ValueError(
-            f"shape mismatch: features {z.shape}, {t.size} labels, weight length {v.size}"
-        )
-    n = t.size
-    scores = z.T @ v
-    mean = float((z @ t) @ v) / n
-    var = float(scores @ scores) / n - float(t @ scores) ** 2 / n**2
-    if var < 0.0:
-        if var < -VARIANCE_CLAMP_TOL * max(1.0, float(scores @ scores) / n):
-            raise ValueError(f"variance {var} is negative beyond rounding tolerance")
-        warnings.warn(f"variance {var} clamped to 0", stacklevel=2)
-        var = 0.0
-    return MarginSummary(t * scores, mean, var)

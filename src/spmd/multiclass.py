@@ -16,7 +16,7 @@ from itertools import combinations
 import numpy as np
 
 from .data import MulticlassDataset
-from .trainer import TrainConfig, TrainReport, WeightModel, decision_scores, train
+from .trainer import TrainConfig, decision_scores, train
 
 
 def pair_seed(global_seed: int, a: int, b: int) -> int:
@@ -109,29 +109,3 @@ def pairwise_accuracy(ensemble: OvoEnsemble, test: MulticlassDataset):
         raise ValueError("no pair had test samples")
     mean = float(np.mean([r["accuracy"] for r in rows]))
     return rows, mean
-
-
-def ovo_predict(ensemble: OvoEnsemble, sample) -> int:
-    """Majority vote; ties broken by summed raw scores, then class order."""
-    from .tensor import DenseTensor
-
-    if isinstance(sample, DenseTensor):
-        flat, dims = sample.data, sample.dims
-    else:
-        t = DenseTensor.from_array(np.asarray(sample, dtype=np.float64))
-        flat, dims = t.data, t.dims
-    votes = {c: 0 for c in ensemble.classes}
-    strength = {c: 0.0 for c in ensemble.classes}
-    for (a, b) in ensemble.pairs:
-        score = float(decision_scores(ensemble.models[(a, b)],
-                                      flat[None, :], dims)[0])
-        votes[a if score >= 0.0 else b] += 1
-        strength[a] += score
-        strength[b] -= score
-    top = max(votes.values())
-    tied = [c for c in ensemble.classes if votes[c] == top]
-    if len(tied) == 1:
-        return tied[0]
-    best = max(strength[c] for c in tied)
-    tied = [c for c in tied if strength[c] == best]
-    return min(tied)

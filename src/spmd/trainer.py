@@ -139,11 +139,7 @@ class WeightModel:
 
     def reconstruct(self) -> DenseTensor:
         """The full weight tensor (small shapes only; prediction never needs it)."""
-        if self.kind == "vector":
-            return DenseTensor(self.shape, self.factors[0][:, 0])
-        if self.kind == "tucker":
-            return tucker_reconstruct(self.core, list(self.factors))
-        return cp_reconstruct(list(self.factors))
+        return _reconstruct(self.kind, self.shape, list(self.factors), self.core)
 
     def norm(self) -> float:
         return self.reconstruct().norm()
@@ -212,11 +208,14 @@ def apply_bias(data: LabeledDataset) -> LabeledDataset:
                           data.labels, meta)
 
 
-def _mode_coefficient(kind: str, factors, core, mode: int) -> np.ndarray:
-    """P with rows R_m such that unfold(W, mode) = V_mode @ P."""
+def _mode_coefficient(factors, core, mode: int) -> np.ndarray:
+    """P with rows R_m such that unfold(W, mode) = V_mode @ P.
+
+    Tucker when ``core`` is given, CP (rank-1 included) when it is None.
+    """
     order = len(factors)
     others = [factors[k] for k in range(order - 1, -1, -1) if k != mode - 1]
-    if kind == "tucker":
+    if core is not None:
         return unfold(core, mode) @ kron_chain(others).T
     r = factors[0].shape[1]
     return khatri_rao(others, empty_cols=r).T
@@ -235,35 +234,14 @@ def _mode_contract(arrays: np.ndarray, mode: int, c: np.ndarray) -> np.ndarray:
     return np.tensordot(arrays, cr, axes=(others, list(range(len(others)))))
 
 
-def _whiten_columns(arrays: np.ndarray, mode: int, coeff: np.ndarray,
-                    root: MetricRoot) -> np.ndarray:
-    """z_i = vec(U_i @ coeff' @ root^{-T}) for every sample, as a D x N matrix."""
-    feats = _mode_contract(arrays, mode, coeff.T @ root.inv_half.T)
-    n = feats.shape[0]
-    return feats.transpose(0, 2, 1).reshape(n, -1).T
-
-
-def _contract_factors(arrays: np.ndarray, factors) -> np.ndarray:
-    """Batched x_m V_m' contractions: (N, I1..IM) -> (N, R1..RM)."""
+def _core_design(arrays: np.ndarray, factors) -> np.ndarray:
+    """N x prod(R) rows vec(X_i x_1 V_1' ... x_M V_M'), lowest mode fastest."""
     t = arrays
     for v in factors:
         t = np.tensordot(t, v, axes=([1], [0]))
-    return t
-
-
-def mode_features_tucker(data: LabeledDataset, factors, core: DenseTensor,
-                         mode: int):
-    """Whitened mode-``mode`` features and the metric root for a Tucker block."""
-    p = _mode_coefficient("tucker", list(factors), core, mode)
-    root = psd_root(p @ p.T, context=f"mode {mode} metric")
-    return _whiten_columns(data.arrays(), mode, p, root), root
-
-
-def mode_features_cp(data: LabeledDataset, factors, mode: int):
-    """Whitened mode-``mode`` features and the metric root for a CP block."""
-    p = _mode_coefficient("cp", list(factors), None, mode)
-    root = psd_root(p @ p.T, context=f"mode {mode} metric")
-    return _whiten_columns(data.arrays(), mode, p, root), root
+    n = t.shape[0]
+    order = t.ndim - 1
+    return t.transpose((0,) + tuple(range(order, 0, -1))).reshape(n, -1)
 
 
 def core_features(data: LabeledDataset, factors):
@@ -272,23 +250,39 @@ def core_features(data: LabeledDataset, factors):
     grams = [v.T @ v for v in factors]
     k = kron_chain(list(reversed(grams)))
     root = psd_root(k, context="core metric")
-    raw = _contract_factors(data.arrays(), factors)
-    n = raw.shape[0]
-    order = raw.ndim - 1
-    flat = raw.transpose((0,) + tuple(range(order, 0, -1))).reshape(n, -1)
-    return (flat @ root.inv_half.T).T, root
+    return (_core_design(data.arrays(), factors) @ root.inv_half.T).T, root
+
+
+def block_features(data: LabeledDataset, kind: str, factors, core, block: int):
+    """Whitened D x N features of one block and the root that unwhitens it.
+
+    ``block`` is a mode 1..M, or 0 for the Tucker core. A block solution v
+    maps back as ``V_m = unvec(v) @ root.inv_half`` for a mode and
+    ``vec(F) = root.inv_half.T @ v`` for the core. The vector kind's
+    features are the raw samples, with a 1 x 1 identity root.
+    """
+    if kind == "vector":
+        one = np.eye(1)
+        return data.samples.T, MetricRoot(one, one, 0)
+    if block == 0:
+        return core_features(data, factors)
+    p = _mode_coefficient(factors, core, block)
+    root = psd_root(p @ p.T, context=f"mode {block} metric")
+    feats = _mode_contract(data.arrays(), block, p.T @ root.inv_half.T)
+    n = feats.shape[0]
+    return feats.transpose(0, 2, 1).reshape(n, -1).T, root
 
 
 def block_update(features: np.ndarray, labels: np.ndarray, hyper: Hyper,
                  qp_tol: float = 1e-8, qp_max_passes: int = 4000,
                  warm_alpha: np.ndarray | None = None,
                  perm: np.ndarray | None = None):
-    """Solve one whitened block: returns (v, QpSolution, assembly info)."""
-    problem, recover, info = qpmod.assemble_dual(
+    """Solve one whitened block: returns (v, QpSolution)."""
+    problem, recover, _ = qpmod.assemble_dual(
         features, labels, hyper.mu1, hyper.mu2, hyper.lam)
     sol = qpmod.solve_box_qp(problem, tol=qp_tol, max_passes=qp_max_passes,
                              alpha0=warm_alpha, perm=perm)
-    return recover(sol.alpha), sol, info
+    return recover(sol.alpha), sol
 
 
 def primal_objective(weight: DenseTensor, data: LabeledDataset,
@@ -358,17 +352,12 @@ def train(data: LabeledDataset, cfg: TrainConfig):
     ss = np.random.SeedSequence(cfg.seed)
     rng = np.random.default_rng(ss)
     factors, core = _init_state(dims, mode_ranks, cfg.kind, rng)
-    arrays = data.arrays()
     n = len(data)
 
-    blocks = [("mode", m) for m in range(1, len(dims) + 1)]
-    if cfg.kind == "tucker":
-        blocks.append(("core", 0))
-    perms = {}
-    for b, (_, which) in enumerate(blocks):
-        prng = np.random.default_rng(np.random.SeedSequence([cfg.seed, b]))
-        perms[b] = prng.permutation(n)
-    warm = {b: None for b in range(len(blocks))}
+    blocks = list(range(1, len(dims) + 1)) + ([0] if cfg.kind == "tucker" else [])
+    perms = [np.random.default_rng(np.random.SeedSequence([cfg.seed, i])).permutation(n)
+             for i in range(len(blocks))]
+    warm = [None] * len(blocks)
 
     def snapshot():
         return [f.copy() for f in factors], core
@@ -386,36 +375,19 @@ def train(data: LabeledDataset, cfg: TrainConfig):
     w_prev = w
 
     for outer in range(1, cfg.max_outer + 1):
-        for b, (btype, which) in enumerate(blocks):
-            if btype == "mode":
-                m = which
-                if cfg.kind == "vector":
-                    feats = data.samples.T
-                    root = None
-                else:
-                    coeff = _mode_coefficient(
-                        "tucker" if cfg.kind == "tucker" else "cp",
-                        factors, core, m)
-                    root = psd_root(coeff @ coeff.T, context=f"mode {m} metric")
-                    feats = _whiten_columns(arrays, m, coeff, root)
-                v, sol, _ = block_update(
-                    feats, data.labels, hyper, cfg.qp_tol, cfg.qp_max_passes,
-                    warm_alpha=warm[b], perm=perms[b])
-                if cfg.kind == "vector":
-                    factors[0] = v[:, None]
-                else:
-                    factors[m - 1] = unvec(v, (dims[m - 1], mode_ranks[m - 1])) @ root.inv_half
-                    clamp_events += root.clamped
-                label = f"mode{which}"
-            else:
-                feats, root = core_features(data, factors)
-                v, sol, _ = block_update(
-                    feats, data.labels, hyper, cfg.qp_tol, cfg.qp_max_passes,
-                    warm_alpha=warm[b], perm=perms[b])
+        for i, b in enumerate(blocks):
+            feats, root = block_features(data, cfg.kind, factors, core, b)
+            v, sol = block_update(
+                feats, data.labels, hyper, cfg.qp_tol, cfg.qp_max_passes,
+                warm_alpha=warm[i], perm=perms[i])
+            if b == 0:
                 core = DenseTensor(mode_ranks, root.inv_half.T @ v)
-                clamp_events += root.clamped
                 label = "core"
-            warm[b] = sol.alpha
+            else:
+                factors[b - 1] = unvec(v, (dims[b - 1], mode_ranks[b - 1])) @ root.inv_half
+                label = f"mode{b}"
+            clamp_events += root.clamped
+            warm[i] = sol.alpha
             qp_passes += sol.iterations
 
             w = _reconstruct(cfg.kind, dims, factors, core)
@@ -503,11 +475,8 @@ def decision_scores(model: WeightModel, samples: np.ndarray,
     if model.kind != "tucker":
         # vec(W) = khatri_rao(V_M, ..., V_1) 1 for the column-major rows
         return samples @ khatri_rao(list(reversed(model.factors))).sum(axis=1)
-    t = _contract_factors(batch_view(samples, model.shape), list(model.factors))
-    n = t.shape[0]
-    order = t.ndim - 1
-    flat = t.transpose((0,) + tuple(range(order, 0, -1))).reshape(n, -1)
-    return flat @ model.core.data
+    design = _core_design(batch_view(samples, model.shape), list(model.factors))
+    return design @ model.core.data
 
 
 def predict(model: WeightModel, sample) -> tuple[int, float]:

@@ -25,9 +25,8 @@ from spmd.multiclass import ovo_train, pairwise_accuracy
 from spmd.qp import build_dual, solve_box_qp
 from spmd.tensor import DenseTensor
 from spmd.theory import cantelli_sweep, lemma1_sweep
-from spmd.trainer import (TrainConfig, _reconstruct, core_features,
-                          decision_scores, mode_features_cp,
-                          mode_features_tucker, train)
+from spmd.trainer import (TrainConfig, _reconstruct, block_features,
+                          decision_scores, train)
 
 
 def finish(num: int, ok: bool, detail: str) -> None:
@@ -80,13 +79,10 @@ def test_criterion_1_reparameterization_identities():
 
         blocks = []
         for mode in range(1, order + 1):
-            if kind == "tucker":
-                feats, root = mode_features_tucker(data, factors, core, mode)
-            else:
-                feats, root = mode_features_cp(data, factors, mode)
+            feats, root = block_features(data, kind, factors, core, mode)
             blocks.append((feats, vec_f(factors[mode - 1] @ root.half)))
         if kind == "tucker":
-            feats, root = core_features(data, factors)
+            feats, root = block_features(data, kind, factors, core, 0)
             blocks.append((feats, root.half.T @ core.data))
 
         for feats, v in blocks:

@@ -20,7 +20,7 @@ from spmd.cli import (
     make_train_config,
     resolve_config,
 )
-from spmd.data import save_idx_images, save_idx_labels
+from spmd.data import MNIST_FILES, save_idx_images, save_idx_labels
 from spmd.margins import summarize_scores
 from spmd.trainer import decision_scores, load_model
 
@@ -308,6 +308,24 @@ class TestEvalCommand:
         assert main(["eval", "--config", other, "--model", model]) == 2
         assert "does not match model shape" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("eval_method", [None, "spmd-r1"])
+    def test_vector_model_flattens_by_model_kind(self, tmp_path, capsys,
+                                                 eval_method):
+        # the model, not the eval config's method, says the data is flattened
+        dataset = dict(SYNTH, shape=[3, 3])
+        cfg = write_config(tmp_path, method="svm", dataset=dataset)
+        trained = tmp_path / "trained"
+        assert main(["train", "--config", cfg, "--out", str(trained)]) == 0
+        raw = {"dataset": dataset}
+        if eval_method is not None:
+            raw["method"] = eval_method
+        eval_cfg = tmp_path / "eval.json"
+        eval_cfg.write_text(json.dumps(raw))
+        out = tmp_path / "eval"
+        assert main(["eval", "--config", str(eval_cfg), "--model",
+                     str(trained / "model.spmd"), "--out", str(out)]) == 0
+        assert "accuracy        1.0000" in capsys.readouterr().out
+
     def test_missing_model_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["eval", "--config", cfg, "--model",
@@ -484,3 +502,50 @@ class TestIdxSource:
         assert main(["train", "--config", cfg, "--out", str(out)]) == 0
         model = load_model(str(out / "model.spmd"))
         assert model.shape == (4,)
+
+
+class TestMnistShapedPipeline:
+    """Criterion 8's pipeline on MNIST-shaped files written on the fly: the
+    standard IDX names found through "auto", the 45-pair bench and a
+    [7, 4, 7, 4] Tucker reshape. Accuracy stays tied to real MNIST."""
+
+    @pytest.fixture
+    def mnist_dir(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(0)
+        root = tmp_path / "mnist"
+        root.mkdir()
+        for split in ("train", "test"):
+            labels = np.repeat(np.arange(10, dtype=np.uint8), 12)
+            images = rng.integers(0, 60, size=(labels.size, 28, 28)).astype(np.uint8)
+            for i, c in enumerate(labels):
+                images[i, 4 + 2 * c: 6 + 2 * c, 4:24] = 255  # one bar per class
+            save_idx_images(str(root / MNIST_FILES[f"{split}_images"]), images)
+            save_idx_labels(str(root / MNIST_FILES[f"{split}_labels"]), labels)
+        monkeypatch.setenv("SPMD_DATA_DIR", str(root))
+        return root
+
+    @staticmethod
+    def auto_dataset(classes, **over):
+        ds = {"source": "idx", "images": "auto", "labels": "auto",
+              "test_images": "auto", "test_labels": "auto",
+              "classes": classes, "per_class": 10, "test_per_class": 10}
+        ds.update(over)
+        return ds
+
+    def test_bench_all_45_pairs(self, tmp_path, mnist_dir):
+        cfg = tmp_path / "bench.json"
+        cfg.write_text(json.dumps({"methods": ["spmd-r1"],
+                                   "dataset": self.auto_dataset(list(range(10)))}))
+        out = tmp_path / "out"
+        assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = (out / "bench.csv").read_text().strip().split("\n")[1:]
+        pairs = [r for r in rows if ",mean," not in r]
+        assert len(pairs) == 45
+        assert len(rows) == 46
+
+    def test_train_tucker_on_reshaped_digits(self, tmp_path, mnist_dir):
+        cfg = write_config(tmp_path, method="spmd-tucker", ranks=[4, 4, 4, 4],
+                           dataset=self.auto_dataset([0, 1], reshape=[7, 4, 7, 4]))
+        out = tmp_path / "out"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+        assert load_model(str(out / "model.spmd")).shape == (7, 4, 7, 4)

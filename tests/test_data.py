@@ -14,8 +14,8 @@ import pytest
 from spmd.data import (IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, IdxCountMismatchError,
                        IdxFormatError, IdxMagicError, IdxTruncatedError,
                        LabeledDataset, MulticlassDataset, batch_view, data_dir,
-                       find_mnist, flatten_batch, kfold_split, load_dataset,
-                       load_idx, load_idx_images, load_idx_labels,
+                       find_mnist, flatten_batch, load_dataset, load_idx,
+                       load_idx_images, load_idx_labels,
                        reshape_multiclass, reshape_samples, save_dataset,
                        save_idx_images, save_idx_labels, select_binary,
                        select_multiclass, synth_blobs, synth_multiclass)
@@ -267,48 +267,6 @@ class TestSynthBlobs:
         assert sorted(np.unique(data.labels).tolist()) == [0, 1, 2]
         with pytest.raises(ValueError, match="two classes"):
             synth_multiclass((2, 2), 1, 4)
-
-
-class TestKfold:
-    def test_fold_sizes(self):
-        data = synth_blobs((2, 2), 5, seed=13)
-        folds = kfold_split(data, 5, seed=0)
-        assert len(folds) == 5
-        for _, test in folds:
-            assert test.size == 2
-
-    def test_partition_property(self):
-        data = synth_blobs((2, 3), 7, seed=14)
-        folds = kfold_split(data, 4, seed=1)
-        all_test = np.concatenate([t for _, t in folds])
-        assert sorted(all_test.tolist()) == list(range(14))
-        for train, test in folds:
-            assert np.intersect1d(train, test).size == 0
-            assert np.union1d(train, test).size == 14
-
-    def test_stratification_balance(self):
-        data = synth_blobs((2, 2), 10, seed=15)
-        folds = kfold_split(data, 5, seed=2)
-        for _, test in folds:
-            pos = int(np.sum(data.labels[test] == 1.0))
-            neg = int(np.sum(data.labels[test] == -1.0))
-            assert abs(pos - neg) <= 1
-
-    def test_small_class_fallback_warns(self):
-        samples = np.random.default_rng(16).standard_normal((6, 4))
-        labels = np.array([1.0, 1.0, 1.0, 1.0, 1.0, -1.0])
-        data = LabeledDataset(samples, (4,), labels)
-        with pytest.warns(UserWarning, match="unstratified"):
-            folds = kfold_split(data, 3, seed=3)
-        all_test = np.concatenate([t for _, t in folds])
-        assert sorted(all_test.tolist()) == list(range(6))
-
-    def test_bad_k(self):
-        data = synth_blobs((2, 2), 3, seed=17)
-        with pytest.raises(ValueError, match="k must be"):
-            kfold_split(data, 1)
-        with pytest.raises(ValueError, match="k must be"):
-            kfold_split(data, 7)
 
 
 class TestDatasetDirectory:

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from spmd.data import LabeledDataset
-from spmd.margins import (MarginSummary, margin_mean, margin_variance,
-                          mode_margin_stats, signed_margins, summarize_margins,
+from spmd.margins import (margin_mean, margin_variance, signed_margins,
                           summarize_scores)
 from spmd.tensor import DenseTensor, inner
 
@@ -95,55 +94,12 @@ class TestMarginVariance:
 
 
 class TestSummaries:
-    def test_summarize_margins_composes(self):
-        rng = np.random.default_rng(5)
-        data = make_dataset(rng, (2, 3), 6)
-        w = DenseTensor((2, 3), rng.standard_normal(6))
-        s = summarize_margins(w, data)
-        assert isinstance(s, MarginSummary)
-        m = signed_margins(w, data)
-        np.testing.assert_array_equal(s.margins, m)
-        assert s.mean == pytest.approx(margin_mean(m), rel=1e-14)
-        assert s.variance == pytest.approx(margin_variance(m), rel=1e-12)
-
     def test_summarize_scores_matches(self):
         rng = np.random.default_rng(6)
         scores = rng.standard_normal(8)
         labels = np.where(rng.random(8) < 0.5, 1.0, -1.0)
         s = summarize_scores(scores, labels)
         np.testing.assert_allclose(s.margins, labels * scores, rtol=1e-15)
-
-
-class TestModeMarginStats:
-    def test_single_sample_zero_variance(self):
-        rng = np.random.default_rng(7)
-        z = rng.standard_normal((4, 1))
-        s = mode_margin_stats(z, np.array([1.0]), rng.standard_normal(4))
-        assert s.variance == 0.0
-
-    def test_zero_weight(self):
-        rng = np.random.default_rng(8)
-        z = rng.standard_normal((3, 5))
-        t = np.where(rng.random(5) < 0.5, 1.0, -1.0)
-        s = mode_margin_stats(z, t, np.zeros(3))
-        assert s.mean == 0.0
-        assert s.variance == 0.0
-
-    def test_matrix_form_matches_elementwise(self):
-        rng = np.random.default_rng(9)
-        z = rng.standard_normal((4, 6))
-        t = np.where(rng.random(6) < 0.5, 1.0, -1.0)
-        v = rng.standard_normal(4)
-        s = mode_margin_stats(z, t, v)
-        m = t * (z.T @ v)
-        assert s.mean == pytest.approx(margin_mean(m), rel=1e-12)
-        assert s.variance == pytest.approx(margin_variance(m), rel=1e-12, abs=1e-14)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            mode_margin_stats(np.zeros((3, 4)), np.ones(4), np.zeros(2))
-        with pytest.raises(ValueError):
-            mode_margin_stats(np.zeros((3, 4)), np.ones(5), np.zeros(3))
 
 
 class TestAlgebraicProperties:
@@ -161,7 +117,8 @@ class TestAlgebraicProperties:
         w = DenseTensor((2, 2), rng.standard_normal(4))
         c = 3.7
         wc = DenseTensor((2, 2), c * w.data)
-        s1, sc = summarize_margins(w, data), summarize_margins(wc, data)
+        s1 = summarize_scores(data.samples @ w.data, data.labels)
+        sc = summarize_scores(data.samples @ wc.data, data.labels)
         np.testing.assert_allclose(sc.margins, c * s1.margins, rtol=1e-12)
         assert sc.mean == pytest.approx(c * s1.mean, rel=1e-12)
         assert sc.variance == pytest.approx(c**2 * s1.variance, rel=1e-10)

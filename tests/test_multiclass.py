@@ -1,7 +1,7 @@
-"""Tests for the one-vs-one harness: ensemble shape, evaluation, voting.
+"""Tests for the one-vs-one harness: ensemble shape and evaluation.
 
-Hand-built single-weight models make the voting and averaging rules exactly
-predictable; trained ensembles on synthetic blobs cover determinism, pair
+Hand-built single-weight models make the per-pair accuracy and averaging
+rules exactly predictable; trained ensembles on synthetic blobs cover determinism, pair
 symmetry, and the parallel-equals-sequential guarantee.
 """
 
@@ -14,12 +14,10 @@ import pytest
 from spmd.data import MulticlassDataset, synth_multiclass
 from spmd.multiclass import (
     OvoEnsemble,
-    ovo_predict,
     ovo_train,
     pair_seed,
     pairwise_accuracy,
 )
-from spmd.tensor import DenseTensor
 from spmd.trainer import Hyper, TrainConfig, WeightModel, decision_scores, train
 
 
@@ -211,40 +209,3 @@ class TestPairwiseAccuracy:
         rows_r, mean_r = pairwise_accuracy(rev, test)
         assert rows_f == rows_r
         assert mean_f == mean_r
-
-
-class TestOvoPredict:
-    def test_two_classes_equals_single_model(self):
-        ens = hand_ensemble([3, 7], {(3, 7): [2.0]})
-        assert ovo_predict(ens, np.array([1.0])) == 3
-        assert ovo_predict(ens, np.array([-1.0])) == 7
-
-    def test_unanimous_vote(self):
-        weights = {(0, 1): [1.0], (0, 2): [1.0], (1, 2): [5.0]}
-        ens = hand_ensemble(range(3), weights)
-        assert ovo_predict(ens, np.array([1.0])) == 0
-
-    def test_three_way_tie_broken_by_score_sum(self):
-        # one vote each: (0,1)->0, (0,2)->2, (1,2)->1; summed strengths are
-        # 0: 2-1=1, 1: -2+4=2, 2: 1-4=-3, so class 1 wins
-        weights = {(0, 1): [2.0], (0, 2): [-1.0], (1, 2): [4.0]}
-        ens = hand_ensemble(range(3), weights)
-        assert ovo_predict(ens, np.array([1.0])) == 1
-
-    def test_full_tie_falls_back_to_class_order(self):
-        # votes tie one each and all summed strengths are exactly zero
-        weights = {(0, 1): [1.0], (0, 2): [-1.0], (1, 2): [1.0]}
-        ens = hand_ensemble(range(3), weights)
-        assert ovo_predict(ens, np.array([1.0])) == 0
-
-    def test_accepts_dense_tensor(self):
-        ens = hand_ensemble([3, 7], {(3, 7): [2.0]})
-        sample = DenseTensor((1,), np.array([1.0]))
-        assert ovo_predict(ens, sample) == 3
-
-    def test_trained_ensemble_recovers_classes(self):
-        data = synth_multiclass((2, 2), 3, 12, margin=3.0, noise=0.2, seed=9)
-        ens = ovo_train(data, TrainConfig(kind="rank1", lam=5.0, seed=9))
-        got = [ovo_predict(ens, DenseTensor(data.dims, row))
-               for row in data.samples]
-        assert got == list(data.labels)

@@ -11,11 +11,11 @@ import pytest
 
 from oracles import hinge_objective, max_margin_reference
 from spmd.data import LabeledDataset, synth_blobs
+from spmd.margins import summarize_scores
 from spmd.tensor import DenseTensor, inner, unvec
 from spmd.trainer import (Hyper, MetricCollapseError, TrainConfig, WeightModel,
-                          apply_bias, block_update, core_features, load_model,
-                          mode_features_cp, mode_features_tucker, predict,
-                          primal_objective, psd_root, decision_scores,
+                          apply_bias, block_features, block_update, load_model,
+                          predict, primal_objective, psd_root, decision_scores,
                           save_model, train, _mode_contract, _mode_ranks)
 from spmd.tensor import cp_reconstruct, tucker_reconstruct, unfold, vec
 
@@ -105,7 +105,7 @@ class TestModeFeatureIdentities:
         rng = np.random.default_rng(3)
         data = random_dataset(rng, (3, 3), 4)
         core = DenseTensor.from_array(np.eye(3))
-        feats, root = mode_features_tucker(data, [np.eye(3), np.eye(3)], core, 1)
+        feats, root = block_features(data, "tucker", [np.eye(3), np.eye(3)], core, 1)
         for i in range(4):
             np.testing.assert_allclose(feats[:, i], vec(unfold(data.sample(i), 1)),
                                        rtol=1e-12, atol=1e-12)
@@ -115,7 +115,8 @@ class TestModeFeatureIdentities:
         data = random_dataset(rng, (3, 4), 5)
         u = rng.standard_normal(4)
         u /= np.linalg.norm(u)
-        feats, root = mode_features_cp(data, [np.zeros((3, 1)), u[:, None]], 1)
+        feats, root = block_features(data, "rank1", [np.zeros((3, 1)), u[:, None]],
+                                     None, 1)
         for i in range(5):
             np.testing.assert_allclose(feats[:, i], unfold(data.sample(i), 1) @ u,
                                        rtol=1e-10, atol=1e-12)
@@ -125,7 +126,8 @@ class TestModeFeatureIdentities:
         data = random_dataset(rng, (3, 4), 5)
         v1, v2 = rng.standard_normal(3), rng.standard_normal(4)
         w = cp_reconstruct([v1[:, None], v2[:, None]])
-        feats, root = mode_features_cp(data, [v1[:, None], v2[:, None]], 1)
+        feats, root = block_features(data, "rank1", [v1[:, None], v2[:, None]],
+                                     None, 1)
         vv = vec(v1[:, None] @ root.half)
         for i in range(5):
             z = data.sample(i).to_array()
@@ -151,10 +153,7 @@ class TestModeFeatureIdentities:
             data = random_dataset(rng, dims, 4)
             wn = float(w.data @ w.data)
             for m in range(1, order + 1):
-                if kind == "tucker":
-                    feats, root = mode_features_tucker(data, factors, core, m)
-                else:
-                    feats, root = mode_features_cp(data, factors, m)
+                feats, root = block_features(data, kind, factors, core, m)
                 v = vec(factors[m - 1] @ root.half)
                 assert float(v @ v) == pytest.approx(wn, abs=1e-10 * (1 + wn))
                 ips = feats.T @ v
@@ -171,7 +170,7 @@ class TestCoreFeatures:
         data = random_dataset(rng, (4, 3), 4)
         q1, _ = np.linalg.qr(rng.standard_normal((4, 2)))
         q2, _ = np.linalg.qr(rng.standard_normal((3, 2)))
-        feats, root = core_features(data, [q1, q2])
+        feats, root = block_features(data, "tucker", [q1, q2], None, 0)
         np.testing.assert_allclose(root.half @ root.half.T, np.eye(4),
                                    rtol=0, atol=1e-12)
         np.testing.assert_allclose(root.inv_half @ root.inv_half.T, np.eye(4),
@@ -184,7 +183,7 @@ class TestCoreFeatures:
     def test_identity_factors_give_vec_sample(self):
         rng = np.random.default_rng(8)
         data = random_dataset(rng, (2, 3), 4)
-        feats, root = core_features(data, [np.eye(2), np.eye(3)])
+        feats, root = block_features(data, "tucker", [np.eye(2), np.eye(3)], None, 0)
         for i in range(4):
             np.testing.assert_allclose(feats[:, i], data.sample(i).data,
                                        rtol=1e-12, atol=1e-12)
@@ -196,7 +195,7 @@ class TestCoreFeatures:
         core = DenseTensor(ranks, rng.standard_normal(8))
         w = tucker_reconstruct(core, factors)
         data = random_dataset(rng, dims, 5)
-        feats, root = core_features(data, factors)
+        feats, root = block_features(data, "tucker", factors, core, 0)
         f = root.half.T @ core.data
         wn = float(w.data @ w.data)
         assert float(f @ f) == pytest.approx(wn, abs=1e-10 * (1 + wn))
@@ -209,24 +208,23 @@ class TestBlockUpdate:
     def test_canonical_two_point_max_margin(self):
         feats = np.array([[1.0, -1.0]])
         labels = np.array([1.0, -1.0])
-        v, sol, info = block_update(feats, labels, Hyper(0.0, 0.0, 100.0))
+        v, sol = block_update(feats, labels, Hyper(0.0, 0.0, 100.0))
         assert v[0] == pytest.approx(1.0, abs=1e-8)
         assert sol.converged
-        assert not info["ridge_added"]
 
     def test_mean_only_direction(self):
         rng = np.random.default_rng(10)
         Z = rng.standard_normal((3, 6))
         t = np.where(rng.random(6) < 0.5, 1.0, -1.0)
-        v, *_ = block_update(Z, t, Hyper(0.0, 5.0, 1e-10))
+        v, _ = block_update(Z, t, Hyper(0.0, 5.0, 1e-10))
         np.testing.assert_allclose(v, (5.0 / 6) * (Z @ t), rtol=1e-6)
 
     def test_single_sample_margin_activity(self):
         feats = np.array([[1.0]])
         labels = np.array([1.0])
-        v, *_ = block_update(feats, labels, Hyper(0.0, 0.0, 2.0))
+        v, _ = block_update(feats, labels, Hyper(0.0, 0.0, 2.0))
         assert v[0] == pytest.approx(1.0, abs=1e-10)
-        v, *_ = block_update(feats, labels, Hyper(0.0, 0.0, 0.5))
+        v, _ = block_update(feats, labels, Hyper(0.0, 0.0, 0.5))
         assert v[0] == pytest.approx(0.5, abs=1e-10)
 
 
@@ -245,12 +243,11 @@ class TestPrimalObjective:
         assert primal_objective(w, data, Hyper(0.0, 0.0, 1.0)) == pytest.approx(0.5)
 
     def test_term_by_term_recomposition(self):
-        from spmd.margins import summarize_margins
         rng = np.random.default_rng(12)
         data = random_dataset(rng, (2, 3), 8)
         w = DenseTensor((2, 3), rng.standard_normal(6))
         hyper = Hyper(0.7, 1.3, 2.0)
-        s = summarize_margins(w, data)
+        s = summarize_scores(data.samples @ w.data, data.labels)
         want = (0.5 * w.norm() ** 2 + 0.7 * s.variance - 1.3 * s.mean
                 + 2.0 / 8 * np.maximum(0, 1 - s.margins).sum())
         assert primal_objective(w, data, hyper) == pytest.approx(want, rel=1e-12)
@@ -320,13 +317,34 @@ class TestTrain:
         assert report.converged
         w_before = model.reconstruct()
         factors = [f.copy() for f in model.factors]
-        feats, root = mode_features_cp(
-            LabeledDataset(data.samples, data.dims, data.labels), factors, 1)
-        v, *_ = block_update(feats, data.labels, model.hyper, qp_tol=1e-10)
+        feats, root = block_features(
+            LabeledDataset(data.samples, data.dims, data.labels), "rank1",
+            factors, None, 1)
+        v, _ = block_update(feats, data.labels, model.hyper, qp_tol=1e-10)
         factors[0] = unvec(v, (3, 1)) @ root.inv_half
         w_after = cp_reconstruct(factors)
         drift = float(np.linalg.norm(w_after.data - w_before.data))
         assert drift <= 1e-2 * (1 + w_before.norm())
+
+    @pytest.mark.parametrize("kind,ranks,dims", [
+        ("vector", [], (6,)), ("rank1", [], (3, 4)), ("cp", [2], (3, 4)),
+        ("tucker", [2, 2], (3, 4))], ids=["vector", "rank1", "cp", "tucker"])
+    def test_every_block_update_uses_block_features(self, monkeypatch, kind,
+                                                    ranks, dims):
+        import spmd.trainer as trainer
+        real = trainer.block_features
+        calls = []
+
+        def spy(data, kind_, factors, core, block):
+            calls.append(block)
+            return real(data, kind_, factors, core, block)
+
+        monkeypatch.setattr(trainer, "block_features", spy)
+        data = synth_blobs(dims, 10, margin=1.5, noise=0.3, seed=14)
+        _, report = train(data, TrainConfig(kind=kind, ranks=ranks, seed=15))
+        want = [0 if lab == "core" else int(lab[len("mode"):])
+                for lab in report.block_labels[1:]]
+        assert calls == want
 
     def test_unconverged_warns_and_flags(self):
         data = synth_blobs((3, 3), 10, margin=0.5, noise=1.0, seed=10)
