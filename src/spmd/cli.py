@@ -23,9 +23,8 @@ import numpy as np
 from . import __version__
 from . import theory
 from .data import (LabeledDataset, data_dir, find_mnist, load_dataset,
-                   load_idx, reshape_multiclass, reshape_samples,
-                   select_binary, select_multiclass, synth_blobs,
-                   synth_multiclass)
+                   load_idx, reshape_samples, select_binary, select_multiclass,
+                   synth_blobs, synth_multiclass)
 from .margins import summarize_scores
 from .multiclass import ovo_train, pairwise_accuracy
 from .trainer import (TrainConfig, TrainingError, WeightModel, apply_bias,
@@ -42,7 +41,6 @@ _METHOD_KIND = {
     "spmd-tucker": "tucker",
 }
 _ZERO_MU = {"svm", "stm"}
-_FLATTEN = {"svm", "lmdm"}
 
 
 class ConfigError(ValueError):
@@ -297,8 +295,8 @@ def build_multiclass_dataset(ds: dict):
     else:
         raise ConfigError("bench supports dataset sources 'synth' and 'idx'")
     if ds.get("reshape"):
-        train_set = reshape_multiclass(train_set, ds["reshape"])
-        test_set = reshape_multiclass(test_set, ds["reshape"])
+        train_set = reshape_samples(train_set, ds["reshape"])
+        test_set = reshape_samples(test_set, ds["reshape"])
     return train_set, test_set
 
 
@@ -319,20 +317,11 @@ def make_train_config(cfg: dict, method: str, dims: tuple) -> TrainConfig:
     )
 
 
-def _maybe_flatten(method, train_set, test_set=None):
-    if method in _FLATTEN and train_set.order > 1:
-        p = int(np.prod(train_set.dims))
-        train_set = reshape_samples(train_set, [p])
-        if test_set is not None:
-            test_set = reshape_samples(test_set, [p])
-    return train_set, test_set
-
-
-def _maybe_flatten_multi(method, train_set, test_set):
-    if method in _FLATTEN and len(train_set.dims) > 1:
-        p = int(np.prod(train_set.dims))
-        return reshape_multiclass(train_set, [p]), reshape_multiclass(test_set, [p])
-    return train_set, test_set
+def _flatten_for(kind: str, data):
+    """The vector kind trains on flat samples; other kinds keep their dims."""
+    if kind == "vector" and data is not None and len(data.dims) > 1:
+        return reshape_samples(data, [int(np.prod(data.dims))])
+    return data
 
 
 # --- output helpers -----------------------------------------------------------
@@ -379,7 +368,8 @@ def cmd_train(args) -> int:
         cfg["seed"] = args.seed
     method = cfg["method"]
     train_set, test_set = build_binary_dataset(cfg["dataset"], cfg["seed"])
-    train_set, test_set = _maybe_flatten(method, train_set, test_set)
+    kind = _METHOD_KIND[method]
+    train_set, test_set = _flatten_for(kind, train_set), _flatten_for(kind, test_set)
     tc = make_train_config(cfg, method, train_set.dims)
     out = _out_dir(args, cfg, "train")
 
@@ -446,9 +436,7 @@ def cmd_eval(args) -> int:
         raise ConfigError(str(e))
     cfg = resolve_config(load_config(args.config), need_method=False)
     data, _ = build_binary_dataset(cfg["dataset"], cfg["seed"])
-    if model.kind == "vector" and data.order > 1:
-        data = reshape_samples(data, [int(np.prod(data.dims))])
-    data = _biased(model, data)
+    data = _biased(model, _flatten_for(model.kind, data))
     if data.dims != model.shape:
         raise ConfigError(
             f"dataset shape {data.dims} does not match model shape {model.shape}")
@@ -479,7 +467,8 @@ def cmd_bench(args) -> int:
 
     rows, text_rows, timings = [], [], {}
     for method in cfg["methods"]:
-        mtrain, mtest = _maybe_flatten_multi(method, train_multi, test_multi)
+        kind = _METHOD_KIND[method]
+        mtrain, mtest = _flatten_for(kind, train_multi), _flatten_for(kind, test_multi)
         tc = make_train_config(cfg, method, mtrain.dims)
         t0 = time.perf_counter()
         ensemble = ovo_train(mtrain, tc, workers=cfg["workers"])
@@ -540,19 +529,6 @@ def cmd_check(args) -> int:
     if scope in ("all", "theorem2"):
         for rep in theory.theorem2_sweep(12, seed=seed):
             reports.append(("theorem2", rep, True))
-    if args.inject_fault == "descent-uptick":
-        from .trainer import TrainReport
-
-        fake = TrainReport(kind="rank1", n_train=0, seed=0, converged=True,
-                           iterations=1, objectives=[1.0, 1.0 + 1e-3],
-                           block_labels=["init", "mode1"], weight_norms=[1.0, 1.0],
-                           history=[], final_objective=1.0 + 1e-3, gamma_m=0.0,
-                           gamma_v=0.0, qp_passes=0, clamp_events=0,
-                           wall_time=0.0)
-        ok = theory.descent_certificate(fake)
-        reports.append(("theorem2", theory.BoundReport.make(
-            "descent_certificate[injected]", 0.0, None if ok else 1e-3,
-            inputs={"injected": True}), True))
 
     rows = []
     failures = 0
@@ -616,9 +592,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--scope", help="all | lemma1 | lemma2 | theorem1 | theorem2")
     sp.add_argument("--out", help="output directory")
     sp.add_argument("--seed", type=int, help="sweep seed")
-    sp.add_argument("--inject-fault", dest="inject_fault",
-                    choices=["descent-uptick"],
-                    help="self-test hook: inject a failing descent fixture")
     sp.set_defaults(fn=cmd_check)
     return p
 

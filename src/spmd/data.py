@@ -285,23 +285,7 @@ def select_binary(data: MulticlassDataset, a: int, b: int,
     """
     if a == b:
         raise ValueError("classes must differ")
-    rng = np.random.default_rng(seed)
-    parts, labels = [], []
-    for cls, lab in ((a, 1.0), (b, -1.0)):
-        idx = np.flatnonzero(data.labels == cls)
-        if idx.size == 0:
-            raise ValueError(f"class {cls} has no samples")
-        if per_class is not None:
-            if idx.size < per_class:
-                raise ValueError(
-                    f"class {cls} has {idx.size} samples, need {per_class}"
-                )
-            idx = rng.choice(idx, size=per_class, replace=False)
-        parts.append(data.samples[idx])
-        labels.append(np.full(idx.size, lab))
-    meta = dict(data.meta)
-    meta.update(pair=(int(a), int(b)), per_class=per_class, seed=int(seed))
-    return LabeledDataset(np.vstack(parts), data.dims, np.concatenate(labels), meta)
+    return select_multiclass(data, [a, b], per_class, seed).binary_view(a, b)
 
 
 def select_multiclass(data: MulticlassDataset, classes, per_class: int | None = None,
@@ -324,29 +308,21 @@ def select_multiclass(data: MulticlassDataset, classes, per_class: int | None = 
     return MulticlassDataset(data.samples[keep], data.dims, data.labels[keep], meta)
 
 
-def _reshape(samples: np.ndarray, old_dims, new_dims):
+def reshape_samples(data, new_dims):
+    """Reinterpret every sample's flat buffer under new dims (no data movement).
+
+    Works on a LabeledDataset or a MulticlassDataset and returns the same type.
+    """
     new_dims = tuple(int(d) for d in new_dims)
+    old_dims = data.dims
     if int(np.prod(new_dims)) != int(np.prod(old_dims)):
         raise ValueError(
             f"cannot reshape {old_dims} (size {int(np.prod(old_dims))}) "
             f"to {new_dims} (size {int(np.prod(new_dims))})"
         )
-    return new_dims
-
-
-def reshape_samples(data: LabeledDataset, new_dims) -> LabeledDataset:
-    """Reinterpret every sample's flat buffer under new dims (no data movement)."""
-    new_dims = _reshape(data.samples, data.dims, new_dims)
     meta = dict(data.meta)
-    meta["reshaped_from"] = tuple(data.dims)
-    return LabeledDataset(data.samples, new_dims, data.labels, meta)
-
-
-def reshape_multiclass(data: MulticlassDataset, new_dims) -> MulticlassDataset:
-    new_dims = _reshape(data.samples, data.dims, new_dims)
-    meta = dict(data.meta)
-    meta["reshaped_from"] = tuple(data.dims)
-    return MulticlassDataset(data.samples, new_dims, data.labels, meta)
+    meta["reshaped_from"] = tuple(old_dims)
+    return type(data)(data.samples, new_dims, data.labels, meta)
 
 
 # --- synthetic data ----------------------------------------------------------

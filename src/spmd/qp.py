@@ -18,7 +18,7 @@ with S = L L' (Cholesky), B = L^{-1} Y, H = B'B, g = (mu2/N) B'(B e) - e,
 and primal recovery v = L^{-T} B (alpha + (mu2/N) e).
 
 The whole assembly works in the D x D feature space: one Cholesky of S and
-one triangular solve for the D x N matrix B. S is at least I, so the
+one solve with its factor L for the D x N matrix B. S is at least I, so the
 factorization cannot fail; at mu1 = 0 it is I itself. H is never formed:
 the problem keeps the factor B, so assembly memory is O(N D), not O(N^2).
 By the push-through identity G (I + QG)^{-1} = Z' S^{-1} Z, this is the
@@ -46,7 +46,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 
 @dataclass(frozen=True)
@@ -124,15 +123,16 @@ def assemble_dual(features, labels, mu1, mu2, lam):
     Y = Z * t
     Yc = Y - Y.mean(axis=1, keepdims=True)
     S = np.eye(Z.shape[0]) + (2.0 * mu1 / n) * (Yc @ Yc.T)
-    L = scipy.linalg.cholesky(S, lower=True, check_finite=False)
-    B = scipy.linalg.solve_triangular(L, Y, lower=True, check_finite=False)
+    L = np.linalg.cholesky(S)
+    # Column-major, so that solve_box_qp's B.T is a row-contiguous view; the
+    # layout also sets how B.sum and the BLAS products round.
+    B = np.asfortranarray(np.linalg.solve(L, Y))
     g = (mu2 / n) * (B.sum(axis=1) @ B) - 1.0
     problem = QpProblem(B, g, lam / n)
 
     def recover(alpha: np.ndarray) -> np.ndarray:
         alpha = np.asarray(alpha, dtype=np.float64).ravel()
-        return scipy.linalg.solve_triangular(L, B @ (alpha + mu2 / n), lower=True,
-                                             trans="T", check_finite=False)
+        return np.linalg.solve(L.T, B @ (alpha + mu2 / n))
 
     return problem, recover, {"ridge_added": False}
 

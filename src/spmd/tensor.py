@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-import scipy.linalg
 
 
 @dataclass(frozen=True)
@@ -167,7 +166,8 @@ def khatri_rao(mats: list[np.ndarray], empty_cols: int = 1) -> np.ndarray:
     cols = {m.shape[1] for m in mats}
     if len(cols) != 1:
         raise ValueError(f"column counts differ: {sorted(cols)}")
-    return reduce(scipy.linalg.khatri_rao, mats)
+    r = cols.pop()
+    return reduce(lambda a, b: (a[:, None, :] * b[None, :, :]).reshape(-1, r), mats)
 
 
 def cp_reconstruct(factors: list[np.ndarray]) -> DenseTensor:

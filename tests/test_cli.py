@@ -8,10 +8,13 @@ rounds to 4 decimals.
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import spmd.theory
 from spmd.cli import (
     ConfigError,
     _validate_method_ranks,
@@ -22,6 +25,7 @@ from spmd.cli import (
 )
 from spmd.data import MNIST_FILES, save_idx_images, save_idx_labels
 from spmd.margins import summarize_scores
+from spmd.theory import BoundReport
 from spmd.trainer import decision_scores, load_model
 
 SYNTH = {"source": "synth", "shape": [2, 2], "n_per_class": 10,
@@ -40,6 +44,18 @@ def minimal(**over):
     raw = {"method": "spmd-r1", "dataset": dict(SYNTH)}
     raw.update(over)
     return raw
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only linear-algebra dependency; scipy would also bring a
+    # second BLAS whose threads compete with numpy's
+    src = os.path.dirname(os.path.dirname(spmd.__file__))
+    code = ("import sys, spmd, spmd.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestResolveConfig:
@@ -412,10 +428,12 @@ class TestCheckCommand:
         assert lines[1].startswith("lemma2,rademacher_bound,")
         assert lines[1].endswith(",PASS")
 
-    def test_injected_fault_exits_1(self, tmp_path, capsys):
+    def test_injected_fault_exits_1(self, tmp_path, capsys, monkeypatch):
+        failing = BoundReport.make("descent_certificate[injected]", 0.0, 1e-3)
+        monkeypatch.setattr(spmd.theory, "theorem2_sweep",
+                            lambda n_runs, seed: [failing])
         out = tmp_path / "out"
-        code = main(["check", "--scope", "lemma2", "--inject-fault",
-                     "descent-uptick", "--out", str(out)])
+        code = main(["check", "--scope", "theorem2", "--out", str(out)])
         assert code == 1
         captured = capsys.readouterr()
         assert "check failure: 1 hard check(s) failed" in captured.err

@@ -16,7 +16,7 @@ from spmd.data import (IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, IdxCountMismatchError,
                        LabeledDataset, MulticlassDataset, batch_view, data_dir,
                        find_mnist, flatten_batch, load_dataset, load_idx,
                        load_idx_images, load_idx_labels,
-                       reshape_multiclass, reshape_samples, save_dataset,
+                       reshape_samples, save_dataset,
                        save_idx_images, save_idx_labels, select_binary,
                        select_multiclass, synth_blobs, synth_multiclass)
 from spmd.tensor import DenseTensor
@@ -184,7 +184,8 @@ class TestBinaryView:
 class TestReshape:
     def test_flat_buffers_untouched(self, idx_pair):
         data = load_idx(*idx_pair[:2])
-        re = reshape_multiclass(data, (2, 2, 5))
+        re = reshape_samples(data, (2, 2, 5))
+        assert isinstance(re, MulticlassDataset)
         assert re.dims == (2, 2, 5)
         np.testing.assert_array_equal(re.samples, data.samples)
         assert re.meta["reshaped_from"] == (4, 5)
