@@ -17,8 +17,7 @@ from .margins import MarginSummary, margin_mean, margin_variance, signed_margins
 from .multiclass import OvoEnsemble, ovo_train, pairwise_accuracy
 from .qp import QpProblem, QpSolution, build_dual, solve_box_qp
 from .tensor import (DenseTensor, cp_reconstruct, inner, khatri_rao, kron,
-                     mode_n_product, outer_product, refold, tucker_reconstruct,
-                     unfold)
+                     outer_product, tucker_reconstruct, unfold)
 from .theory import (BoundReport, cantelli_margin_tail, descent_certificate,
                      generalization_bound, rademacher_bound, spectral_norm,
                      tucker_norm_inequality)

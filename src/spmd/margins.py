@@ -32,28 +32,36 @@ def signed_margins(w: DenseTensor, data: LabeledDataset) -> np.ndarray:
     return data.labels * (data.samples @ w.data)
 
 
+def _moments(margins: np.ndarray) -> tuple[float, float]:
+    """(mean, variance) from one sum and one dot; clamps tiny negative rounding."""
+    margins = np.asarray(margins, dtype=np.float64)
+    if margins.size == 0:
+        raise ValueError("no margins")
+    n = margins.size
+    mean = float(margins.sum()) / n
+    square = float(margins @ margins) / n
+    v = square - mean**2
+    if v < 0.0:
+        if v < -VARIANCE_CLAMP_TOL * max(1.0, square):
+            raise ValueError(f"variance {v} is negative beyond rounding tolerance")
+        warnings.warn(f"variance {v} clamped to 0", stacklevel=3)
+        v = 0.0
+    return mean, v
+
+
 def margin_mean(margins: np.ndarray) -> float:
     margins = np.asarray(margins, dtype=np.float64)
     if margins.size == 0:
         raise ValueError("no margins")
-    return float(np.mean(margins))
+    return float(margins.sum()) / margins.size
 
 
 def margin_variance(margins: np.ndarray) -> float:
     """Population variance of the margins; clamps tiny negative rounding."""
-    margins = np.asarray(margins, dtype=np.float64)
-    if margins.size == 0:
-        raise ValueError("no margins")
-    v = float(np.mean(margins**2) - np.mean(margins) ** 2)
-    if v < 0.0:
-        if v < -VARIANCE_CLAMP_TOL * max(1.0, float(np.mean(margins**2))):
-            raise ValueError(f"variance {v} is negative beyond rounding tolerance")
-        warnings.warn(f"variance {v} clamped to 0", stacklevel=2)
-        v = 0.0
-    return v
+    return _moments(margins)[1]
 
 
 def summarize_scores(scores: np.ndarray, labels: np.ndarray) -> MarginSummary:
     """Margin summary from precomputed raw scores <W, Z_i>."""
     m = np.asarray(labels, dtype=np.float64) * np.asarray(scores, dtype=np.float64)
-    return MarginSummary(m, margin_mean(m), margin_variance(m))
+    return MarginSummary(m, *_moments(m))

@@ -35,9 +35,11 @@ duals, so every pass that leaves the solve unconverged ends with one
 subspace step on the free set F = {i : 0 < alpha_i < lam/N}: a
 least-squares Newton step on H_FF = B_F'B_F (the only square array the
 solver builds, |F| x |F|), or a step along the part of -grad_F that H_FF
-cannot reach, whichever lowers the objective more, cut at the box. Each
-coordinate visit and each such step is an exact or box-capped line
-minimization along a descent direction, so the objective never rises.
+cannot reach, whichever lowers the objective more, cut at the box. A
+zero-curvature step that the box cuts is repeated on the part of F it
+left free. Each coordinate visit and each such step is an exact or
+box-capped line minimization along a descent direction, so the objective
+never rises.
 """
 
 from __future__ import annotations
@@ -163,7 +165,7 @@ def _box_line_step(a: np.ndarray, d: np.ndarray, slope: float, curv: float,
 
 def _free_set_step(hf: np.ndarray, gf: np.ndarray, a: np.ndarray,
                    upper: float) -> np.ndarray:
-    """One descent step on the free coordinates a (gradient gf, Hessian hf).
+    """Descent steps on the free coordinates a (gradient gf, Hessian hf).
 
     Two directions are tried and the one that lowers the objective more is
     taken. The Newton direction p is the min-norm least-squares solution of
@@ -173,16 +175,38 @@ def _free_set_step(hf: np.ndarray, gf: np.ndarray, a: np.ndarray,
     (gf'r = r'r, r'hf r = 0), so when r is not zero the face is unbounded
     below and that step runs to the box. Each step is a line minimization
     along a descent direction, so the objective never rises.
+
+    When the zero-curvature step wins, the coordinates it put on a bound
+    leave the face and the step is repeated on the rest of it, with the
+    gradient moved by hf times the step. Stopping after one cut step lets
+    the next coordinate pass lift those coordinates off the bound again,
+    and the two can trade the same small move for thousands of passes.
     """
-    p = np.linalg.lstsq(hf, -gf, rcond=None)[0]
-    best, gain = a, 0.0
-    for d in (p, -(gf + hf @ p)):
-        slope = float(gf @ d)
-        if slope < 0.0:
-            new, drop = _box_line_step(a, d, slope, float(d @ (hf @ d)), upper)
-            if drop > gain:
-                best, gain = new, drop
-    return best
+    out, face = a, None  # face: positions in out of the current face
+    while True:
+        p = np.linalg.lstsq(hf, -gf, rcond=None)[0]
+        best, gain, newton = None, 0.0, False
+        for k, d in enumerate((p, -(gf + hf @ p))):
+            slope = float(gf @ d)
+            if slope < 0.0:
+                new, drop = _box_line_step(a, d, slope, float(d @ (hf @ d)), upper)
+                if drop > gain:
+                    best, gain, newton = new, drop, k == 0
+        if best is None:
+            return out
+        if face is None:
+            out = best
+        else:
+            out[face] = best
+        if newton:
+            return out
+        kept = (best > 0.0) & (best < upper)
+        if kept.all() or not kept.any():
+            return out
+        gf = (gf + hf @ (best - a))[kept]
+        hf = hf[np.ix_(kept, kept)]
+        a = best[kept]
+        face = np.flatnonzero(kept) if face is None else face[kept]
 
 
 def solve_box_qp(problem: QpProblem, tol: float = 1e-8, max_passes: int = 5000,
@@ -204,7 +228,8 @@ def solve_box_qp(problem: QpProblem, tol: float = 1e-8, max_passes: int = 5000,
     projection for bound-constrained QPs (More & Toraldo, SIAM J. Optim.
     1991): a least-squares Newton step on H_FF = B_F'B_F, or a
     zero-curvature step when grad_F leaves range(H_FF), cut at the box
-    (see ``_free_set_step``), after which u = B a is recomputed exactly.
+    and repeated on the part of F it leaves free (see ``_free_set_step``),
+    after which u = B a is recomputed exactly.
     Neither the coordinate visits nor this step raise the objective, so
     ``objective_trace`` is non-increasing. On the rank-D duals of small
     blocks, where coordinate descent alone crawls for thousands of passes,

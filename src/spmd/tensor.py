@@ -1,4 +1,4 @@
-"""Dense tensor algebra: unfoldings, mode products, CP/Tucker reconstruction.
+"""Dense tensor algebra: unfoldings and CP/Tucker reconstruction.
 
 Conventions used throughout the package:
 
@@ -15,6 +15,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -39,8 +40,10 @@ class DenseTensor:
             raise ValueError("tensor must have at least one mode")
         if any(d < 1 for d in dims):
             raise ValueError(f"all dims must be positive, got {dims}")
-        data = np.array(self.data, dtype=np.float64).ravel()
-        n = int(np.prod(dims))
+        # The one copy: a fresh C-ordered buffer, so ravel below is a view
+        # and the tensor never shares memory with the caller's array.
+        data = np.array(self.data, dtype=np.float64, order="C").ravel()
+        n = math.prod(dims)
         if data.size != n:
             raise ValueError(
                 f"flat buffer has {data.size} entries, dims {dims} need {n}"
@@ -52,10 +55,11 @@ class DenseTensor:
     @classmethod
     def from_array(cls, arr) -> "DenseTensor":
         """Build from an ndarray, preserving its index convention."""
-        arr = np.asarray(arr, dtype=np.float64)
+        arr = np.asarray(arr)
         if arr.ndim == 0:
             raise ValueError("scalars are not tensors here; need at least one mode")
-        return cls(arr.shape, arr.ravel(order="F"))
+        # The C-order ravel of arr.T (a view) is the column-major buffer of arr.
+        return cls(arr.shape, arr.T)
 
     def to_array(self) -> np.ndarray:
         """The tensor as an ndarray indexed ``arr[i1, ..., iM]``."""
@@ -67,7 +71,7 @@ class DenseTensor:
 
     def norm(self) -> float:
         """Frobenius norm."""
-        return float(np.linalg.norm(self.data))
+        return math.sqrt(self.data @ self.data)
 
 
 def vec(mat: np.ndarray) -> np.ndarray:
@@ -102,35 +106,6 @@ def unfold(t: DenseTensor, mode: int) -> np.ndarray:
     return np.reshape(
         np.moveaxis(arr, mode - 1, 0), (t.dims[mode - 1], -1), order="F"
     )
-
-
-def refold(mat: np.ndarray, mode: int, dims: tuple[int, ...]) -> DenseTensor:
-    """Inverse of :func:`unfold`: rebuild the tensor with shape ``dims``."""
-    dims = tuple(int(d) for d in dims)
-    if not 1 <= mode <= len(dims):
-        raise ValueError(f"mode {mode} out of range for dims {dims}")
-    mat = np.asarray(mat, dtype=np.float64)
-    rest = dims[: mode - 1] + dims[mode:]
-    expected = (dims[mode - 1], int(np.prod(rest)) if rest else 1)
-    if mat.shape != expected:
-        raise ValueError(f"matrix shape {mat.shape} does not match unfolding {expected}")
-    arr = np.reshape(mat, (dims[mode - 1],) + rest, order="F")
-    return DenseTensor.from_array(np.moveaxis(arr, 0, mode - 1))
-
-
-def mode_n_product(t: DenseTensor, u: np.ndarray, mode: int) -> DenseTensor:
-    """Multiply mode ``mode`` by the matrix ``u`` (``u.shape[1]`` must equal ``I_mode``)."""
-    u = np.asarray(u, dtype=np.float64)
-    if u.ndim != 2:
-        raise ValueError("mode product needs a matrix")
-    if not 1 <= mode <= t.order:
-        raise ValueError(f"mode {mode} out of range for order-{t.order} tensor")
-    if u.shape[1] != t.dims[mode - 1]:
-        raise ValueError(
-            f"matrix has {u.shape[1]} columns, mode {mode} has size {t.dims[mode - 1]}"
-        )
-    new_dims = t.dims[: mode - 1] + (u.shape[0],) + t.dims[mode:]
-    return refold(u @ unfold(t, mode), mode, new_dims)
 
 
 def inner(a: DenseTensor, b: DenseTensor) -> float:
@@ -171,38 +146,40 @@ def khatri_rao(mats: list[np.ndarray], empty_cols: int = 1) -> np.ndarray:
 
 
 def cp_reconstruct(factors: list[np.ndarray]) -> DenseTensor:
-    """Sum of R rank-1 terms from factor matrices ``V_m`` of shape ``I_m x R``."""
+    """Sum of R rank-1 terms from factor matrices ``V_m`` of shape ``I_m x R``.
+
+    The column-major buffer is ``khatri_rao([V_M, ..., V_1]) @ 1``.
+    """
     if len(factors) == 0:
         raise ValueError("need at least one factor matrix")
     mats = [np.atleast_2d(np.asarray(v, dtype=np.float64)) for v in factors]
-    cols = {m.shape[1] for m in mats}
-    if len(cols) != 1:
-        raise ValueError(f"factor column counts differ: {sorted(cols)}")
-    r = cols.pop()
-    if r < 1:
+    kr = khatri_rao(mats[::-1])
+    if kr.shape[1] < 1:
         raise ValueError("rank must be at least 1")
-    acc = None
-    for j in range(r):
-        term = reduce(np.multiply.outer, [m[:, j] for m in mats])
-        acc = term if acc is None else acc + term
-    return DenseTensor.from_array(acc)
+    return DenseTensor(tuple(m.shape[0] for m in mats), kr.sum(axis=1))
 
 
 def tucker_reconstruct(core: DenseTensor, factors: list[np.ndarray]) -> DenseTensor:
-    """Core times each factor along its mode: ``F x_1 V_1 x_2 ... x_M V_M``."""
+    """Core times each factor along its mode: ``F x_1 V_1 x_2 ... x_M V_M``.
+
+    One contraction per mode, ``tensordot(t, V_m, axes=(0, 1))`` written as
+    a single GEMM on the axis-0 unfolding: step m contracts axis 0, which
+    holds mode m, with the columns of ``V_m`` and appends the new mode last,
+    so after M steps the axes are back in mode order.
+    """
     if len(factors) != core.order:
         raise ValueError(
             f"got {len(factors)} factors for an order-{core.order} core"
         )
-    t = core
+    t = core.to_array()
     for m, v in enumerate(factors, start=1):
         v = np.atleast_2d(np.asarray(v, dtype=np.float64))
         if v.shape[1] != core.dims[m - 1]:
             raise ValueError(
                 f"factor {m} has {v.shape[1]} columns, core mode {m} has size {core.dims[m - 1]}"
             )
-        t = mode_n_product(t, v, m)
-    return t
+        t = (t.reshape(t.shape[0], -1).T @ v.T).reshape(t.shape[1:] + v.shape[:1])
+    return DenseTensor.from_array(t)
 
 
 def check_factor(mat: np.ndarray, mode: int | None = None) -> np.ndarray:

@@ -46,18 +46,18 @@ def spectral_norm(mat: np.ndarray) -> float:
     a = np.atleast_2d(np.asarray(mat, dtype=np.float64))
     if a.size == 0:
         raise ValueError("empty matrix")
-    return float(np.linalg.norm(a, 2))
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def tucker_norm_inequality(core: DenseTensor, factors) -> BoundReport:
     """||W||_F versus ||F||_F times the product of factor spectral norms."""
     w = tucker_reconstruct(core, list(factors))
-    bound = core.norm()
+    bound = core_norm = core.norm()
     for v in factors:
         bound *= spectral_norm(v)
     return BoundReport.make(
         "tucker_norm_inequality", bound, w.norm(),
-        inputs={"core_norm": core.norm(), "order": core.order})
+        inputs={"core_norm": core_norm, "order": core.order})
 
 
 def rademacher_bound(B: float, R: float, N: int) -> float:
@@ -138,7 +138,7 @@ def lemma1_sweep(n_instances: int = 1000, seed: int = 0) -> list[BoundReport]:
         dims = [int(rng.integers(1, 7)) for _ in range(order)]
         ranks = [int(rng.integers(1, d + 1)) for d in dims]
         factors = [rng.standard_normal((d, r)) for d, r in zip(dims, ranks)]
-        core = DenseTensor(tuple(ranks), rng.standard_normal(int(np.prod(ranks))))
+        core = DenseTensor(tuple(ranks), rng.standard_normal(math.prod(ranks)))
         out.append(tucker_norm_inequality(core, factors))
     return out
 

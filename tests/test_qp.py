@@ -354,6 +354,22 @@ class TestSolveBoxQp:
             worst = max(worst, sol.iterations)
         assert worst <= 500
 
+    def test_perturbed_unbounded_face_duals_do_not_crawl(self):
+        # the mu1 = 0, lam = 1000, scale 3, seed 3 dual of the sweep above
+        # with g perturbed in its last bits: 3 of these 5 draws used to stop
+        # at the cap, the zero-curvature step and the next coordinate pass
+        # trading the same small move on every pass
+        Z, t, *_ = random_instance(np.random.default_rng(3), 4, 60)
+        p = build_dual(3.0 * Z, t, 0.0, 1.0, 1000.0)
+        for seed in range(1000, 1005):
+            noise = np.random.default_rng(seed).standard_normal(p.n)
+            q = QpProblem(p.B, p.g * (1.0 + 4e-16 * noise), p.upper)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                sol = solve_box_qp(q, tol=1e-8, max_passes=4000)
+            assert sol.converged
+            assert sol.iterations <= 100
+
     @settings(derandomize=True, deadline=None)
     @given(d=st.integers(1, 16), n=st.integers(2, 12),
            mu1=st.floats(0.0, 2.0), mu2=st.floats(0.0, 2.0),
@@ -403,6 +419,14 @@ class TestFreeSetStep:
         a = _free_set_step(hf, gf, np.array([0.5, 0.5]), 1.0)
         np.testing.assert_allclose(a, [0.0, 1.0], rtol=0.0, atol=1e-15)
         assert a[0] == 0.0 or a[1] == 1.0  # the limiting coordinate lands exactly
+
+    def test_cut_zero_curvature_step_repeats_on_rest_of_face(self):
+        # along -gf the first coordinate hits 0 after a short move; the step
+        # is repeated on the other two, which then run to their bounds
+        hf = np.zeros((3, 3))
+        gf = np.array([1.0, -1.0, -1.0])
+        a = _free_set_step(hf, gf, np.array([0.1, 0.5, 0.5]), 1.0)
+        np.testing.assert_array_equal(a, [0.0, 1.0, 1.0])
 
     def test_stationary_point_unchanged(self):
         a0 = np.array([0.3, 0.7])

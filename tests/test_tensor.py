@@ -1,22 +1,37 @@
 """Tensor algebra unit tests.
 
 Brute-force loop oracles pin the index conventions: unfoldings are checked
-against an explicit index map, mode products against the
-unfold/multiply/refold identity, and CP/Tucker reconstructions against
+against an explicit index map, single-mode products against the
+unfold/multiply identity, and CP/Tucker reconstructions against
 entry-by-entry summation.
 """
+
+import itertools
 
 import numpy as np
 import pytest
 
 from spmd.tensor import (DenseTensor, check_factor, cp_reconstruct, inner,
-                         khatri_rao, kron, kron_chain, mode_n_product,
-                         outer_product, refold, tucker_reconstruct, unfold,
-                         unvec, vec)
+                         khatri_rao, kron, kron_chain, outer_product,
+                         tucker_reconstruct, unfold, unvec, vec)
 
 
 def random_tensor(rng, dims):
     return DenseTensor(dims, rng.standard_normal(int(np.prod(dims))))
+
+
+def mode_product(t, u, mode):
+    """t times u along ``mode`` alone: a Tucker product with identities elsewhere."""
+    return tucker_reconstruct(
+        t, [u if m == mode else np.eye(d) for m, d in enumerate(t.dims, start=1)])
+
+
+def source_arrays():
+    """C-ordered, F-ordered and non-contiguous 2 x 3 x 4 sources."""
+    base = np.random.default_rng(30).standard_normal((4, 6, 8))
+    return {"c": np.ascontiguousarray(base[:2, :3, :4]),
+            "f": np.asfortranarray(base[:2, :3, :4]),
+            "strided": base[::2, ::2, ::2]}
 
 
 class TestDenseTensor:
@@ -41,6 +56,25 @@ class TestDenseTensor:
         assert t.data[0] == 0.0
         with pytest.raises(ValueError):
             t.data[0] = 1.0
+
+    @pytest.mark.parametrize("layout", ["c", "f", "strided"])
+    def test_from_array_never_aliases_source(self, layout):
+        src = source_arrays()[layout]
+        want = src.copy()
+        t = DenseTensor.from_array(src)
+        assert not np.shares_memory(t.data, src)
+        src[...] = 0.0
+        np.testing.assert_array_equal(t.to_array(), want)
+
+    @pytest.mark.parametrize("layout", ["c", "f", "strided"])
+    def test_direct_never_aliases_source(self, layout):
+        # the constructor takes the buffer in C order, whatever its layout
+        src = source_arrays()[layout]
+        want = src.flatten()
+        t = DenseTensor((src.size,), src)
+        assert not np.shares_memory(t.data, src)
+        src[...] = 0.0
+        np.testing.assert_array_equal(t.data, want)
 
     def test_norm_matches_flat(self):
         rng = np.random.default_rng(1)
@@ -104,12 +138,24 @@ class TestUnfold:
         t = DenseTensor.from_array(np.array([[1.0, 2.0], [3.0, 4.0]]))
         np.testing.assert_array_equal(unfold(t, 2), [[1.0, 3.0], [2.0, 4.0]])
 
-    def test_round_trip_all_modes(self):
+    def test_index_map_all_modes(self):
+        # entry (i_1, ..., i_M) sits at row i_m and at the column that
+        # enumerates the other indices with lower modes varying fastest
         rng = np.random.default_rng(4)
-        t = random_tensor(rng, (2, 3, 2))
-        for m in (1, 2, 3):
-            back = refold(unfold(t, m), m, t.dims)
-            np.testing.assert_array_equal(back.data, t.data)
+        for dims in [(2, 3, 2), (2, 3, 2, 4)]:
+            t = random_tensor(rng, dims)
+            arr = t.to_array()
+            for m in range(1, len(dims) + 1):
+                u = unfold(t, m)
+                rest = dims[: m - 1] + dims[m:]
+                assert u.shape == (dims[m - 1], int(np.prod(rest)))
+                for idx in itertools.product(*(range(d) for d in dims)):
+                    others = idx[: m - 1] + idx[m:]
+                    col, stride = 0, 1
+                    for i, d in zip(others, rest):
+                        col += i * stride
+                        stride *= d
+                    assert u[idx[m - 1], col] == arr[idx]
 
     def test_column_order_lower_modes_fastest(self):
         # column j of unfold(t, m) enumerates the other indices with the
@@ -132,43 +178,18 @@ class TestUnfold:
             unfold(t, 3)
 
 
-class TestRefold:
-    def test_identity_matrix(self):
-        t = refold(np.eye(2), 1, (2, 2))
-        np.testing.assert_array_equal(t.to_array(), np.eye(2))
-
-    def test_index_map_oracle(self):
-        rng = np.random.default_rng(6)
-        mat = rng.standard_normal((3, 4))
-        t = refold(mat, 2, (4, 3)).to_array()
-        for i2 in range(3):
-            for i1 in range(4):
-                assert t[i1, i2] == mat[i2, i1]
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            refold(np.zeros((2, 3)), 1, (2, 2))
-
-    def test_round_trip_bit_exact_up_to_order_4(self):
-        rng = np.random.default_rng(7)
-        for dims in [(5,), (3, 4), (2, 3, 4), (2, 3, 2, 4)]:
-            t = random_tensor(rng, dims)
-            for m in range(1, len(dims) + 1):
-                back = refold(unfold(t, m), m, dims)
-                assert back.dims == t.dims
-                np.testing.assert_array_equal(back.data, t.data)
-
-
 class TestModeNProduct:
+    # one step of tucker_reconstruct's contraction chain
+
     def test_identity_matrix_is_noop(self):
         rng = np.random.default_rng(8)
         t = random_tensor(rng, (2, 3, 2))
-        out = mode_n_product(t, np.eye(3), 2)
+        out = mode_product(t, np.eye(3), 2)
         np.testing.assert_array_equal(out.data, t.data)
 
     def test_ones_row_sums_fibers(self):
         t = DenseTensor.from_array(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        out = mode_n_product(t, np.ones((1, 2)), 1)
+        out = mode_product(t, np.ones((1, 2)), 1)
         assert out.dims == (1, 2)
         np.testing.assert_allclose(out.to_array(), [[4.0, 6.0]])
 
@@ -176,7 +197,7 @@ class TestModeNProduct:
         rng = np.random.default_rng(9)
         t = random_tensor(rng, (2, 3, 2))
         u = rng.standard_normal((4, 3))
-        out = mode_n_product(t, u, 2)
+        out = mode_product(t, u, 2)
         assert out.dims == (2, 4, 2)
         lhs = unfold(out, 2)
         rhs = u @ unfold(t, 2)
@@ -185,7 +206,7 @@ class TestModeNProduct:
     def test_dimension_mismatch(self):
         t = DenseTensor((2, 3), np.zeros(6))
         with pytest.raises(ValueError):
-            mode_n_product(t, np.eye(2), 2)
+            mode_product(t, np.eye(2), 2)
 
 
 class TestInner:
@@ -329,6 +350,22 @@ class TestTuckerReconstruct:
                         g[a, b, c] * f[0][i, a] * f[1][j, b] * f[2][k, c]
                         for a in range(2) for b in range(2) for c in range(2))
                     assert t[i, j, k] == pytest.approx(want, rel=1e-11, abs=1e-13)
+
+    @pytest.mark.parametrize("dims,ranks", [
+        ((4,), (3,)), ((3, 2), (2, 3)), ((2, 3, 2), (3, 2, 2)),
+        ((2, 2, 3, 2), (2, 3, 2, 1))])
+    def test_nested_loop_oracle_orders_1_to_4(self, dims, ranks):
+        # every case but order 1 has a factor with more columns than rows
+        rng = np.random.default_rng(24)
+        core = random_tensor(rng, ranks)
+        f = [rng.standard_normal((d, r)) for d, r in zip(dims, ranks)]
+        w = tucker_reconstruct(core, f)
+        assert w.dims == dims
+        t, g = w.to_array(), core.to_array()
+        for idx in itertools.product(*(range(d) for d in dims)):
+            want = sum(g[r] * np.prod([f[m][idx[m], r[m]] for m in range(len(dims))])
+                       for r in itertools.product(*(range(k) for k in ranks)))
+            assert t[idx] == pytest.approx(want, rel=1e-11, abs=1e-13)
 
     def test_unfolding_matches_kron_form(self):
         rng = np.random.default_rng(23)

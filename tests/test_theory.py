@@ -120,8 +120,16 @@ class TestSpectralNorm:
         x = np.array([3.0, 4.0])
         assert spectral_norm(x) == pytest.approx(5.0, rel=1e-10)
 
+    def test_row_and_column_matrices(self):
+        # one singular value, the Euclidean norm of the entries
+        x = np.array([1.0, -2.0, 2.0])
+        assert spectral_norm(x[None, :]) == pytest.approx(3.0, rel=1e-15)
+        assert spectral_norm(x[:, None]) == pytest.approx(3.0, rel=1e-15)
+        assert spectral_norm(x) == spectral_norm(x[None, :])
+
     def test_zero_matrix(self):
         assert spectral_norm(np.zeros((3, 3))) == 0.0
+        assert spectral_norm(np.zeros((1, 4))) == 0.0
 
     def test_rank_deficient(self):
         col = np.array([[1.0], [2.0], [2.0]])
