@@ -13,10 +13,10 @@ __version__ = "0.1.0"
 from .data import (LabeledDataset, MulticlassDataset, load_dataset, load_idx,
                    reshape_samples, save_dataset, select_binary, synth_blobs,
                    synth_multiclass)
-from .margins import MarginSummary, margin_mean, margin_variance, signed_margins
+from .margins import MarginSummary, signed_margins
 from .multiclass import OvoEnsemble, ovo_train, pairwise_accuracy
 from .qp import QpProblem, QpSolution, build_dual, solve_box_qp
-from .tensor import (DenseTensor, cp_reconstruct, inner, khatri_rao, kron,
+from .tensor import (DenseTensor, cp_reconstruct, khatri_rao, kron,
                      outer_product, tucker_reconstruct, unfold)
 from .theory import (BoundReport, cantelli_margin_tail, descent_certificate,
                      generalization_bound, rademacher_bound, spectral_norm,

@@ -22,13 +22,13 @@ import numpy as np
 
 from . import __version__
 from . import theory
-from .data import (LabeledDataset, data_dir, find_mnist, load_dataset,
-                   load_idx, reshape_samples, select_binary, select_multiclass,
+from .data import (data_dir, find_mnist, load_dataset, load_idx,
+                   reshape_samples, select_binary, select_multiclass,
                    synth_blobs, synth_multiclass)
 from .margins import summarize_scores
 from .multiclass import ovo_train, pairwise_accuracy
-from .trainer import (TrainConfig, TrainingError, WeightModel, apply_bias,
-                      decision_scores, load_model, save_model, train)
+from .trainer import (TrainConfig, TrainingError, _mode_ranks, load_model,
+                      predict, save_model, train)
 
 METHODS = ("svm", "lmdm", "stm", "spmd-r1", "spmd-cp", "spmd-tucker")
 
@@ -179,21 +179,6 @@ def resolve_config(raw: dict, need_method=True, need_methods=False) -> dict:
     return cfg
 
 
-def _validate_method_ranks(method: str, ranks: list, dims: tuple) -> list:
-    kind = _METHOD_KIND[method]
-    if kind in ("vector", "rank1"):
-        _need(ranks in ([], [1]) or (kind == "rank1" and ranks == [1] * len(dims)),
-              f"field 'ranks' must be empty for method {method!r}")
-        return []
-    if kind == "cp":
-        _need(len(ranks) == 1, "field 'ranks' must be a single CP rank for spmd-cp")
-        return ranks
-    _need(len(ranks) == len(dims),
-          f"field 'ranks' must list one rank per mode ({len(dims)} modes "
-          f"after reshape) for spmd-tucker, got {len(ranks)}")
-    return ranks
-
-
 # --- dataset construction ----------------------------------------------------
 
 
@@ -301,10 +286,14 @@ def build_multiclass_dataset(ds: dict):
 
 
 def make_train_config(cfg: dict, method: str, dims: tuple) -> TrainConfig:
-    ranks = _validate_method_ranks(method, list(cfg["ranks"]), dims)
+    kind, ranks = _METHOD_KIND[method], list(cfg["ranks"])
+    try:
+        _mode_ranks(kind, ranks, len(dims))
+    except ValueError as e:
+        raise ConfigError(f"field 'ranks' for method {method!r}: {e}")
     zero = method in _ZERO_MU
     return TrainConfig(
-        kind=_METHOD_KIND[method],
+        kind=kind,
         ranks=ranks,
         mu1=0.0 if zero else cfg["mu1"],
         mu2=0.0 if zero else cfg["mu2"],
@@ -317,9 +306,9 @@ def make_train_config(cfg: dict, method: str, dims: tuple) -> TrainConfig:
     )
 
 
-def _flatten_for(kind: str, data):
-    """The vector kind trains on flat samples; other kinds keep their dims."""
-    if kind == "vector" and data is not None and len(data.dims) > 1:
+def _flatten_for(flat: bool, data):
+    """Flat samples for vector-space methods and order-1 models; else as is."""
+    if flat and data is not None and len(data.dims) > 1:
         return reshape_samples(data, [int(np.prod(data.dims))])
     return data
 
@@ -368,8 +357,8 @@ def cmd_train(args) -> int:
         cfg["seed"] = args.seed
     method = cfg["method"]
     train_set, test_set = build_binary_dataset(cfg["dataset"], cfg["seed"])
-    kind = _METHOD_KIND[method]
-    train_set, test_set = _flatten_for(kind, train_set), _flatten_for(kind, test_set)
+    flat = _METHOD_KIND[method] == "vector"
+    train_set, test_set = _flatten_for(flat, train_set), _flatten_for(flat, test_set)
     tc = make_train_config(cfg, method, train_set.dims)
     out = _out_dir(args, cfg, "train")
 
@@ -388,9 +377,8 @@ def cmd_train(args) -> int:
               [[i, lab, obj, nrm] for i, (lab, obj, nrm) in enumerate(
                   zip(report.block_labels, report.objectives, report.weight_norms))])
 
-    eval_set = _biased(model, train_set)
-    scores = decision_scores(model, eval_set.samples, eval_set.dims)
-    acc = float(np.mean(np.where(scores >= 0, 1.0, -1.0) == eval_set.labels))
+    labels, _ = predict(model, train_set.samples, train_set.dims)
+    acc = float(np.mean(labels == train_set.labels))
     lines = [
         f"method          {method}",
         f"kind            {model.kind}",
@@ -405,9 +393,8 @@ def cmd_train(args) -> int:
         f"wall_ms         {wall * 1e3:.1f}",
     ]
     if test_set is not None:
-        test_eval = _biased(model, test_set)
-        tscores = decision_scores(model, test_eval.samples, test_eval.dims)
-        tacc = float(np.mean(np.where(tscores >= 0, 1.0, -1.0) == test_set.labels))
+        tlabels, _ = predict(model, test_set.samples, test_set.dims)
+        tacc = float(np.mean(tlabels == test_set.labels))
         lines.append(f"test_accuracy   {tacc:.4f}")
     summary = "\n".join(lines) + "\n"
     with open(os.path.join(out, "summary.txt"), "w") as f:
@@ -417,12 +404,6 @@ def cmd_train(args) -> int:
     print(summary, end="")
     print(f"model written to {model_path}")
     return 0
-
-
-def _biased(model: WeightModel, data: LabeledDataset) -> LabeledDataset:
-    if model.bias_feature and data.dims != model.shape:
-        return apply_bias(data)
-    return data
 
 
 def cmd_eval(args) -> int:
@@ -436,13 +417,13 @@ def cmd_eval(args) -> int:
         raise ConfigError(str(e))
     cfg = resolve_config(load_config(args.config), need_method=False)
     data, _ = build_binary_dataset(cfg["dataset"], cfg["seed"])
-    data = _biased(model, _flatten_for(model.kind, data))
-    if data.dims != model.shape:
-        raise ConfigError(
-            f"dataset shape {data.dims} does not match model shape {model.shape}")
-    scores = decision_scores(model, data.samples, data.dims)
+    data = _flatten_for(len(model.shape) == 1, data)
+    try:
+        labels, scores = predict(model, data.samples, data.dims)
+    except ValueError as e:
+        raise ConfigError(f"dataset: {e}")
     summ = summarize_scores(scores, data.labels)
-    acc = float(np.mean(np.where(scores >= 0, 1.0, -1.0) == data.labels))
+    acc = float(np.mean(labels == data.labels))
     out = _out_dir(args, cfg, "eval")
     write_csv(os.path.join(out, "eval.csv"),
               ["n", "accuracy", "gamma_m", "gamma_v"],
@@ -467,8 +448,8 @@ def cmd_bench(args) -> int:
 
     rows, text_rows, timings = [], [], {}
     for method in cfg["methods"]:
-        kind = _METHOD_KIND[method]
-        mtrain, mtest = _flatten_for(kind, train_multi), _flatten_for(kind, test_multi)
+        flat = _METHOD_KIND[method] == "vector"
+        mtrain, mtest = _flatten_for(flat, train_multi), _flatten_for(flat, test_multi)
         tc = make_train_config(cfg, method, mtrain.dims)
         t0 = time.perf_counter()
         ensemble = ovo_train(mtrain, tc, workers=cfg["workers"])

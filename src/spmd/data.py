@@ -252,9 +252,9 @@ def find_mnist(root: str | None = None) -> dict | None:
     """Locate the four standard MNIST IDX files under the data root.
 
     Accepts both the dotted ("train-images.idx3-ubyte") and dashed
-    ("train-images-idx3-ubyte") filename conventions, optionally gzipped
-    names are NOT handled (files must be decompressed). Returns a dict of
-    paths or None if any file is missing.
+    ("train-images-idx3-ubyte") filename conventions. Gzipped files are
+    not found; decompress them first. Returns a dict of paths, or None if
+    any file is missing.
     """
     root = data_dir(root)
     found = {}

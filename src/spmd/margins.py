@@ -49,18 +49,6 @@ def _moments(margins: np.ndarray) -> tuple[float, float]:
     return mean, v
 
 
-def margin_mean(margins: np.ndarray) -> float:
-    margins = np.asarray(margins, dtype=np.float64)
-    if margins.size == 0:
-        raise ValueError("no margins")
-    return float(margins.sum()) / margins.size
-
-
-def margin_variance(margins: np.ndarray) -> float:
-    """Population variance of the margins; clamps tiny negative rounding."""
-    return _moments(margins)[1]
-
-
 def summarize_scores(scores: np.ndarray, labels: np.ndarray) -> MarginSummary:
     """Margin summary from precomputed raw scores <W, Z_i>."""
     m = np.asarray(labels, dtype=np.float64) * np.asarray(scores, dtype=np.float64)

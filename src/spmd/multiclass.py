@@ -16,7 +16,7 @@ from itertools import combinations
 import numpy as np
 
 from .data import MulticlassDataset
-from .trainer import TrainConfig, decision_scores, train
+from .trainer import TrainConfig, predict, train
 
 
 def pair_seed(global_seed: int, a: int, b: int) -> int:
@@ -97,9 +97,8 @@ def pairwise_accuracy(ensemble: OvoEnsemble, test: MulticlassDataset):
                           stacklevel=2)
             continue
         model = ensemble.models[(a, b)]
-        scores = decision_scores(model, test.samples[mask], test.dims)
+        got, _ = predict(model, test.samples[mask], test.dims)
         want = np.where(test.labels[mask] == a, 1.0, -1.0)
-        got = np.where(scores >= 0.0, 1.0, -1.0)
         rows.append({
             "pair": (a, b),
             "n_test": n,

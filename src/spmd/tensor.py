@@ -27,7 +27,8 @@ class DenseTensor:
     """Immutable dense tensor: a shape plus a flat column-major buffer.
 
     ``data[i1 + I1*i2 + I1*I2*i3 + ...]`` is the entry at ``(i1, i2, i3, ...)``.
-    The buffer is defensively copied and marked read-only so instances can be
+    ``data`` may be that flat buffer or an array of shape ``dims``, which is
+    read column-major. The buffer is defensively copied and marked read-only so instances can be
     shared across threads.
     """
 
@@ -40,9 +41,16 @@ class DenseTensor:
             raise ValueError("tensor must have at least one mode")
         if any(d < 1 for d in dims):
             raise ValueError(f"all dims must be positive, got {dims}")
-        # The one copy: a fresh C-ordered buffer, so ravel below is a view
-        # and the tensor never shares memory with the caller's array.
-        data = np.array(self.data, dtype=np.float64, order="C").ravel()
+        # The one copy: a fresh Fortran-ordered array, so the column-major
+        # ravel below is a view and the tensor never shares memory with the
+        # caller's array.
+        data = np.array(self.data, dtype=np.float64, order="F")
+        if data.ndim > 1 and data.shape != dims:
+            raise ValueError(
+                f"data of shape {data.shape} is neither a flat buffer nor "
+                f"an array of shape {dims}"
+            )
+        data = data.ravel(order="F")
         n = math.prod(dims)
         if data.size != n:
             raise ValueError(
@@ -58,8 +66,7 @@ class DenseTensor:
         arr = np.asarray(arr)
         if arr.ndim == 0:
             raise ValueError("scalars are not tensors here; need at least one mode")
-        # The C-order ravel of arr.T (a view) is the column-major buffer of arr.
-        return cls(arr.shape, arr.T)
+        return cls(arr.shape, arr)
 
     def to_array(self) -> np.ndarray:
         """The tensor as an ndarray indexed ``arr[i1, ..., iM]``."""
@@ -74,13 +81,8 @@ class DenseTensor:
         return math.sqrt(self.data @ self.data)
 
 
-def vec(mat: np.ndarray) -> np.ndarray:
-    """Stack the columns of a matrix into a vector."""
-    return np.asarray(mat, dtype=np.float64).ravel(order="F")
-
-
 def unvec(v: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Inverse of :func:`vec` for the given (rows, cols)."""
+    """The (rows, cols) matrix whose stacked columns are ``v``."""
     return np.asarray(v, dtype=np.float64).reshape(shape, order="F")
 
 
@@ -106,13 +108,6 @@ def unfold(t: DenseTensor, mode: int) -> np.ndarray:
     return np.reshape(
         np.moveaxis(arr, mode - 1, 0), (t.dims[mode - 1], -1), order="F"
     )
-
-
-def inner(a: DenseTensor, b: DenseTensor) -> float:
-    """Frobenius inner product; shapes must match exactly."""
-    if a.dims != b.dims:
-        raise ValueError(f"shape mismatch: {a.dims} vs {b.dims}")
-    return float(a.data @ b.data)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -180,20 +175,3 @@ def tucker_reconstruct(core: DenseTensor, factors: list[np.ndarray]) -> DenseTen
             )
         t = (t.reshape(t.shape[0], -1).T @ v.T).reshape(t.shape[1:] + v.shape[:1])
     return DenseTensor.from_array(t)
-
-
-def check_factor(mat: np.ndarray, mode: int | None = None) -> np.ndarray:
-    """Validate a factor matrix; more columns than rows draws a warning only."""
-    import warnings
-
-    mat = np.atleast_2d(np.asarray(mat, dtype=np.float64))
-    if mat.ndim != 2 or mat.shape[0] < 1 or mat.shape[1] < 1:
-        raise ValueError("factor must be a non-empty matrix")
-    if mat.shape[1] > mat.shape[0]:
-        where = f" (mode {mode})" if mode is not None else ""
-        warnings.warn(
-            f"factor{where} has more columns than rows ({mat.shape[1]} > {mat.shape[0]}); "
-            "rank exceeds mode size",
-            stacklevel=2,
-        )
-    return mat

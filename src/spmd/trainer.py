@@ -30,10 +30,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import qp as qpmod
-from .data import LabeledDataset, batch_view
+from .data import LabeledDataset, batch_view, flatten_batch
 from .margins import summarize_scores
-from .tensor import (DenseTensor, check_factor, cp_reconstruct, khatri_rao,
-                     kron_chain, tucker_reconstruct, unfold, unvec)
+from .tensor import (DenseTensor, cp_reconstruct, khatri_rao, kron_chain,
+                     tucker_reconstruct, unfold, unvec)
 
 KINDS = ("vector", "rank1", "cp", "tucker")
 
@@ -107,7 +107,8 @@ class TrainConfig:
     """Hyperparameters and controls for :func:`train`.
 
     kind: "vector", "rank1", "cp", or "tucker".
-    ranks: [] for vector/rank1, [R] for cp, one rank per mode for tucker.
+    ranks: [] or [1] for vector/rank1 (rank1 also takes a 1 per mode), [R]
+    for cp, one rank per mode for tucker.
     lam is the hinge weight; mu1/mu2 weigh margin variance/mean. tol is the
     relative weight-change stopping threshold checked after each full sweep.
     """
@@ -139,7 +140,7 @@ class WeightModel:
 
     def reconstruct(self) -> DenseTensor:
         """The full weight tensor (small shapes only; prediction never needs it)."""
-        return _reconstruct(self.kind, self.shape, list(self.factors), self.core)
+        return _reconstruct(list(self.factors), self.core)
 
     def norm(self) -> float:
         return self.reconstruct().norm()
@@ -173,15 +174,11 @@ def _mode_ranks(kind: str, ranks, order: int) -> tuple[int, ...]:
     ranks = [int(r) for r in (ranks or [])]
     if any(r < 1 for r in ranks):
         raise ValueError(f"ranks must be positive, got {ranks}")
-    if kind == "vector":
-        if order != 1:
+    if kind in ("vector", "rank1"):
+        if kind != "rank1" and order != 1:
             raise ValueError("vector kind needs order-1 samples; reshape first")
-        if ranks not in ([], [1]):
-            raise ValueError("vector kind takes no ranks")
-        return (1,)
-    if kind == "rank1":
-        if ranks not in ([], [1] * order):
-            raise ValueError("rank1 kind takes no ranks (all modes have rank 1)")
+        if ranks not in ([], [1], [1] * order):
+            raise ValueError(f"{kind} kind takes no ranks (all modes have rank 1)")
         return (1,) * order
     if kind == "cp":
         if len(ranks) != 1:
@@ -194,18 +191,20 @@ def _mode_ranks(kind: str, ranks, order: int) -> tuple[int, ...]:
     return tuple(ranks)
 
 
+def _with_ones_slab(samples: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+    """Flat rows of the samples with a constant-1 slab appended along mode 1."""
+    arr = batch_view(samples, dims)
+    new = np.ones((arr.shape[0], dims[0] + 1) + tuple(dims[1:]))
+    new[:, : dims[0]] = arr
+    return flatten_batch(new)
+
+
 def apply_bias(data: LabeledDataset) -> LabeledDataset:
     """Append a constant-1 slab along mode 1, absorbing a bias into the weight."""
-    dims = data.dims
-    arr = data.arrays()
-    new = np.ones((len(data), dims[0] + 1) + dims[1:])
-    new[:, : dims[0]] = arr
-    from .data import flatten_batch
-
     meta = dict(data.meta)
     meta["bias_feature"] = True
-    return LabeledDataset(flatten_batch(new), (dims[0] + 1,) + dims[1:],
-                          data.labels, meta)
+    return LabeledDataset(_with_ones_slab(data.samples, data.dims),
+                          (data.dims[0] + 1,) + data.dims[1:], data.labels, meta)
 
 
 def _mode_coefficient(factors, core, mode: int) -> np.ndarray:
@@ -253,19 +252,21 @@ def core_features(data: LabeledDataset, factors):
     return (_core_design(data.arrays(), factors) @ root.inv_half.T).T, root
 
 
-def block_features(data: LabeledDataset, kind: str, factors, core, block: int):
+def block_features(data: LabeledDataset, factors, core, block: int):
     """Whitened D x N features of one block and the root that unwhitens it.
 
-    ``block`` is a mode 1..M, or 0 for the Tucker core. A block solution v
-    maps back as ``V_m = unvec(v) @ root.inv_half`` for a mode and
-    ``vec(F) = root.inv_half.T @ v`` for the core. The vector kind's
-    features are the raw samples, with a 1 x 1 identity root.
+    ``block`` is a mode 1..M, or 0 for the Tucker core (``core`` is None for
+    CP and rank-1 weights). A block solution v maps back as
+    ``V_m = unvec(v) @ root.inv_half`` for a mode and
+    ``vec(F) = root.inv_half.T @ v`` for the core. When the block is the
+    identity map (order-1 data, one column, no core) the features are the
+    raw samples, a view, with a 1 x 1 identity root.
     """
-    if kind == "vector":
-        one = np.eye(1)
-        return data.samples.T, MetricRoot(one, one, 0)
     if block == 0:
         return core_features(data, factors)
+    if core is None and len(data.dims) == 1 and factors[0].shape[1] == 1:
+        one = np.eye(1)
+        return data.samples.T, MetricRoot(one, one, 0)
     p = _mode_coefficient(factors, core, block)
     root = psd_root(p @ p.T, context=f"mode {block} metric")
     feats = _mode_contract(data.arrays(), block, p.T @ root.inv_half.T)
@@ -307,19 +308,17 @@ def _init_state(dims, mode_ranks, kind, rng):
             factors.append(q)
         else:
             g /= np.linalg.norm(g, axis=0, keepdims=True)
-            factors.append(check_factor(g))
+            factors.append(g)
     core = None
     if kind == "tucker":
         core = DenseTensor(mode_ranks, 0.1 * rng.standard_normal(int(np.prod(mode_ranks))))
     return factors, core
 
 
-def _reconstruct(kind, dims, factors, core) -> DenseTensor:
-    if kind == "vector":
-        return DenseTensor(dims, factors[0][:, 0])
-    if kind == "tucker":
-        return tucker_reconstruct(core, factors)
-    return cp_reconstruct(factors)
+def _reconstruct(factors, core) -> DenseTensor:
+    if core is None:
+        return cp_reconstruct(factors)
+    return tucker_reconstruct(core, factors)
 
 
 def train(data: LabeledDataset, cfg: TrainConfig):
@@ -362,7 +361,7 @@ def train(data: LabeledDataset, cfg: TrainConfig):
     def snapshot():
         return [f.copy() for f in factors], core
 
-    w = _reconstruct(cfg.kind, dims, factors, core)
+    w = _reconstruct(factors, core)
     j = primal_objective(w, data, hyper)
     objectives = [j]
     block_labels = ["init"]
@@ -376,7 +375,7 @@ def train(data: LabeledDataset, cfg: TrainConfig):
 
     for outer in range(1, cfg.max_outer + 1):
         for i, b in enumerate(blocks):
-            feats, root = block_features(data, cfg.kind, factors, core, b)
+            feats, root = block_features(data, factors, core, b)
             v, sol = block_update(
                 feats, data.labels, hyper, cfg.qp_tol, cfg.qp_max_passes,
                 warm_alpha=warm[i], perm=perms[i])
@@ -390,7 +389,7 @@ def train(data: LabeledDataset, cfg: TrainConfig):
             warm[i] = sol.alpha
             qp_passes += sol.iterations
 
-            w = _reconstruct(cfg.kind, dims, factors, core)
+            w = _reconstruct(factors, core)
             j = primal_objective(w, data, hyper)
             if not np.isfinite(j):
                 raise TrainingError(
@@ -467,42 +466,36 @@ def train(data: LabeledDataset, cfg: TrainConfig):
 
 def decision_scores(model: WeightModel, samples: np.ndarray,
                     dims: tuple[int, ...]) -> np.ndarray:
-    """<W, Z_i> for flat-row samples, evaluated in factored form."""
-    if tuple(dims) != model.shape:
-        raise ValueError(f"sample dims {tuple(dims)} do not match model shape {model.shape}")
-    if model.kind == "vector":
-        return samples @ model.factors[0][:, 0]
-    if model.kind != "tucker":
+    """<W, Z_i> for flat-row samples, evaluated in factored form.
+
+    A bias model also takes samples in its pre-bias shape and appends the
+    constant-1 slab that :func:`apply_bias` appends in training.
+    """
+    dims = tuple(dims)
+    pre_bias = (model.shape[0] - 1,) + model.shape[1:]
+    if model.bias_feature and dims == pre_bias:
+        samples, dims = _with_ones_slab(samples, dims), model.shape
+    if dims != model.shape:
+        also = f" or its pre-bias shape {pre_bias}" if model.bias_feature else ""
+        raise ValueError(
+            f"sample dims {dims}: the sample shape does not match model shape "
+            f"{model.shape}{also}")
+    if model.core is None:
         # vec(W) = khatri_rao(V_M, ..., V_1) 1 for the column-major rows
         return samples @ khatri_rao(list(reversed(model.factors))).sum(axis=1)
     design = _core_design(batch_view(samples, model.shape), list(model.factors))
     return design @ model.core.data
 
 
-def predict(model: WeightModel, sample) -> tuple[int, float]:
-    """(label, raw score) for one sample; score >= 0 maps to +1.
+def predict(model: WeightModel, samples: np.ndarray,
+            dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(labels, scores) for flat-row samples; a score >= 0 maps to +1.
 
-    Accepts a DenseTensor or an ndarray. For bias-augmented models a sample
-    in the original (unaugmented) shape is augmented automatically.
+    Labels are +-1.0 floats like dataset labels. ``samples`` and ``dims``
+    follow :func:`decision_scores`.
     """
-    if isinstance(sample, DenseTensor):
-        dims, flat = sample.dims, sample.data
-    else:
-        t = DenseTensor.from_array(np.asarray(sample, dtype=np.float64))
-        dims, flat = t.dims, t.data
-    if model.bias_feature and dims != model.shape:
-        expect = (model.shape[0] - 1,) + model.shape[1:]
-        if dims != expect:
-            raise ValueError(
-                f"sample dims {dims} match neither the model shape {model.shape} "
-                f"nor the pre-bias shape {expect}"
-            )
-        arr = np.ones(model.shape)
-        arr[: dims[0]] = DenseTensor(dims, flat).to_array()
-        flat = DenseTensor.from_array(arr).data
-        dims = model.shape
-    score = float(decision_scores(model, flat[None, :], dims)[0])
-    return (1 if score >= 0.0 else -1), score
+    scores = decision_scores(model, samples, dims)
+    return np.where(scores >= 0.0, 1.0, -1.0), scores
 
 
 # --- model files ----------------------------------------------------------------

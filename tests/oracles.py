@@ -5,12 +5,25 @@ coarse grid search polished by projected gradient, the block-dual reference
 builds the dual in sample space with a dense N x N inverse, and the
 hinge-loss reference is averaged subgradient descent finished by an exact
 active-set polish whose KKT conditions are verified before the result is
-trusted.
+trusted. ``vec`` and ``inner`` are the textbook column-stacking and
+elementwise Frobenius definitions, used as references for the factored
+inner products.
 """
 
 import itertools
 
 import numpy as np
+
+
+def vec(mat):
+    """Stack the columns of a matrix into a vector."""
+    return np.asarray(mat, dtype=np.float64).ravel(order="F")
+
+
+def inner(a, b):
+    """Frobenius inner product of two DenseTensors, entry by entry."""
+    assert a.dims == b.dims, (a.dims, b.dims)
+    return float(np.sum(a.to_array() * b.to_array()))
 
 
 def box_qp_reference(H, g, upper, grid_points=9, pg_tol=1e-12,

@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 from conftest import criterion_lines
-from oracles import box_qp_reference, hinge_objective, max_margin_reference
+from oracles import (box_qp_reference, hinge_objective, max_margin_reference,
+                     vec)
 
 from spmd.cli import main
 from spmd.data import (LabeledDataset, find_mnist, load_idx, reshape_samples,
@@ -43,10 +44,6 @@ def record_skip(num: int, detail: str) -> None:
     pytest.skip(detail)
 
 
-def vec_f(m) -> np.ndarray:
-    return np.asarray(m, dtype=np.float64).reshape(-1, order="F")
-
-
 def test_criterion_1_reparameterization_identities():
     """Factored inner products and norms match the full tensor for every
     mode and the core: 200 seeded random configurations in under 10 s."""
@@ -68,8 +65,7 @@ def test_criterion_1_reparameterization_identities():
         core = None
         if kind == "tucker":
             core = DenseTensor(ranks, rng.standard_normal(int(np.prod(ranks))))
-        w = _reconstruct("tucker" if kind == "tucker" else "cp",
-                         dims, factors, core)
+        w = _reconstruct(factors, core)
         n = int(rng.integers(2, 7))
         samples = rng.standard_normal((n, int(np.prod(dims))))
         labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
@@ -79,10 +75,10 @@ def test_criterion_1_reparameterization_identities():
 
         blocks = []
         for mode in range(1, order + 1):
-            feats, root = block_features(data, kind, factors, core, mode)
-            blocks.append((feats, vec_f(factors[mode - 1] @ root.half)))
+            feats, root = block_features(data, factors, core, mode)
+            blocks.append((feats, vec(factors[mode - 1] @ root.half)))
         if kind == "tucker":
-            feats, root = block_features(data, kind, factors, core, 0)
+            feats, root = block_features(data, factors, core, 0)
             blocks.append((feats, root.half.T @ core.data))
 
         for feats, v in blocks:

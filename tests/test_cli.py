@@ -17,16 +17,18 @@ import pytest
 import spmd.theory
 from spmd.cli import (
     ConfigError,
-    _validate_method_ranks,
     build_binary_dataset,
+    build_multiclass_dataset,
     main,
     make_train_config,
     resolve_config,
 )
-from spmd.data import MNIST_FILES, save_idx_images, save_idx_labels
+from spmd.data import (MNIST_FILES, reshape_samples, save_idx_images,
+                       save_idx_labels)
+from spmd.multiclass import ovo_train
 from spmd.margins import summarize_scores
 from spmd.theory import BoundReport
-from spmd.trainer import decision_scores, load_model
+from spmd.trainer import apply_bias, decision_scores, load_model
 
 SYNTH = {"source": "synth", "shape": [2, 2], "n_per_class": 10,
          "margin": 3.0, "noise": 0.2, "seed": 0}
@@ -149,28 +151,38 @@ class TestResolveConfig:
 
 
 class TestMethodRanks:
+    """make_train_config applies the trainer's rank rules to each method."""
+
+    @staticmethod
+    def ranks(method, ranks, dims):
+        cfg = resolve_config(minimal(method=method, ranks=ranks))
+        return make_train_config(cfg, method, dims).ranks
+
+    def rejects(self, method, ranks, dims):
+        with pytest.raises(ConfigError, match="field 'ranks'"):
+            self.ranks(method, ranks, dims)
+
     def test_vector_methods_need_no_ranks(self):
-        assert _validate_method_ranks("svm", [], (4,)) == []
-        assert _validate_method_ranks("lmdm", [1], (4,)) == []
-        with pytest.raises(ConfigError, match="must be empty"):
-            _validate_method_ranks("svm", [2], (4,))
+        assert self.ranks("svm", [], (4,)) == []
+        assert self.ranks("lmdm", [1], (4,)) == [1]
+        self.rejects("svm", [2], (4,))
+        self.rejects("lmdm", [1, 1], (4,))
 
     def test_rank_one_accepts_all_ones(self):
-        assert _validate_method_ranks("spmd-r1", [1, 1], (3, 4)) == []
-        with pytest.raises(ConfigError, match="must be empty"):
-            _validate_method_ranks("stm", [2], (3, 4))
+        assert self.ranks("spmd-r1", [1, 1], (3, 4)) == [1, 1]
+        assert self.ranks("stm", [1], (3, 4)) == [1]
+        assert self.ranks("stm", [], (3, 4)) == []
+        self.rejects("stm", [2], (3, 4))
+        self.rejects("spmd-r1", [1, 1, 1], (3, 4))
 
     def test_cp_needs_single_rank(self):
-        assert _validate_method_ranks("spmd-cp", [3], (3, 4)) == [3]
-        with pytest.raises(ConfigError, match="single CP rank"):
-            _validate_method_ranks("spmd-cp", [], (3, 4))
-        with pytest.raises(ConfigError, match="single CP rank"):
-            _validate_method_ranks("spmd-cp", [2, 2], (3, 4))
+        assert self.ranks("spmd-cp", [3], (3, 4)) == [3]
+        self.rejects("spmd-cp", [], (3, 4))
+        self.rejects("spmd-cp", [2, 2], (3, 4))
 
     def test_tucker_needs_rank_per_mode(self):
-        assert _validate_method_ranks("spmd-tucker", [2, 3], (3, 4)) == [2, 3]
-        with pytest.raises(ConfigError, match="one rank per mode"):
-            _validate_method_ranks("spmd-tucker", [2], (3, 4))
+        assert self.ranks("spmd-tucker", [2, 3], (3, 4)) == [2, 3]
+        self.rejects("spmd-tucker", [2], (3, 4))
 
 
 class TestMakeTrainConfig:
@@ -402,6 +414,31 @@ class TestBenchCommand:
         rows = [ln.split(",") for ln in
                 (out / "bench.csv").read_text().strip().split("\n")[1:]]
         assert rows and all(float(r[5]) > 0.9 for r in rows)
+
+    def test_bias_feature_scores_augmented_test_rows(self, tmp_path):
+        cfg = self.bench_config(tmp_path, bias_feature=True)
+        out = tmp_path / "out"
+        assert main(["bench", "--config", cfg, "--out", str(out)]) == 0
+        rows = [ln.split(",") for ln in
+                (out / "bench.csv").read_text().strip().split("\n")[1:]]
+        got = {(r[0], int(r[1]), int(r[2])): float(r[5])
+               for r in rows if r[1] != "mean"}
+        resolved = resolve_config(json.loads(open(cfg).read()),
+                                  need_method=False, need_methods=True)
+        train_multi, test_multi = build_multiclass_dataset(resolved["dataset"])
+        want = {}
+        for method in resolved["methods"]:
+            mtrain, mtest = train_multi, test_multi
+            if method == "svm":
+                mtrain, mtest = (reshape_samples(d, [4]) for d in (mtrain, mtest))
+            tc = make_train_config(resolved, method, mtrain.dims)
+            ensemble = ovo_train(mtrain, tc)
+            for (a, b), model in ensemble.models.items():
+                rows_ab = apply_bias(mtest.binary_view(a, b))
+                scores = decision_scores(model, rows_ab.samples, rows_ab.dims)
+                want[(method, a, b)] = float(np.mean(
+                    np.where(scores >= 0, 1.0, -1.0) == rows_ab.labels))
+        assert got == want
 
     def test_empty_method_list_exits_2(self, tmp_path, capsys):
         cfg = self.bench_config(tmp_path, methods=[])

@@ -1,12 +1,16 @@
-"""Margin moment tests: hand values, elementwise oracles, scale laws."""
+"""Margin moment tests: hand values, elementwise oracles, scale laws.
+
+The moments are checked through ``summarize_scores``, the one function that
+computes them; with all labels +1 the margins are the scores themselves.
+"""
 
 import numpy as np
 import pytest
 
+from oracles import inner
 from spmd.data import LabeledDataset
-from spmd.margins import (margin_mean, margin_variance, signed_margins,
-                          summarize_scores)
-from spmd.tensor import DenseTensor, inner
+from spmd.margins import signed_margins, summarize_scores
+from spmd.tensor import DenseTensor
 
 
 def make_dataset(rng, dims, n):
@@ -14,6 +18,14 @@ def make_dataset(rng, dims, n):
     labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
     labels[0], labels[1] = 1.0, -1.0
     return LabeledDataset(samples, dims, labels)
+
+
+def margin_mean(margins):
+    return summarize_scores(margins, np.ones(len(margins))).mean
+
+
+def margin_variance(margins):
+    return summarize_scores(margins, np.ones(len(margins))).variance
 
 
 class TestSignedMargins:

@@ -11,9 +11,10 @@ import itertools
 import numpy as np
 import pytest
 
-from spmd.tensor import (DenseTensor, check_factor, cp_reconstruct, inner,
-                         khatri_rao, kron, kron_chain, outer_product,
-                         tucker_reconstruct, unfold, unvec, vec)
+from oracles import inner, vec
+from spmd.tensor import (DenseTensor, cp_reconstruct, khatri_rao, kron,
+                         kron_chain, outer_product, tucker_reconstruct, unfold,
+                         unvec)
 
 
 def random_tensor(rng, dims):
@@ -68,13 +69,27 @@ class TestDenseTensor:
 
     @pytest.mark.parametrize("layout", ["c", "f", "strided"])
     def test_direct_never_aliases_source(self, layout):
-        # the constructor takes the buffer in C order, whatever its layout
         src = source_arrays()[layout]
-        want = src.flatten()
-        t = DenseTensor((src.size,), src)
+        want = src.copy()
+        t = DenseTensor(src.shape, src)
         assert not np.shares_memory(t.data, src)
         src[...] = 0.0
-        np.testing.assert_array_equal(t.data, want)
+        np.testing.assert_array_equal(t.to_array(), want)
+
+    @pytest.mark.parametrize("layout", ["c", "f", "strided"])
+    def test_direct_reads_array_of_shape_dims(self, layout):
+        # an array of shape dims is read by index, whatever its memory layout
+        src = source_arrays()[layout]
+        np.testing.assert_array_equal(DenseTensor(src.shape, src).to_array(), src)
+        np.testing.assert_array_equal(DenseTensor(src.shape, src).data,
+                                      src.ravel(order="F"))
+
+    def test_direct_rejects_other_array_shapes(self):
+        src = source_arrays()["c"]
+        with pytest.raises(ValueError, match="shape"):
+            DenseTensor((src.size,), src)
+        with pytest.raises(ValueError, match="shape"):
+            DenseTensor((4, 3, 2), src)
 
     def test_norm_matches_flat(self):
         rng = np.random.default_rng(1)
@@ -94,13 +109,15 @@ class TestDenseTensor:
 
 class TestVec:
     def test_vec_stacks_columns(self):
+        # unvec reads a flat buffer as stacked columns
         m = np.array([[1.0, 3.0], [2.0, 4.0]])
-        np.testing.assert_array_equal(vec(m), [1.0, 2.0, 3.0, 4.0])
+        buf = np.array([1.0, 2.0, 3.0, 4.0])
+        np.testing.assert_array_equal(unvec(buf, (2, 2)), m)
 
     def test_unvec_inverts(self):
         rng = np.random.default_rng(2)
         m = rng.standard_normal((3, 5))
-        np.testing.assert_array_equal(unvec(vec(m), (3, 5)), m)
+        np.testing.assert_array_equal(unvec(m.ravel(order="F"), (3, 5)), m)
 
 
 class TestOuterProduct:
@@ -210,30 +227,29 @@ class TestModeNProduct:
 
 
 class TestInner:
+    """The package's inner product, a dot of flat buffers, against the
+    entry-by-entry oracle."""
+
     def test_all_ones_counts_entries(self):
         t = DenseTensor((2, 2, 2), np.ones(8))
-        assert inner(t, t) == 8.0
+        assert t.data @ t.data == 8.0 == inner(t, t)
 
     def test_zero_partner(self):
         rng = np.random.default_rng(10)
         a = random_tensor(rng, (3, 2))
         z = DenseTensor((3, 2), np.zeros(6))
-        assert inner(a, z) == 0.0
+        assert a.data @ z.data == 0.0 == inner(a, z)
 
     def test_matches_flat_dot(self):
         rng = np.random.default_rng(11)
         a = random_tensor(rng, (2, 3, 2))
         b = random_tensor(rng, (2, 3, 2))
-        assert inner(a, b) == pytest.approx(float(a.data @ b.data), rel=1e-15)
+        assert float(a.data @ b.data) == pytest.approx(inner(a, b), rel=1e-14)
 
     def test_norm_consistency(self):
         rng = np.random.default_rng(12)
         t = random_tensor(rng, (3, 3, 2))
-        assert inner(t, t) == pytest.approx(float(np.sum(t.data**2)), rel=1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            inner(DenseTensor((2, 2), np.zeros(4)), DenseTensor((4,), np.zeros(4)))
+        assert t.norm() ** 2 == pytest.approx(inner(t, t), rel=1e-12)
 
 
 class TestKron:
@@ -384,14 +400,3 @@ class TestTuckerReconstruct:
         with pytest.raises(ValueError):
             tucker_reconstruct(core, [np.zeros((3, 3)), np.eye(2)])
 
-
-class TestCheckFactor:
-    def test_wide_factor_warns(self):
-        with pytest.warns(UserWarning, match="more columns than rows"):
-            check_factor(np.zeros((2, 3)), mode=1)
-
-    def test_tall_factor_silent(self):
-        import warnings
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            check_factor(np.zeros((3, 2)))

@@ -6,18 +6,20 @@ checked against analytic optima; the zero-mu path is checked against the
 KKT-verified max-margin reference.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
-from oracles import hinge_objective, max_margin_reference
+from oracles import hinge_objective, inner, max_margin_reference, vec
 from spmd.data import LabeledDataset, synth_blobs
 from spmd.margins import summarize_scores
-from spmd.tensor import DenseTensor, inner, unvec
+from spmd.tensor import DenseTensor, unvec
 from spmd.trainer import (Hyper, MetricCollapseError, TrainConfig, WeightModel,
                           apply_bias, block_features, block_update, load_model,
                           predict, primal_objective, psd_root, decision_scores,
                           save_model, train, _mode_contract, _mode_ranks)
-from spmd.tensor import cp_reconstruct, tucker_reconstruct, unfold, vec
+from spmd.tensor import cp_reconstruct, tucker_reconstruct, unfold
 
 
 def random_dataset(rng, dims, n):
@@ -105,7 +107,7 @@ class TestModeFeatureIdentities:
         rng = np.random.default_rng(3)
         data = random_dataset(rng, (3, 3), 4)
         core = DenseTensor.from_array(np.eye(3))
-        feats, root = block_features(data, "tucker", [np.eye(3), np.eye(3)], core, 1)
+        feats, root = block_features(data, [np.eye(3), np.eye(3)], core, 1)
         for i in range(4):
             np.testing.assert_allclose(feats[:, i], vec(unfold(data.sample(i), 1)),
                                        rtol=1e-12, atol=1e-12)
@@ -115,7 +117,7 @@ class TestModeFeatureIdentities:
         data = random_dataset(rng, (3, 4), 5)
         u = rng.standard_normal(4)
         u /= np.linalg.norm(u)
-        feats, root = block_features(data, "rank1", [np.zeros((3, 1)), u[:, None]],
+        feats, root = block_features(data, [np.zeros((3, 1)), u[:, None]],
                                      None, 1)
         for i in range(5):
             np.testing.assert_allclose(feats[:, i], unfold(data.sample(i), 1) @ u,
@@ -126,7 +128,7 @@ class TestModeFeatureIdentities:
         data = random_dataset(rng, (3, 4), 5)
         v1, v2 = rng.standard_normal(3), rng.standard_normal(4)
         w = cp_reconstruct([v1[:, None], v2[:, None]])
-        feats, root = block_features(data, "rank1", [v1[:, None], v2[:, None]],
+        feats, root = block_features(data, [v1[:, None], v2[:, None]],
                                      None, 1)
         vv = vec(v1[:, None] @ root.half)
         for i in range(5):
@@ -153,7 +155,7 @@ class TestModeFeatureIdentities:
             data = random_dataset(rng, dims, 4)
             wn = float(w.data @ w.data)
             for m in range(1, order + 1):
-                feats, root = block_features(data, kind, factors, core, m)
+                feats, root = block_features(data, factors, core, m)
                 v = vec(factors[m - 1] @ root.half)
                 assert float(v @ v) == pytest.approx(wn, abs=1e-10 * (1 + wn))
                 ips = feats.T @ v
@@ -170,7 +172,7 @@ class TestCoreFeatures:
         data = random_dataset(rng, (4, 3), 4)
         q1, _ = np.linalg.qr(rng.standard_normal((4, 2)))
         q2, _ = np.linalg.qr(rng.standard_normal((3, 2)))
-        feats, root = block_features(data, "tucker", [q1, q2], None, 0)
+        feats, root = block_features(data, [q1, q2], None, 0)
         np.testing.assert_allclose(root.half @ root.half.T, np.eye(4),
                                    rtol=0, atol=1e-12)
         np.testing.assert_allclose(root.inv_half @ root.inv_half.T, np.eye(4),
@@ -183,7 +185,7 @@ class TestCoreFeatures:
     def test_identity_factors_give_vec_sample(self):
         rng = np.random.default_rng(8)
         data = random_dataset(rng, (2, 3), 4)
-        feats, root = block_features(data, "tucker", [np.eye(2), np.eye(3)], None, 0)
+        feats, root = block_features(data, [np.eye(2), np.eye(3)], None, 0)
         for i in range(4):
             np.testing.assert_allclose(feats[:, i], data.sample(i).data,
                                        rtol=1e-12, atol=1e-12)
@@ -195,7 +197,7 @@ class TestCoreFeatures:
         core = DenseTensor(ranks, rng.standard_normal(8))
         w = tucker_reconstruct(core, factors)
         data = random_dataset(rng, dims, 5)
-        feats, root = block_features(data, "tucker", factors, core, 0)
+        feats, root = block_features(data, factors, core, 0)
         f = root.half.T @ core.data
         wn = float(w.data @ w.data)
         assert float(f @ f) == pytest.approx(wn, abs=1e-10 * (1 + wn))
@@ -281,10 +283,15 @@ class TestTrain:
         data = synth_blobs((6,), 10, margin=1.0, noise=0.5, seed=4)
         m_vec, r_vec = train(data, TrainConfig(kind="vector", seed=5))
         m_r1, r_r1 = train(data, TrainConfig(kind="rank1", seed=5))
-        w_vec = m_vec.reconstruct().data
-        w_r1 = m_r1.reconstruct().data
-        np.testing.assert_allclose(w_vec, w_r1, atol=1e-8)
-        assert r_vec.final_objective == pytest.approx(r_r1.final_objective, abs=1e-8)
+        # one code path: the two kinds differ only in their name
+        np.testing.assert_array_equal(m_vec.factors[0], m_r1.factors[0])
+        assert r_vec.objectives == r_r1.objectives
+        assert r_vec.history == r_r1.history
+        assert r_vec.qp_passes == r_r1.qp_passes
+        assert r_vec.final_objective == r_r1.final_objective
+        np.testing.assert_array_equal(
+            decision_scores(m_vec, data.samples, data.dims),
+            decision_scores(m_r1, data.samples, data.dims))
 
     def test_full_rank_tucker_matches_vector_on_flat_data(self):
         data = synth_blobs((3, 3), 12, margin=1.0, noise=0.4, seed=6)
@@ -318,8 +325,8 @@ class TestTrain:
         w_before = model.reconstruct()
         factors = [f.copy() for f in model.factors]
         feats, root = block_features(
-            LabeledDataset(data.samples, data.dims, data.labels), "rank1",
-            factors, None, 1)
+            LabeledDataset(data.samples, data.dims, data.labels), factors,
+            None, 1)
         v, _ = block_update(feats, data.labels, model.hyper, qp_tol=1e-10)
         factors[0] = unvec(v, (3, 1)) @ root.inv_half
         w_after = cp_reconstruct(factors)
@@ -335,9 +342,9 @@ class TestTrain:
         real = trainer.block_features
         calls = []
 
-        def spy(data, kind_, factors, core, block):
+        def spy(data, factors, core, block):
             calls.append(block)
-            return real(data, kind_, factors, core, block)
+            return real(data, factors, core, block)
 
         monkeypatch.setattr(trainer, "block_features", spy)
         data = synth_blobs(dims, 10, margin=1.5, noise=0.3, seed=14)
@@ -389,6 +396,19 @@ class TestTrain:
             train(data, TrainConfig(kind="tucker", ranks=[3, 2], max_outer=2,
                                     tol=1.0, seed=18))
 
+    @pytest.mark.parametrize("kind,ranks,want", [
+        ("tucker", [3, 2], ["rank 3 exceeds mode size 2"]),
+        ("cp", [6], ["rank 6 exceeds mode size 2", "rank 6 exceeds mode size 5"]),
+    ], ids=["tucker", "cp"])
+    def test_one_warning_per_over_rank_mode(self, kind, ranks, want):
+        data = synth_blobs((2, 5), 8, margin=1.0, noise=0.2, seed=17)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            train(data, TrainConfig(kind=kind, ranks=ranks, max_outer=2,
+                                    tol=1.0, seed=18))
+        assert [str(w.message) for w in caught
+                if issubclass(w.category, UserWarning)] == want
+
 
 class TestPrediction:
     @pytest.mark.filterwarnings("ignore:no convergence")
@@ -428,17 +448,33 @@ class TestPrediction:
         model = WeightModel("rank1", (2, 2), (1, 1), (v1, v2), None,
                             Hyper(1, 1, 1))
         w = model.reconstruct()
-        label, score = predict(model, w)
-        assert label == 1 and score > 0
-        neg = DenseTensor(w.dims, -w.data)
-        label, score = predict(model, neg)
-        assert label == -1 and score < 0
+        labels, scores = predict(model, np.stack([w.data, -w.data]), w.dims)
+        assert labels.tolist() == [1.0, -1.0]
+        assert scores[0] > 0 > scores[1]
 
     def test_zero_score_maps_to_plus_one(self):
         model = WeightModel("rank1", (2,), (1,), (np.zeros((2, 1)),), None,
                             Hyper(1, 1, 1))
-        label, score = predict(model, np.array([1.0, 2.0]))
-        assert label == 1 and score == 0.0
+        labels, scores = predict(model, np.array([[1.0, 2.0]]), (2,))
+        assert labels.tolist() == [1.0] and scores.tolist() == [0.0]
+
+    @pytest.mark.filterwarnings("ignore:no convergence")
+    @pytest.mark.parametrize("bias", [False, True], ids=["plain", "bias"])
+    @pytest.mark.parametrize("kind,ranks,dims", [
+        ("vector", [], (6,)), ("rank1", [], (3, 2)), ("cp", [2], (3, 2)),
+        ("tucker", [2, 2], (3, 2))], ids=["vector", "rank1", "cp", "tucker"])
+    def test_predict_is_sign_of_decision_scores(self, kind, ranks, dims, bias):
+        data = synth_blobs(dims, 8, margin=0.5, noise=1.0, seed=33)
+        model, _ = train(data, TrainConfig(kind=kind, ranks=ranks,
+                                           bias_feature=bias, max_outer=3,
+                                           tol=1e-3, seed=34))
+        # a bias model scores pre-bias rows and augmented rows alike
+        for rows in [data] + ([apply_bias(data)] if bias else []):
+            labels, scores = predict(model, rows.samples, rows.dims)
+            want = decision_scores(model, rows.samples, rows.dims)
+            np.testing.assert_array_equal(scores, want)
+            np.testing.assert_array_equal(labels, np.where(want >= 0, 1.0, -1.0))
+        assert len(set(labels.tolist())) == 2
 
     def test_shape_mismatch(self):
         model = WeightModel("rank1", (2, 2), (1, 1),
@@ -463,18 +499,17 @@ class TestBias:
                                            seed=26))
         assert model.shape == (4, 2)
         aug = apply_bias(data)
-        for i in range(3):
-            l_raw, s_raw = predict(model, data.sample(i))
-            l_aug, s_aug = predict(model, aug.sample(i))
-            assert s_raw == pytest.approx(s_aug, rel=1e-12)
-            assert l_raw == l_aug
+        l_raw, s_raw = predict(model, data.samples[:3], data.dims)
+        l_aug, s_aug = predict(model, aug.samples[:3], aug.dims)
+        np.testing.assert_array_equal(s_raw, s_aug)
+        np.testing.assert_array_equal(l_raw, l_aug)
 
     def test_bias_shape_mismatch_message(self):
         data = synth_blobs((3, 2), 8, margin=1.5, noise=0.2, seed=27)
         model, _ = train(data, TrainConfig(kind="rank1", bias_feature=True,
                                            max_outer=2, tol=1.0, seed=28))
         with pytest.raises(ValueError, match="pre-bias"):
-            predict(model, np.zeros((5, 2)))
+            predict(model, np.zeros((1, 10)), (5, 2))
 
 
 class TestPersistence:
@@ -498,8 +533,9 @@ class TestPersistence:
             np.testing.assert_array_equal(a, b)
         if kind == "tucker":
             np.testing.assert_array_equal(model.core.data, back.core.data)
-        sample = data.sample(0)
-        assert predict(model, sample) == predict(back, sample)
+        for got, want in zip(predict(back, data.samples, data.dims),
+                             predict(model, data.samples, data.dims)):
+            np.testing.assert_array_equal(got, want)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.spmd"
