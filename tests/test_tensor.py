@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from oracles import inner, vec
+from spmd.data import LabeledDataset
+from spmd.margins import signed_margins
 from spmd.tensor import (DenseTensor, cp_reconstruct, khatri_rao, kron,
                          kron_chain, outer_product, tucker_reconstruct, unfold,
                          unvec)
@@ -250,6 +252,13 @@ class TestInner:
         rng = np.random.default_rng(12)
         t = random_tensor(rng, (3, 3, 2))
         assert t.norm() ** 2 == pytest.approx(inner(t, t), rel=1e-12)
+
+    def test_shape_mismatch(self):
+        # a (3, 2) weight and (2, 3) samples have equal flat sizes, so a bare
+        # dot of buffers would go through; the package checks the shape
+        rows = LabeledDataset(np.zeros((2, 6)), (2, 3), np.array([1.0, -1.0]))
+        with pytest.raises(ValueError, match="dims"):
+            signed_margins(DenseTensor((3, 2), np.zeros(6)), rows)
 
 
 class TestKron:
