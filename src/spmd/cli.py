@@ -386,6 +386,7 @@ def cmd_train(args) -> int:
         f"n_train         {len(train_set)}",
         f"converged       {report.converged}",
         f"iterations      {report.iterations}",
+        f"cap_hits        {report.cap_hits}",
         f"objective       {report.final_objective:.4f}",
         f"gamma_m         {report.gamma_m:.4f}",
         f"gamma_v         {report.gamma_v:.4f}",

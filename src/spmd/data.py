@@ -90,10 +90,6 @@ class LabeledDataset:
     def sample(self, i: int) -> DenseTensor:
         return DenseTensor(self.dims, self.samples[i])
 
-    def arrays(self) -> np.ndarray:
-        """View of all samples as an ``(N, I1, ..., IM)`` ndarray."""
-        return batch_view(self.samples, self.dims)
-
     def subset(self, idx) -> "LabeledDataset":
         idx = np.asarray(idx)
         return LabeledDataset(self.samples[idx], self.dims, self.labels[idx],

@@ -17,10 +17,12 @@ v' ((1/N) Yc Yc') v. Eliminating the slack via Lagrange duality gives
 with S = L L' (Cholesky), B = L^{-1} Y, H = B'B, g = (mu2/N) B'(B e) - e,
 and primal recovery v = L^{-T} B (alpha + (mu2/N) e).
 
-The whole assembly works in the D x D feature space: one Cholesky of S and
-one solve with its factor L for the D x N matrix B. S is at least I, so the
-factorization cannot fail; at mu1 = 0 it is I itself. H is never formed:
-the problem keeps the factor B, so assembly memory is O(N D), not O(N^2).
+The whole assembly works in the D x D feature space: one Cholesky of S,
+one inverse of its triangular factor, L^{-1}, and one product with it for
+the D x N matrix B. The same L^{-1} recovers v, so no system is solved per
+block. S is at least I, so the factorization cannot fail, and L is well
+conditioned; at mu1 = 0 both are I itself. H is never formed: the problem
+keeps the factor B, so assembly memory is O(N D), not O(N^2).
 By the push-through identity G (I + QG)^{-1} = Z' S^{-1} Z, this is the
 same dual as the sample-space form H = T G (I + QG)^{-1} T with G = Z'Z
 and Q = (2*mu1/N^2)(N I - t t'), without its N x N factorization.
@@ -33,11 +35,12 @@ visits only the coordinates that violate the KKT conditions at its start
 often far below N, and coordinate descent alone crawls on such degenerate
 duals, so every pass that leaves the solve unconverged ends with one
 subspace step on the free set F = {i : 0 < alpha_i < lam/N}: a
-least-squares Newton step on H_FF = B_F'B_F (the only square array the
-solver builds, |F| x |F|), or a step along the part of -grad_F that H_FF
-cannot reach, whichever lowers the objective more, cut at the box. A
-zero-curvature step that the box cuts is repeated on the part of F it
-left free. Each coordinate visit and each such step is an exact or
+least-squares Newton step on H_FF = B_F'B_F, or a step along the part of
+-grad_F that H_FF cannot reach, whichever lowers the objective more, cut
+at the box. Both directions come from the thin SVD of the D x |F| factor
+B_F, so the step costs O(D^2 |F|) and no square array of size |F| is
+built. A zero-curvature step that the box cuts is repeated on the part of
+F it left free. Each coordinate visit and each such step is an exact or
 box-capped line minimization along a descent direction, so the objective
 never rises.
 """
@@ -125,16 +128,17 @@ def assemble_dual(features, labels, mu1, mu2, lam):
     Y = Z * t
     Yc = Y - Y.mean(axis=1, keepdims=True)
     S = np.eye(Z.shape[0]) + (2.0 * mu1 / n) * (Yc @ Yc.T)
-    L = np.linalg.cholesky(S)
-    # Column-major, so that solve_box_qp's B.T is a row-contiguous view; the
-    # layout also sets how B.sum and the BLAS products round.
-    B = np.asfortranarray(np.linalg.solve(L, Y))
+    Linv = np.linalg.inv(np.linalg.cholesky(S))
+    # B = Linv Y, built as (Y' Linv')' so that it is column-major without a
+    # copy: solve_box_qp's B.T is then a row-contiguous view. The layout
+    # also sets how B.sum and the BLAS products round.
+    B = (Y.T @ Linv.T).T
     g = (mu2 / n) * (B.sum(axis=1) @ B) - 1.0
     problem = QpProblem(B, g, lam / n)
 
     def recover(alpha: np.ndarray) -> np.ndarray:
         alpha = np.asarray(alpha, dtype=np.float64).ravel()
-        return np.linalg.solve(L.T, B @ (alpha + mu2 / n))
+        return Linv.T @ (B @ (alpha + mu2 / n))
 
     return problem, recover, {"ridge_added": False}
 
@@ -163,33 +167,45 @@ def _box_line_step(a: np.ndarray, d: np.ndarray, slope: float, curv: float,
     return new, -(slope + 0.5 * curv * t) * t
 
 
-def _free_set_step(hf: np.ndarray, gf: np.ndarray, a: np.ndarray,
+def _free_set_step(bf: np.ndarray, gf: np.ndarray, a: np.ndarray,
                    upper: float) -> np.ndarray:
-    """Descent steps on the free coordinates a (gradient gf, Hessian hf).
+    """Descent steps on the free coordinates a (gradient gf, Hessian bf'bf).
 
+    bf is the D x |F| factor B_F of the face Hessian, which is never formed.
     Two directions are tried and the one that lowers the objective more is
-    taken. The Newton direction p is the min-norm least-squares solution of
-    hf p = -gf; along it gf'p = -p'hf p, so the line minimum is at t = 1
-    unless the box stops it first. The residual r = gf + hf p is the part
-    of gf outside range(hf); along -r the objective falls linearly
-    (gf'r = r'r, r'hf r = 0), so when r is not zero the face is unbounded
-    below and that step runs to the box. Each step is a line minimization
-    along a descent direction, so the objective never rises.
+    taken; both come from the thin SVD bf = U diag(s) V'. Singular values
+    with s_i^2 <= eps |F| s_max^2 count as zero, the cut lstsq applies to
+    bf'bf. The Newton direction p = -V diag(1/s^2) V'gf over the kept
+    values is the min-norm least-squares solution of bf'bf p = -gf; along
+    it gf'p = -|bf p|^2, so the line minimum is at t = 1 unless the box
+    stops it first. The residual r = gf - V V'gf is the part of gf outside
+    range(bf'bf); along -r the objective falls linearly (gf'r = r'r,
+    bf r = 0), so when r is not zero the face is unbounded below and that
+    step runs to the box. Each step is a line minimization along a descent
+    direction, so the objective never rises.
 
     When the zero-curvature step wins, the coordinates it put on a bound
     leave the face and the step is repeated on the rest of it, with the
-    gradient moved by hf times the step. Stopping after one cut step lets
-    the next coordinate pass lift those coordinates off the bound again,
-    and the two can trade the same small move for thousands of passes.
+    gradient moved by bf'bf times the step. Stopping after one cut step
+    lets the next coordinate pass lift those coordinates off the bound
+    again, and the two can trade the same small move for thousands of
+    passes.
     """
     out, face = a, None  # face: positions in out of the current face
     while True:
-        p = np.linalg.lstsq(hf, -gf, rcond=None)[0]
+        # V is the left factor of the tall bf' (|F| x D), whose SVD LAPACK
+        # computes about twice as fast as that of the wide bf
+        v, s, _ = np.linalg.svd(bf.T, full_matrices=False)
+        cut = s**2 > np.finfo(np.float64).eps * gf.size * s[0] ** 2
+        s, v = s[cut], v[:, cut]
+        c = v.T @ gf
+        p = -(v @ (c / s**2))
         best, gain, newton = None, 0.0, False
-        for k, d in enumerate((p, -(gf + hf @ p))):
+        for k, d in enumerate((p, v @ c - gf)):
             slope = float(gf @ d)
             if slope < 0.0:
-                new, drop = _box_line_step(a, d, slope, float(d @ (hf @ d)), upper)
+                bd = bf @ d
+                new, drop = _box_line_step(a, d, slope, float(bd @ bd), upper)
                 if drop > gain:
                     best, gain, newton = new, drop, k == 0
         if best is None:
@@ -203,8 +219,8 @@ def _free_set_step(hf: np.ndarray, gf: np.ndarray, a: np.ndarray,
         kept = (best > 0.0) & (best < upper)
         if kept.all() or not kept.any():
             return out
-        gf = (gf + hf @ (best - a))[kept]
-        hf = hf[np.ix_(kept, kept)]
+        gf = (gf + bf.T @ (bf @ (best - a)))[kept]
+        bf = bf[:, kept]
         a = best[kept]
         face = np.flatnonzero(kept) if face is None else face[kept]
 
@@ -227,8 +243,9 @@ def solve_box_qp(problem: QpProblem, tol: float = 1e-8, max_passes: int = 5000,
     pass ends with one subspace minimization step on F, as in gradient
     projection for bound-constrained QPs (More & Toraldo, SIAM J. Optim.
     1991): a least-squares Newton step on H_FF = B_F'B_F, or a
-    zero-curvature step when grad_F leaves range(H_FF), cut at the box
-    and repeated on the part of F it leaves free (see ``_free_set_step``),
+    zero-curvature step when grad_F leaves range(H_FF), both taken from the
+    thin SVD of B_F, cut at the box and repeated on the part of F it leaves
+    free (see ``_free_set_step``),
     after which u = B a is recomputed exactly.
     Neither the coordinate visits nor this step raise the objective, so
     ``objective_trace`` is non-increasing. On the rank-D duals of small
@@ -291,9 +308,8 @@ def solve_box_qp(problem: QpProblem, tol: float = 1e-8, max_passes: int = 5000,
         if residual > tol:
             free = np.flatnonzero((alpha > 0.0) & (alpha < upper))
             if free.size:
-                bf = rows[free]
-                alpha[free] = _free_set_step(bf @ bf.T, grad[free], alpha[free],
-                                             upper)
+                alpha[free] = _free_set_step(rows[free].T, grad[free],
+                                             alpha[free], upper)
             if free.size or passes % 32 == 0:
                 u = B @ alpha  # exact again, which also sheds rounding drift
                 grad = rows @ u + g

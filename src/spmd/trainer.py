@@ -31,7 +31,7 @@ import numpy as np
 
 from . import qp as qpmod
 from .data import LabeledDataset, batch_view, flatten_batch
-from .margins import summarize_scores
+from .margins import MarginSummary, summarize_scores
 from .tensor import (DenseTensor, cp_reconstruct, khatri_rao, kron_chain,
                      tucker_reconstruct, unfold, unvec)
 
@@ -164,6 +164,7 @@ class TrainReport:
     gamma_v: float
     qp_passes: int
     clamp_events: int
+    cap_hits: int               # block solves that stopped at the pass cap
     wall_time: float
 
 
@@ -220,27 +221,39 @@ def _mode_coefficient(factors, core, mode: int) -> np.ndarray:
     return khatri_rao(others, empty_cols=r).T
 
 
-def _mode_contract(arrays: np.ndarray, mode: int, c: np.ndarray) -> np.ndarray:
-    """(N, I_m, R) stack of unfold(X_i, mode) @ c for an (N, I1..IM) batch.
+def _mode_contract(samples: np.ndarray, dims: tuple[int, ...], mode: int,
+                   c: np.ndarray) -> np.ndarray:
+    """(N, R, I_m) stack of (unfold(X_i, mode) @ c)' for flat column-major rows.
 
-    The rows of c follow the unfolding's columns (lower modes fastest), so
-    c reshaped column-major over the other modes contracts with them
-    directly, without gathering each sample's unfolding.
+    Viewed C-order, a flat row is an (P_>m, I_m, P_<m) array (P_<m and P_>m
+    are the products of the mode sizes below and above ``mode``), and the
+    rows of c follow the unfolding's columns, lower modes fastest, so c is
+    a (P_>m, P_<m, R) array. The contraction reads the samples in place and
+    copies none of them: the lowest mode is one stacked product over the
+    samples, any other mode sums one stacked product per index above it.
     """
-    dims = arrays.shape[1:]
-    others = [k for k in range(1, len(dims) + 1) if k != mode]
-    cr = c.reshape(tuple(dims[k - 1] for k in others) + (c.shape[1],), order="F")
-    return np.tensordot(arrays, cr, axes=(others, list(range(len(others)))))
+    n = samples.shape[0]
+    lo = int(np.prod(dims[:mode - 1]))
+    hi = int(np.prod(dims[mode:]))
+    x = samples.reshape(n, hi, dims[mode - 1], lo)
+    cr = c.reshape(hi, lo, c.shape[1])
+    if lo == 1:
+        return cr[:, 0].T @ x[..., 0]
+    out = x[:, 0] @ cr[0]
+    for h in range(1, hi):
+        out += x[:, h] @ cr[h]
+    return out.transpose(0, 2, 1)
 
 
-def _core_design(arrays: np.ndarray, factors) -> np.ndarray:
-    """N x prod(R) rows vec(X_i x_1 V_1' ... x_M V_M'), lowest mode fastest."""
-    t = arrays
-    for v in factors:
-        t = np.tensordot(t, v, axes=([1], [0]))
-    n = t.shape[0]
-    order = t.ndim - 1
-    return t.transpose((0,) + tuple(range(order, 0, -1))).reshape(n, -1)
+def _core_design(samples: np.ndarray, dims: tuple[int, ...], factors) -> np.ndarray:
+    """N x prod(R) rows vec(X_i x_1 V_1' ... x_M V_M'), lowest mode fastest.
+
+    Mode M contracts with kron(V_{M-1}, ..., V_1) by :func:`_mode_contract`,
+    then with V_M, so no array as large as the samples is built.
+    """
+    lower = kron_chain(list(reversed(factors[:-1])))
+    t = _mode_contract(samples, dims, len(dims), lower)
+    return (factors[-1].T @ t.transpose(0, 2, 1)).reshape(samples.shape[0], -1)
 
 
 def core_features(data: LabeledDataset, factors):
@@ -249,7 +262,8 @@ def core_features(data: LabeledDataset, factors):
     grams = [v.T @ v for v in factors]
     k = kron_chain(list(reversed(grams)))
     root = psd_root(k, context="core metric")
-    return (_core_design(data.arrays(), factors) @ root.inv_half.T).T, root
+    design = _core_design(data.samples, data.dims, factors)
+    return (design @ root.inv_half.T).T, root
 
 
 def block_features(data: LabeledDataset, factors, core, block: int):
@@ -260,7 +274,8 @@ def block_features(data: LabeledDataset, factors, core, block: int):
     ``V_m = unvec(v) @ root.inv_half`` for a mode and
     ``vec(F) = root.inv_half.T @ v`` for the core. When the block is the
     identity map (order-1 data, one column, no core) the features are the
-    raw samples, a view, with a 1 x 1 identity root.
+    raw samples, a view, with a 1 x 1 identity root. No block copies the
+    N x P samples; only its D x N features are new arrays.
     """
     if block == 0:
         return core_features(data, factors)
@@ -269,9 +284,8 @@ def block_features(data: LabeledDataset, factors, core, block: int):
         return data.samples.T, MetricRoot(one, one, 0)
     p = _mode_coefficient(factors, core, block)
     root = psd_root(p @ p.T, context=f"mode {block} metric")
-    feats = _mode_contract(data.arrays(), block, p.T @ root.inv_half.T)
-    n = feats.shape[0]
-    return feats.transpose(0, 2, 1).reshape(n, -1).T, root
+    feats = _mode_contract(data.samples, data.dims, block, p.T @ root.inv_half.T)
+    return feats.reshape(len(data), -1).T, root
 
 
 def block_update(features: np.ndarray, labels: np.ndarray, hyper: Hyper,
@@ -286,17 +300,23 @@ def block_update(features: np.ndarray, labels: np.ndarray, hyper: Hyper,
     return recover(sol.alpha), sol
 
 
+def _scored_objective(weight: DenseTensor, data: LabeledDataset,
+                      hyper: Hyper) -> tuple[float, MarginSummary]:
+    """J(W) and the margin summary, from one product of the samples with W."""
+    summ = summarize_scores(data.samples @ weight.data, data.labels)
+    hinge = np.maximum(0.0, 1.0 - summ.margins).sum()
+    n = len(data)
+    j = float(0.5 * (weight.data @ weight.data)
+              + hyper.mu1 * summ.variance
+              - hyper.mu2 * summ.mean
+              + hyper.lam / n * hinge)
+    return j, summ
+
+
 def primal_objective(weight: DenseTensor, data: LabeledDataset,
                      hyper: Hyper) -> float:
     """J(W) = 0.5||W||^2 + mu1 var - mu2 mean + (lam/N) sum hinge."""
-    scores = data.samples @ weight.data
-    summ = summarize_scores(scores, data.labels)
-    hinge = np.maximum(0.0, 1.0 - summ.margins).sum()
-    n = len(data)
-    return float(0.5 * (weight.data @ weight.data)
-                 + hyper.mu1 * summ.variance
-                 - hyper.mu2 * summ.mean
-                 + hyper.lam / n * hinge)
+    return _scored_objective(weight, data, hyper)[0]
 
 
 def _init_state(dims, mode_ranks, kind, rng):
@@ -324,11 +344,17 @@ def _reconstruct(factors, core) -> DenseTensor:
 def train(data: LabeledDataset, cfg: TrainConfig):
     """Alternating block optimization; returns (WeightModel, TrainReport).
 
-    Blocks sweep modes 1..M (plus the Tucker core) each outer iteration,
-    warm-starting every block's dual variables from its previous visit.
-    Stops when the relative weight change after a sweep drops to cfg.tol,
-    or after cfg.max_outer sweeps (with a warning, returning the
-    best-objective iterate seen).
+    Blocks sweep modes 1..M (plus the Tucker core) each outer iteration.
+    The dual variables are per-sample hinge multipliers, shared by every
+    block, so each block's first solve warm-starts from the most recently
+    solved alpha; the very first solve starts from the hinge rule at the
+    initial weight, alpha_i = lam/N where t_i <W0, X_i> < 1 and 0
+    elsewhere. Later visits to a block start from its own previous alpha.
+    Each block update scores the training set once: that product gives the
+    objective, the sweep's margin moments and, when the last iterate is
+    returned, the final ones. Stops when the relative weight change after
+    a sweep drops to cfg.tol, or after cfg.max_outer sweeps (with a
+    warning, returning the best-objective iterate seen).
     """
     t0 = time.perf_counter()
     if len(data) < 2:
@@ -362,13 +388,14 @@ def train(data: LabeledDataset, cfg: TrainConfig):
         return [f.copy() for f in factors], core
 
     w = _reconstruct(factors, core)
-    j = primal_objective(w, data, hyper)
+    j, summ = _scored_objective(w, data, hyper)
+    latest = np.where(summ.margins < 1.0, hyper.lam / n, 0.0)
     objectives = [j]
     block_labels = ["init"]
     weight_norms = [w.norm()]
     best = (j, snapshot())
     history = []
-    qp_passes = clamp_events = 0
+    qp_passes = clamp_events = cap_hits = 0
     converged = False
     outer = 0
     w_prev = w
@@ -378,7 +405,7 @@ def train(data: LabeledDataset, cfg: TrainConfig):
             feats, root = block_features(data, factors, core, b)
             v, sol = block_update(
                 feats, data.labels, hyper, cfg.qp_tol, cfg.qp_max_passes,
-                warm_alpha=warm[i], perm=perms[i])
+                warm_alpha=latest if warm[i] is None else warm[i], perm=perms[i])
             if b == 0:
                 core = DenseTensor(mode_ranks, root.inv_half.T @ v)
                 label = "core"
@@ -386,11 +413,12 @@ def train(data: LabeledDataset, cfg: TrainConfig):
                 factors[b - 1] = unvec(v, (dims[b - 1], mode_ranks[b - 1])) @ root.inv_half
                 label = f"mode{b}"
             clamp_events += root.clamped
-            warm[i] = sol.alpha
+            warm[i] = latest = sol.alpha
             qp_passes += sol.iterations
+            cap_hits += not sol.converged
 
             w = _reconstruct(factors, core)
-            j = primal_objective(w, data, hyper)
+            j, summ = _scored_objective(w, data, hyper)
             if not np.isfinite(j):
                 raise TrainingError(
                     f"objective became non-finite after {label} update "
@@ -402,8 +430,6 @@ def train(data: LabeledDataset, cfg: TrainConfig):
             if j < best[0]:
                 best = (j, snapshot())
 
-        scores = data.samples @ w.data
-        summ = summarize_scores(scores, data.labels)
         denom = w_prev.norm()
         diff = float(np.linalg.norm(w.data - w_prev.data))
         rel = diff / denom if denom > 0 else (0.0 if diff == 0.0 else np.inf)
@@ -428,6 +454,7 @@ def train(data: LabeledDataset, cfg: TrainConfig):
         )
         if objectives[-1] > best[0]:
             factors, core = best[1]
+            j, summ = _scored_objective(_reconstruct(factors, core), data, hyper)
 
     model = WeightModel(
         kind=cfg.kind,
@@ -438,9 +465,6 @@ def train(data: LabeledDataset, cfg: TrainConfig):
         hyper=hyper,
         bias_feature=cfg.bias_feature,
     )
-    w = model.reconstruct()
-    scores = data.samples @ w.data
-    summ = summarize_scores(scores, data.labels)
     report = TrainReport(
         kind=cfg.kind,
         n_train=n,
@@ -451,11 +475,12 @@ def train(data: LabeledDataset, cfg: TrainConfig):
         block_labels=block_labels,
         weight_norms=weight_norms,
         history=history,
-        final_objective=primal_objective(w, data, hyper),
+        final_objective=j,
         gamma_m=summ.mean,
         gamma_v=summ.variance,
         qp_passes=qp_passes,
         clamp_events=clamp_events,
+        cap_hits=cap_hits,
         wall_time=time.perf_counter() - t0,
     )
     return model, report
@@ -483,8 +508,7 @@ def decision_scores(model: WeightModel, samples: np.ndarray,
     if model.core is None:
         # vec(W) = khatri_rao(V_M, ..., V_1) 1 for the column-major rows
         return samples @ khatri_rao(list(reversed(model.factors))).sum(axis=1)
-    design = _core_design(batch_view(samples, model.shape), list(model.factors))
-    return design @ model.core.data
+    return _core_design(samples, model.shape, list(model.factors)) @ model.core.data
 
 
 def predict(model: WeightModel, samples: np.ndarray,

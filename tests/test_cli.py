@@ -222,7 +222,9 @@ class TestTrainCommand:
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
         main(["train", "--config", cfg, "--out", str(out)])
-        assert "train_accuracy  1.0000" in (out / "summary.txt").read_text()
+        summary = (out / "summary.txt").read_text()
+        assert "train_accuracy  1.0000" in summary
+        assert "cap_hits        0" in summary
 
     def test_rerun_byte_identical_report(self, tmp_path):
         cfg = write_config(tmp_path)

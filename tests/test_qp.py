@@ -160,6 +160,23 @@ class TestBuildDual:
         assert assemble_peak < 16e6
         assert solve_peak < 16e6
 
+    def test_wide_box_solve_memory_linear_in_n(self):
+        # lam = 1000 widens the box, and the free set passes 3000
+        # coordinates; a step that builds the |F| x |F| block H_FF held
+        # about 150 MB here
+        rng = np.random.default_rng(18)
+        Z, t, *_ = random_instance(rng, 28, 12000)
+        Z[0] += 0.5 * t
+        problem, _, _ = assemble_dual(Z, t, 1.0, 1.0, 1000.0)
+        tracemalloc.start()
+        try:
+            sol = solve_box_qp(problem)
+            _, solve_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sol.converged
+        assert solve_peak < 16e6
+
 
 class TestRecoverPrimal:
     """The recovery closure that assemble_dual returns."""
@@ -403,29 +420,31 @@ class TestSolveBoxQp:
 
 
 class TestFreeSetStep:
+    """The step takes the factor B_F of the face Hessian H_FF = B_F'B_F."""
+
     def test_newton_step_reaches_face_minimizer(self):
-        hf, gf = np.diag([2.0, 4.0]), np.array([-1.0, -2.0])
-        a = _free_set_step(hf, gf, np.array([0.1, 0.1]), 10.0)
+        bf, gf = np.diag(np.sqrt([2.0, 4.0])), np.array([-1.0, -2.0])
+        a = _free_set_step(bf, gf, np.array([0.1, 0.1]), 10.0)
         np.testing.assert_allclose(a, [0.6, 0.6], rtol=1e-15)
 
     def test_newton_step_cut_at_box(self):
-        hf, gf = np.diag([2.0, 4.0]), np.array([-1.0, -2.0])
-        a = _free_set_step(hf, gf, np.array([0.1, 0.1]), 0.35)
+        bf, gf = np.diag(np.sqrt([2.0, 4.0])), np.array([-1.0, -2.0])
+        a = _free_set_step(bf, gf, np.array([0.1, 0.1]), 0.35)
         np.testing.assert_allclose(a, [0.35, 0.35], rtol=1e-15)
 
     def test_zero_curvature_direction_runs_to_box(self):
-        # gf is orthogonal to range(hf): the face is unbounded below along -gf
-        hf, gf = np.ones((2, 2)), np.array([0.5, -0.5])
-        a = _free_set_step(hf, gf, np.array([0.5, 0.5]), 1.0)
+        # gf is orthogonal to range(H_FF): the face is unbounded below along -gf
+        bf, gf = np.ones((1, 2)), np.array([0.5, -0.5])
+        a = _free_set_step(bf, gf, np.array([0.5, 0.5]), 1.0)
         np.testing.assert_allclose(a, [0.0, 1.0], rtol=0.0, atol=1e-15)
         assert a[0] == 0.0 or a[1] == 1.0  # the limiting coordinate lands exactly
 
     def test_cut_zero_curvature_step_repeats_on_rest_of_face(self):
         # along -gf the first coordinate hits 0 after a short move; the step
         # is repeated on the other two, which then run to their bounds
-        hf = np.zeros((3, 3))
+        bf = np.zeros((2, 3))
         gf = np.array([1.0, -1.0, -1.0])
-        a = _free_set_step(hf, gf, np.array([0.1, 0.5, 0.5]), 1.0)
+        a = _free_set_step(bf, gf, np.array([0.1, 0.5, 0.5]), 1.0)
         np.testing.assert_array_equal(a, [0.0, 1.0, 1.0])
 
     def test_stationary_point_unchanged(self):

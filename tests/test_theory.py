@@ -42,7 +42,7 @@ def fake_report(objectives, weight_norms=None):
         block_labels=["init"] + ["mode1"] * (len(objs) - 1),
         weight_norms=norms, history=[], final_objective=objs[-1] if objs else 0.0,
         gamma_m=0.0, gamma_v=0.0, qp_passes=0, clamp_events=0,
-        wall_time=0.0,
+        cap_hits=0, wall_time=0.0,
     )
 
 

@@ -6,19 +6,21 @@ checked against analytic optima; the zero-mu path is checked against the
 KKT-verified max-margin reference.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from oracles import hinge_objective, inner, max_margin_reference, vec
-from spmd.data import LabeledDataset, synth_blobs
+from spmd.data import LabeledDataset, batch_view, synth_blobs
 from spmd.margins import summarize_scores
 from spmd.tensor import DenseTensor, unvec
 from spmd.trainer import (Hyper, MetricCollapseError, TrainConfig, WeightModel,
                           apply_bias, block_features, block_update, load_model,
                           predict, primal_objective, psd_root, decision_scores,
-                          save_model, train, _mode_contract, _mode_ranks)
+                          save_model, train, _init_state, _mode_contract,
+                          _mode_ranks)
 from spmd.tensor import cp_reconstruct, tucker_reconstruct, unfold
 
 
@@ -95,11 +97,36 @@ class TestModeContraction:
             data = random_dataset(rng, dims, 4)
             for m in range(1, len(dims) + 1):
                 c = rng.standard_normal((int(np.prod(dims)) // dims[m - 1], 3))
-                got = _mode_contract(data.arrays(), m, c)
-                assert got.shape == (4, dims[m - 1], 3)
+                got = _mode_contract(data.samples, dims, m, c)
+                assert got.shape == (4, 3, dims[m - 1])
                 for i in range(4):
                     want = unfold(data.sample(i), m) @ c
-                    np.testing.assert_allclose(got[i], want, rtol=1e-13, atol=1e-13)
+                    np.testing.assert_allclose(got[i].T, want, rtol=1e-13, atol=1e-13)
+
+
+class TestBlockFeatureMemory:
+    """block_features reads the N x P samples in place and never copies them."""
+
+    @pytest.mark.parametrize("dims,kind,ranks", [
+        ((28, 28), "rank1", []), ((7, 4, 7, 4), "tucker", [2, 2, 2, 2])],
+        ids=["rank1-28x28", "tucker-7x4x7x4"])
+    def test_peak_below_a_quarter_of_the_samples(self, dims, kind, ranks):
+        # at N = 2000 the samples take 12.5 MB; a copy of them (as a
+        # tensordot over a transposed batch makes) breaks the bound at once
+        rng = np.random.default_rng(30)
+        data = random_dataset(rng, dims, 2000)
+        factors, core = _init_state(dims, _mode_ranks(kind, ranks, len(dims)),
+                                    kind, rng)
+        blocks = list(range(1, len(dims) + 1)) + ([0] if core is not None else [])
+        for b in blocks:
+            tracemalloc.start()
+            try:
+                feats, _ = block_features(data, factors, core, b)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert feats.shape[1] == 2000
+            assert peak < data.samples.nbytes / 4, (b, peak)
 
 
 class TestModeFeatureIdentities:
@@ -230,6 +257,61 @@ class TestBlockUpdate:
         assert v[0] == pytest.approx(0.5, abs=1e-10)
 
 
+class TestWarmStart:
+    """Every block's dual starts from the latest hinge multipliers."""
+
+    @staticmethod
+    def spy_train(monkeypatch, data, cfg):
+        import spmd.trainer as trainer
+        real = trainer.block_update
+        calls = []  # (features, warm_alpha, solved alpha) per block update
+
+        def spy(features, labels, *args, **kwargs):
+            v, sol = real(features, labels, *args, **kwargs)
+            calls.append((features, kwargs["warm_alpha"], sol.alpha))
+            return v, sol
+
+        monkeypatch.setattr(trainer, "block_update", spy)
+        _, report = train(data, cfg)
+        return calls, report
+
+    def test_first_solve_starts_from_hinge_rule_at_initial_weight(self, monkeypatch):
+        data = synth_blobs((4, 3), 15, margin=3.0, noise=0.5, seed=45)
+        cfg = TrainConfig(kind="rank1", lam=3.0, seed=41)
+        calls, _ = self.spy_train(monkeypatch, data, cfg)
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+        factors, _ = _init_state(data.dims, (1, 1), "rank1", rng)
+        margins = data.labels * (data.samples @ cp_reconstruct(factors).data)
+        want = np.where(margins < 1.0, cfg.lam / len(data), 0.0)
+        assert 0 < np.count_nonzero(want) < len(data)
+        np.testing.assert_array_equal(calls[0][1], want)
+
+    @pytest.mark.parametrize("kind,ranks", [("rank1", []), ("tucker", [2, 2])])
+    def test_first_visit_takes_latest_alpha_later_visits_their_own(
+            self, monkeypatch, kind, ranks):
+        data = synth_blobs((4, 3), 15, margin=1.5, noise=0.3, seed=42)
+        calls, report = self.spy_train(
+            monkeypatch, data, TrainConfig(kind=kind, ranks=ranks, seed=43))
+        blocks = 2 + (kind == "tucker")
+        assert report.iterations >= 2
+        assert len(calls) == blocks * report.iterations
+        for k in range(1, len(calls)):
+            source = k - 1 if k < blocks else k - blocks
+            np.testing.assert_array_equal(calls[k][1], calls[source][2])
+
+    def test_cold_hinge_and_latest_starts_recover_the_same_block(self, monkeypatch):
+        data = synth_blobs((4, 3), 20, margin=1.0, noise=0.5, seed=44)
+        cfg = TrainConfig(kind="tucker", ranks=[2, 2], seed=45)
+        calls, _ = self.spy_train(monkeypatch, data, cfg)
+        hyper = Hyper(cfg.mu1, cfg.mu2, cfg.lam)
+        hinge, latest = calls[0][1], calls[1][2]
+        for feats, _, _ in calls[:3]:
+            vs = [block_update(feats, data.labels, hyper, warm_alpha=a)[0]
+                  for a in (None, hinge, latest)]
+            for v in vs[1:]:
+                np.testing.assert_allclose(v, vs[0], rtol=0.0, atol=1e-7)
+
+
 class TestPrimalObjective:
     def test_zero_weight(self):
         rng = np.random.default_rng(11)
@@ -352,6 +434,18 @@ class TestTrain:
         want = [0 if lab == "core" else int(lab[len("mode"):])
                 for lab in report.block_labels[1:]]
         assert calls == want
+
+    def test_cap_hits_count_unconverged_block_solves(self):
+        data = synth_blobs((4, 3), 15, margin=1.0, noise=0.5, seed=46)
+        _, report = train(data, TrainConfig(kind="cp", ranks=[2], seed=47))
+        assert report.cap_hits == 0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _, report = train(data, TrainConfig(kind="cp", ranks=[2], seed=47,
+                                                qp_max_passes=1, max_outer=2))
+        stopped = sum(str(w.message).startswith("coordinate descent stopped")
+                      for w in caught)
+        assert report.cap_hits == stopped > 0
 
     def test_unconverged_warns_and_flags(self):
         data = synth_blobs((3, 3), 10, margin=0.5, noise=1.0, seed=10)
@@ -489,8 +583,8 @@ class TestBias:
         data = random_dataset(rng, (2, 3), 4)
         aug = apply_bias(data)
         assert aug.dims == (3, 3)
-        arr = aug.arrays()
-        np.testing.assert_array_equal(arr[:, :2, :], data.arrays())
+        arr = batch_view(aug.samples, aug.dims)
+        np.testing.assert_array_equal(arr[:, :2, :], batch_view(data.samples, data.dims))
         np.testing.assert_array_equal(arr[:, 2, :], np.ones((4, 3)))
 
     def test_bias_model_predicts_raw_samples(self):
