@@ -15,7 +15,7 @@ from .data import (LabeledDataset, MulticlassDataset, load_dataset, load_idx,
                    synth_multiclass)
 from .margins import MarginSummary, signed_margins
 from .multiclass import OvoEnsemble, ovo_train, pairwise_accuracy
-from .qp import QpProblem, QpSolution, build_dual, solve_box_qp
+from .qp import QpProblem, QpSolution, solve_box_qp
 from .tensor import (DenseTensor, cp_reconstruct, khatri_rao, kron,
                      outer_product, tucker_reconstruct, unfold)
 from .theory import (BoundReport, cantelli_margin_tail, descent_certificate,

@@ -506,8 +506,7 @@ def cmd_check(args) -> int:
         for rep in theory.theorem1_sweep(20, seed=seed):
             reports.append(("theorem1", rep, True))
         for rep in theory.cantelli_sweep(50, seed=seed):
-            hard = rep.inputs.get("N", 0) >= 30
-            reports.append(("theorem1", rep, hard))
+            reports.append(("theorem1", rep, theory.cantelli_is_hard(rep)))
     if scope in ("all", "theorem2"):
         for rep in theory.theorem2_sweep(12, seed=seed):
             reports.append(("theorem2", rep, True))

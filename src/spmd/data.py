@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import DenseTensor
+from .tensor import DenseTensor, outer_product
 
 IDX_IMAGE_MAGIC = 2051
 IDX_LABEL_MAGIC = 2049
@@ -324,6 +324,15 @@ def reshape_samples(data, new_dims):
 # --- synthetic data ----------------------------------------------------------
 
 
+def _unit_rank1(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Flat outer product of seeded unit-norm per-mode vectors (unit norm)."""
+    vecs = []
+    for d in shape:
+        v = rng.standard_normal(d)
+        vecs.append(v / np.linalg.norm(v))
+    return outer_product(vecs).data
+
+
 def synth_blobs(shape, n_per_class: int, margin: float = 1.0,
                 noise: float = 0.5, seed: int = 0) -> LabeledDataset:
     """Two Gaussian blobs split along a seeded unit-norm rank-1 direction.
@@ -336,14 +345,7 @@ def synth_blobs(shape, n_per_class: int, margin: float = 1.0,
     if n_per_class < 1:
         raise ValueError("need at least one sample per class")
     rng = np.random.default_rng(seed)
-    vecs = []
-    for d in shape:
-        v = rng.standard_normal(d)
-        v /= np.linalg.norm(v)
-        vecs.append(v)
-    from .tensor import outer_product
-
-    direction = outer_product(vecs).data
+    direction = _unit_rank1(rng, shape)
     p = direction.size
     n = 2 * n_per_class
     noise_block = rng.standard_normal((n, p)) * noise
@@ -371,18 +373,11 @@ def synth_multiclass(shape, n_classes: int, n_per_class: int, margin: float = 1.
     if n_per_class < 1:
         raise ValueError("need at least one sample per class")
     rng = np.random.default_rng(seed)
-    from .tensor import outer_product
-
     p = int(np.prod(shape))
     samples = np.empty((n_classes * n_per_class, p))
     labels = np.empty(n_classes * n_per_class, dtype=np.int64)
     for c in range(n_classes):
-        vecs = []
-        for d in shape:
-            v = rng.standard_normal(d)
-            v /= np.linalg.norm(v)
-            vecs.append(v)
-        center = margin * outer_product(vecs).data
+        center = margin * _unit_rank1(rng, shape)
         block = slice(c * n_per_class, (c + 1) * n_per_class)
         samples[block] = center + noise * rng.standard_normal((n_per_class, p))
         labels[block] = c

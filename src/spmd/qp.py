@@ -30,8 +30,10 @@ and Q = (2*mu1/N^2)(N I - t t'), without its N x N factorization.
 The solver is dual coordinate descent in the factor form of Hsieh et al.
 (ICML 2008): it keeps u = B alpha, so the gradient of one coordinate,
 b_i'u + g_i, and the update of u after a step each cost O(D). Each pass
-visits only the coordinates that violate the KKT conditions at its start
-(a working set, as in Fan, Chen & Lin, JMLR 2005). H has rank at most D,
+visits, in index order, only the coordinates that violate the KKT
+conditions at its start (a working set, as in Fan, Chen & Lin, JMLR 2005),
+and then recomputes u = B alpha, so the gradient and the KKT residual that
+decide convergence are exact. H has rank at most D,
 often far below N, and coordinate descent alone crawls on such degenerate
 duals, so every pass that leaves the solve unconverged ends with one
 subspace step on the free set F = {i : 0 < alpha_i < lam/N}: a
@@ -143,12 +145,6 @@ def assemble_dual(features, labels, mu1, mu2, lam):
     return problem, recover, {"ridge_added": False}
 
 
-def build_dual(features, labels, mu1, mu2, lam) -> QpProblem:
-    """Dual QP for one block: the factor B, g and the box bound lam/N."""
-    problem, _, _ = assemble_dual(features, labels, mu1, mu2, lam)
-    return problem
-
-
 def _box_line_step(a: np.ndarray, d: np.ndarray, slope: float, curv: float,
                    upper: float) -> tuple[np.ndarray, float]:
     """Minimize slope*t + curv*t^2/2 over t >= 0 with a + t d kept in the box.
@@ -225,41 +221,40 @@ def _free_set_step(bf: np.ndarray, gf: np.ndarray, a: np.ndarray,
         face = np.flatnonzero(kept) if face is None else face[kept]
 
 
-def solve_box_qp(problem: QpProblem, tol: float = 1e-8, max_passes: int = 5000,
-                 alpha0: np.ndarray | None = None,
-                 perm: np.ndarray | None = None) -> QpSolution:
+def solve_box_qp(problem: QpProblem, tol: float = 1e-8, max_passes: int = 4000,
+                 alpha0: np.ndarray | None = None) -> QpSolution:
     """Dual coordinate descent on u = B a with a subspace step on the free set.
 
     The solver works on the factor B of H = B'B and keeps u = B a, so H is
-    never formed. Each pass visits, in the order of ``perm``, only
-    the coordinates whose projected gradient is non-zero at the start of
-    the pass (the KKT violators). A visit computes g_i = b_i'u + g_i,
-    minimizes the quadratic exactly along that coordinate and clips to the
-    box; a zero diagonal falls back to the linear rule (move to whichever
-    box end decreases the objective). When a_i changes by d, u += d b_i.
+    never formed. Each pass visits, in index order, only the coordinates
+    whose projected gradient is non-zero at the start of the pass (the KKT
+    violators). A visit computes g_i = b_i'u + g_i, minimizes the quadratic
+    exactly along that coordinate and clips to the box; a zero diagonal
+    falls back to the linear rule (move to whichever box end decreases the
+    objective). When a_i changes by d, u += d b_i.
 
-    After the pass the gradient B'u + g is formed. If the solve has not
-    converged and the free set F = {i : 0 < a_i < upper} is non-empty, the
-    pass ends with one subspace minimization step on F, as in gradient
-    projection for bound-constrained QPs (More & Toraldo, SIAM J. Optim.
-    1991): a least-squares Newton step on H_FF = B_F'B_F, or a
-    zero-curvature step when grad_F leaves range(H_FF), both taken from the
-    thin SVD of B_F, cut at the box and repeated on the part of F it leaves
-    free (see ``_free_set_step``),
-    after which u = B a is recomputed exactly.
+    After the sweep u = B a is recomputed, so the gradient B'u + g and the
+    residual that decides convergence are exact, free of the rounding the
+    updates of u carry. If the solve has not converged and the free set
+    F = {i : 0 < a_i < upper} is non-empty, the pass ends with one
+    subspace minimization step on F, as in gradient projection for
+    bound-constrained QPs (More & Toraldo, SIAM J. Optim. 1991): a
+    least-squares Newton step on H_FF = B_F'B_F, or a zero-curvature step
+    when grad_F leaves range(H_FF), both taken from the thin SVD of B_F,
+    cut at the box and repeated on the part of F it leaves free (see
+    ``_free_set_step``), after which u is recomputed again.
     Neither the coordinate visits nor this step raise the objective, so
     ``objective_trace`` is non-increasing. On the rank-D duals of small
     blocks, where coordinate descent alone crawls for thousands of passes,
     the step finishes the solve as soon as the active set settles.
 
     Terminates when the maximum projected gradient residual
-    max_i |a_i - clip(a_i - grad_i)| drops to ``tol``.
+    max_i |a_i - clip(a_i - grad_i)| drops to ``tol``, or warns after
+    ``max_passes`` passes.
 
     Parameters
     ----------
     alpha0 : warm-start point (clipped into the box), zeros by default.
-    perm : visit order; defaults to 0..N-1. Pass a seeded permutation for
-        run-reproducible schedules.
     """
     B, g, upper = problem.B, problem.g, problem.upper
     n = problem.n
@@ -269,21 +264,19 @@ def solve_box_qp(problem: QpProblem, tol: float = 1e-8, max_passes: int = 5000,
         np.asarray(alpha0, dtype=np.float64).ravel(), 0.0, upper)
     if alpha.size != n:
         raise ValueError(f"warm start has {alpha.size} entries, need {n}")
-    order = np.arange(n) if perm is None else np.asarray(perm, dtype=np.int64)
-    if not np.array_equal(np.sort(order), np.arange(n)):
-        raise ValueError("perm must be a permutation of 0..N-1")
 
-    def residual_of(grad):
-        return float(np.abs(alpha - np.clip(alpha - grad, 0.0, upper)).max())
+    def exact():
+        u = B @ alpha
+        grad = rows @ u + g
+        return u, grad, float(np.abs(alpha - np.clip(alpha - grad, 0.0, upper)).max())
 
-    u = B @ alpha
-    grad = rows @ u + g
+    u, grad, residual = exact()
     trace = []
     converged = False
     passes = 0
     for passes in range(1, max_passes + 1):
-        a, gr = alpha[order], grad[order]
-        for i in order[((gr < 0.0) & (a < upper)) | ((gr > 0.0) & (a > 0.0))]:
+        for i in np.flatnonzero(((grad < 0.0) & (alpha < upper))
+                                | ((grad > 0.0) & (alpha > 0.0))):
             bi = rows[i]
             gi = bi @ u + g[i]
             hii = diag[i]
@@ -303,31 +296,23 @@ def solve_box_qp(problem: QpProblem, tol: float = 1e-8, max_passes: int = 5000,
             if delta != 0.0:
                 alpha[i] = new
                 u += delta * bi
-        grad = rows @ u + g
-        residual = residual_of(grad)
+        u, grad, residual = exact()
         if residual > tol:
             free = np.flatnonzero((alpha > 0.0) & (alpha < upper))
             if free.size:
                 alpha[free] = _free_set_step(rows[free].T, grad[free],
                                              alpha[free], upper)
-            if free.size or passes % 32 == 0:
-                u = B @ alpha  # exact again, which also sheds rounding drift
-                grad = rows @ u + g
-                residual = residual_of(grad)
+                u, grad, residual = exact()
         trace.append(float(0.5 * (u @ u) + g @ alpha))
         if residual <= tol:
             converged = True
             break
-    grad = rows @ (B @ alpha) + g
-    residual = residual_of(grad)
-    if not converged and residual > tol:
+    if not converged:
         warnings.warn(
             f"coordinate descent stopped at residual {residual:g} after "
             f"{passes} passes (tol {tol:g})",
             stacklevel=2,
         )
-    else:
-        converged = True
     alpha.setflags(write=False)
     return QpSolution(alpha, passes, residual, problem.objective(alpha),
                       converged, tuple(trace))

@@ -110,7 +110,10 @@ class TrainConfig:
     ranks: [] or [1] for vector/rank1 (rank1 also takes a 1 per mode), [R]
     for cp, one rank per mode for tucker.
     lam is the hinge weight; mu1/mu2 weigh margin variance/mean. tol is the
-    relative weight-change stopping threshold checked after each full sweep.
+    relative weight-change stopping threshold checked after each full sweep,
+    of which there are at most max_outer (at least 1). qp_tol is the KKT
+    residual each block dual is solved to; the pass cap of those solves is
+    :func:`spmd.qp.solve_box_qp`'s default. seed draws the initial factors.
     """
 
     kind: str = "rank1"
@@ -121,7 +124,6 @@ class TrainConfig:
     tol: float = 1e-2
     max_outer: int = 50
     qp_tol: float = 1e-8
-    qp_max_passes: int = 4000
     seed: int = 0
     bias_feature: bool = False
 
@@ -141,9 +143,6 @@ class WeightModel:
     def reconstruct(self) -> DenseTensor:
         """The full weight tensor (small shapes only; prediction never needs it)."""
         return _reconstruct(list(self.factors), self.core)
-
-    def norm(self) -> float:
-        return self.reconstruct().norm()
 
 
 @dataclass
@@ -289,14 +288,11 @@ def block_features(data: LabeledDataset, factors, core, block: int):
 
 
 def block_update(features: np.ndarray, labels: np.ndarray, hyper: Hyper,
-                 qp_tol: float = 1e-8, qp_max_passes: int = 4000,
-                 warm_alpha: np.ndarray | None = None,
-                 perm: np.ndarray | None = None):
+                 qp_tol: float = 1e-8, warm_alpha: np.ndarray | None = None):
     """Solve one whitened block: returns (v, QpSolution)."""
     problem, recover, _ = qpmod.assemble_dual(
         features, labels, hyper.mu1, hyper.mu2, hyper.lam)
-    sol = qpmod.solve_box_qp(problem, tol=qp_tol, max_passes=qp_max_passes,
-                             alpha0=warm_alpha, perm=perm)
+    sol = qpmod.solve_box_qp(problem, tol=qp_tol, alpha0=warm_alpha)
     return recover(sol.alpha), sol
 
 
@@ -350,6 +346,9 @@ def train(data: LabeledDataset, cfg: TrainConfig):
     solved alpha; the very first solve starts from the hinge rule at the
     initial weight, alpha_i = lam/N where t_i <W0, X_i> < 1 and 0
     elsewhere. Later visits to a block start from its own previous alpha.
+    Every block dual is solved to cfg.qp_tol within solve_box_qp's default
+    pass cap; a solve that stops at the cap warns and counts in
+    ``report.cap_hits``.
     Each block update scores the training set once: that product gives the
     objective, the sweep's margin moments and, when the last iterate is
     returned, the final ones. Stops when the relative weight change after
@@ -373,15 +372,14 @@ def train(data: LabeledDataset, cfg: TrainConfig):
         raise ValueError("lambda must be positive")
     if cfg.mu1 < 0 or cfg.mu2 < 0:
         raise ValueError("mu1 and mu2 must be nonnegative")
+    if cfg.max_outer < 1:
+        raise ValueError(f"max_outer must be at least 1, got {cfg.max_outer}")
 
-    ss = np.random.SeedSequence(cfg.seed)
-    rng = np.random.default_rng(ss)
+    rng = np.random.default_rng(cfg.seed)
     factors, core = _init_state(dims, mode_ranks, cfg.kind, rng)
     n = len(data)
 
     blocks = list(range(1, len(dims) + 1)) + ([0] if cfg.kind == "tucker" else [])
-    perms = [np.random.default_rng(np.random.SeedSequence([cfg.seed, i])).permutation(n)
-             for i in range(len(blocks))]
     warm = [None] * len(blocks)
 
     def snapshot():
@@ -404,8 +402,8 @@ def train(data: LabeledDataset, cfg: TrainConfig):
         for i, b in enumerate(blocks):
             feats, root = block_features(data, factors, core, b)
             v, sol = block_update(
-                feats, data.labels, hyper, cfg.qp_tol, cfg.qp_max_passes,
-                warm_alpha=latest if warm[i] is None else warm[i], perm=perms[i])
+                feats, data.labels, hyper, cfg.qp_tol,
+                warm_alpha=latest if warm[i] is None else warm[i])
             if b == 0:
                 core = DenseTensor(mode_ranks, root.inv_half.T @ v)
                 label = "core"

@@ -23,7 +23,7 @@ from spmd.cli import main
 from spmd.data import (LabeledDataset, find_mnist, load_idx, reshape_samples,
                        select_binary, select_multiclass, synth_blobs)
 from spmd.multiclass import ovo_train, pairwise_accuracy
-from spmd.qp import build_dual, solve_box_qp
+from spmd.qp import assemble_dual, solve_box_qp
 from spmd.tensor import DenseTensor
 from spmd.theory import cantelli_sweep, lemma1_sweep
 from spmd.trainer import (TrainConfig, _reconstruct, block_features,
@@ -109,7 +109,7 @@ def test_criterion_2_qp_oracle_equivalence():
         mu1 = float(rng.uniform(0.0, 2.0)) if trial % 4 else 0.0
         mu2 = float(rng.uniform(0.0, 2.0))
         lam = float(rng.uniform(0.5, 4.0))
-        problem = build_dual(feats, labels, mu1, mu2, lam)
+        problem = assemble_dual(feats, labels, mu1, mu2, lam)[0]
         sol = solve_box_qp(problem, tol=1e-8)
         H = problem.B.T @ problem.B
         _, ref_obj = box_qp_reference(H, problem.g, problem.upper)

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import box_qp_reference, sample_space_dual, variance_curvature
-from spmd.qp import (QpProblem, QpSolution, _free_set_step, assemble_dual, build_dual,
+from spmd.qp import (QpProblem, QpSolution, _free_set_step, assemble_dual,
                      solve_box_qp)
 
 
@@ -93,12 +93,12 @@ class TestBuildDual:
     def test_mu1_zero_gives_tgt(self):
         rng = np.random.default_rng(3)
         Z, t, *_ = random_instance(rng, 3, 4)
-        p = build_dual(Z, t, 0.0, 1.0, 1.0)
+        p = assemble_dual(Z, t, 0.0, 1.0, 1.0)[0]
         G = Z.T @ Z
         np.testing.assert_allclose(p.B.T @ p.B, np.outer(t, t) * G, rtol=1e-12)
 
     def test_scalar_unit_instance(self):
-        p = build_dual(np.array([[1.0]]), np.array([1.0]), 0.0, 0.0, 1.0)
+        p = assemble_dual(np.array([[1.0]]), np.array([1.0]), 0.0, 0.0, 1.0)[0]
         np.testing.assert_allclose(p.B.T @ p.B, [[1.0]])
         np.testing.assert_allclose(p.g, [-1.0])
         assert p.upper == 1.0
@@ -108,7 +108,7 @@ class TestBuildDual:
         rng = np.random.default_rng(4)
         for d, n, mu1 in [(28, 240, 0.8), (3, 4, 0.8), (12, 5, 1.7), (6, 30, 0.0)]:
             Z, t, mu1, mu2, lam = random_instance(rng, d, n, mu1=mu1, mu2=1.2, lam=2.0)
-            p = build_dual(Z, t, mu1, mu2, lam)
+            p = assemble_dual(Z, t, mu1, mu2, lam)[0]
             H_ref, g_ref, _ = sample_space_dual(Z, t, mu1, mu2)
             H = p.B.T @ p.B
             np.testing.assert_array_equal(H, H.T)
@@ -120,7 +120,7 @@ class TestBuildDual:
         rng = np.random.default_rng(5)
         for _ in range(10):
             Z, t, *_ = random_instance(rng, 4, 6)
-            p = build_dual(Z, t, 1.0, 1.0, 1.0)
+            p = assemble_dual(Z, t, 1.0, 1.0, 1.0)[0]
             H = p.B.T @ p.B
             np.testing.assert_array_equal(H, H.T)
             assert np.linalg.eigvalsh(H).min() >= -1e-10
@@ -129,15 +129,15 @@ class TestBuildDual:
         Z = np.ones((2, 3))
         t = np.array([1.0, -1.0, 1.0])
         with pytest.raises(ValueError, match="labels"):
-            build_dual(Z, np.array([1.0, 2.0, -1.0]), 1, 1, 1)
+            assemble_dual(Z, np.array([1.0, 2.0, -1.0]), 1, 1, 1)
         with pytest.raises(ValueError, match="columns"):
-            build_dual(Z, np.array([1.0, -1.0]), 1, 1, 1)
+            assemble_dual(Z, np.array([1.0, -1.0]), 1, 1, 1)
         with pytest.raises(ValueError, match="lambda"):
-            build_dual(Z, t, 1, 1, 0.0)
+            assemble_dual(Z, t, 1, 1, 0.0)
         with pytest.raises(ValueError, match="nonnegative"):
-            build_dual(Z, t, -1, 1, 1)
+            assemble_dual(Z, t, -1, 1, 1)
         with pytest.raises(ValueError, match="finite"):
-            build_dual(np.full((2, 3), np.inf), t, 1, 1, 1)
+            assemble_dual(np.full((2, 3), np.inf), t, 1, 1, 1)
 
     def test_assembly_and_solve_memory_linear_in_n(self):
         # at D = 28, N = 12000 an N x N H alone would be 1.15 GB; the factor
@@ -258,7 +258,7 @@ class TestSolveBoxQp:
     def test_feasibility_exact(self):
         rng = np.random.default_rng(11)
         Z, t, *_ = random_instance(rng, 4, 6)
-        p = build_dual(Z, t, 1.0, 1.0, 1.5)
+        p = assemble_dual(Z, t, 1.0, 1.0, 1.5)[0]
         sol = solve_box_qp(p)
         assert np.all(sol.alpha >= 0.0)
         assert np.all(sol.alpha <= p.upper)
@@ -268,7 +268,7 @@ class TestSolveBoxQp:
         tol = 1e-8
         for _ in range(5):
             Z, t, *_ = random_instance(rng, 3, 5)
-            p = build_dual(Z, t, 1.0, 1.0, 1.0)
+            p = assemble_dual(Z, t, 1.0, 1.0, 1.0)[0]
             sol = solve_box_qp(p, tol=tol, max_passes=20000)
             grad = p.B.T @ (p.B @ sol.alpha) + p.g
             for i in range(p.n):
@@ -282,7 +282,7 @@ class TestSolveBoxQp:
     def test_objective_trace_monotone(self):
         rng = np.random.default_rng(13)
         Z, t, *_ = random_instance(rng, 4, 8)
-        p = build_dual(Z, t, 1.0, 1.0, 2.0)
+        p = assemble_dual(Z, t, 1.0, 1.0, 2.0)[0]
         sol = solve_box_qp(p, tol=1e-12, max_passes=500)
         diffs = np.diff(np.array(sol.objective_trace))
         assert diffs.max(initial=0.0) <= 1e-12
@@ -290,7 +290,7 @@ class TestSolveBoxQp:
     def test_kkt_residual_reported(self):
         rng = np.random.default_rng(14)
         Z, t, *_ = random_instance(rng, 3, 5)
-        p = build_dual(Z, t, 1.0, 1.0, 1.0)
+        p = assemble_dual(Z, t, 1.0, 1.0, 1.0)[0]
         sol = solve_box_qp(p, tol=1e-10)
         grad = p.B.T @ (p.B @ sol.alpha) + p.g
         res = np.abs(sol.alpha - np.clip(sol.alpha - grad, 0.0, p.upper)).max()
@@ -300,25 +300,11 @@ class TestSolveBoxQp:
     def test_warm_start_preserves_optimum(self):
         rng = np.random.default_rng(15)
         Z, t, *_ = random_instance(rng, 4, 6)
-        p = build_dual(Z, t, 1.0, 1.0, 1.0)
+        p = assemble_dual(Z, t, 1.0, 1.0, 1.0)[0]
         cold = solve_box_qp(p, tol=1e-10, max_passes=20000)
         warm = solve_box_qp(p, tol=1e-10, alpha0=cold.alpha)
         assert warm.iterations <= 2
         assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
-
-    def test_permutation_schedules_agree(self):
-        rng = np.random.default_rng(16)
-        Z, t, *_ = random_instance(rng, 4, 6)
-        p = build_dual(Z, t, 1.0, 1.0, 1.0)
-        a = solve_box_qp(p, tol=1e-11, max_passes=20000)
-        b = solve_box_qp(p, tol=1e-11, max_passes=20000,
-                         perm=rng.permutation(6))
-        assert a.objective == pytest.approx(b.objective, abs=1e-9)
-
-    def test_bad_perm_rejected(self):
-        p = QpProblem(np.eye(2), np.zeros(2), 1.0)
-        with pytest.raises(ValueError, match="perm"):
-            solve_box_qp(p, perm=np.array([0, 0]))
 
     def test_rank_deficient_dual_converges_in_few_passes(self):
         # D=4, N=64 with near-duplicate sample pairs: H has rank 4 and H_FF
@@ -329,7 +315,7 @@ class TestSolveBoxQp:
         t = np.repeat([1.0, -1.0], 16)
         base[0] += 0.5 * t
         Z = np.hstack([base, base + 1e-3 * rng.standard_normal((4, 32))])
-        p = build_dual(Z, np.concatenate([t, t]), 1.0, 1.0, 2.0)
+        p = assemble_dual(Z, np.concatenate([t, t]), 1.0, 1.0, 2.0)[0]
         assert np.linalg.matrix_rank(p.B.T @ p.B) == 4
         tol = 1e-8
         sol = solve_box_qp(p, tol=tol, max_passes=4000)
@@ -343,7 +329,7 @@ class TestSolveBoxQp:
         # the zero-curvature direction to the box
         rng = np.random.default_rng(2)
         Z, t, *_ = random_instance(rng, 4, 60)
-        p = build_dual(3.0 * Z, t, 0.0, 1.0, 1000.0)
+        p = assemble_dual(3.0 * Z, t, 0.0, 1.0, 1000.0)[0]
         sol = solve_box_qp(p, tol=1e-8, max_passes=4000)
         assert sol.converged
         assert np.diff(np.array(sol.objective_trace)).max() <= 1e-12 * abs(sol.objective)
@@ -354,7 +340,7 @@ class TestSolveBoxQp:
         rng = np.random.default_rng(0)
         Z = rng.standard_normal((4, 60))
         t = np.where(rng.random(60) < 0.5, 1.0, -1.0)
-        p = build_dual(3.0 * Z, t, 0.0, 1.0, 1000.0)
+        p = assemble_dual(3.0 * Z, t, 0.0, 1.0, 1000.0)[0]
         sol = solve_box_qp(p, tol=1e-8, max_passes=4000)
         assert sol.converged
         assert sol.iterations <= 1000
@@ -365,7 +351,7 @@ class TestSolveBoxQp:
         for mu1, lam, scale, seed in itertools.product(
                 (0.0, 1.0), (100.0, 1000.0), (0.3, 1.0, 3.0), range(5)):
             Z, t, *_ = random_instance(np.random.default_rng(seed), 4, 60)
-            p = build_dual(scale * Z, t, mu1, 1.0, lam)
+            p = assemble_dual(scale * Z, t, mu1, 1.0, lam)[0]
             sol = solve_box_qp(p, tol=1e-8, max_passes=4000)
             assert sol.converged
             worst = max(worst, sol.iterations)
@@ -377,7 +363,7 @@ class TestSolveBoxQp:
         # at the cap, the zero-curvature step and the next coordinate pass
         # trading the same small move on every pass
         Z, t, *_ = random_instance(np.random.default_rng(3), 4, 60)
-        p = build_dual(3.0 * Z, t, 0.0, 1.0, 1000.0)
+        p = assemble_dual(3.0 * Z, t, 0.0, 1.0, 1000.0)[0]
         for seed in range(1000, 1005):
             noise = np.random.default_rng(seed).standard_normal(p.n)
             q = QpProblem(p.B, p.g * (1.0 + 4e-16 * noise), p.upper)
@@ -396,23 +382,25 @@ class TestSolveBoxQp:
             self, d, n, mu1, mu2, lam, scale, seed):
         rng = np.random.default_rng(seed)
         Z, t, *_ = random_instance(rng, d, n)
-        p = build_dual(scale * Z, t, mu1, mu2, lam)
+        p = assemble_dual(scale * Z, t, mu1, mu2, lam)[0]
         alpha0 = rng.uniform(-0.5, 1.5, n) * p.upper  # clipped into the box
         tol = 1e-8
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sol = solve_box_qp(p, tol=tol, max_passes=4000, alpha0=alpha0,
-                               perm=rng.permutation(n))
+            sol = solve_box_qp(p, tol=tol, max_passes=4000, alpha0=alpha0)
         assert np.all(sol.alpha >= 0.0) and np.all(sol.alpha <= p.upper)
         grad = p.B.T @ (p.B @ sol.alpha) + p.g
-        assert np.abs(sol.alpha - np.clip(sol.alpha - grad, 0.0, p.upper)).max() <= tol
+        res = np.abs(sol.alpha - np.clip(sol.alpha - grad, 0.0, p.upper)).max()
+        assert res <= tol
+        assert sol.kkt_residual == pytest.approx(res, abs=1e-15)
+        assert sol.converged == (sol.kkt_residual <= tol)
         trace = np.array(sol.objective_trace)
         assert np.all(np.diff(trace) <= 1e-12 * (1.0 + np.abs(trace[1:])))
 
     def test_unconverged_warns(self):
         rng = np.random.default_rng(17)
         Z, t, *_ = random_instance(rng, 6, 12)
-        p = build_dual(Z, t, 1.0, 1.0, 5.0)
+        p = assemble_dual(Z, t, 1.0, 1.0, 5.0)[0]
         with pytest.warns(UserWarning, match="coordinate descent"):
             sol = solve_box_qp(p, tol=1e-14, max_passes=1)
         assert not sol.converged

@@ -435,14 +435,19 @@ class TestTrain:
                 for lab in report.block_labels[1:]]
         assert calls == want
 
-    def test_cap_hits_count_unconverged_block_solves(self):
+    def test_cap_hits_count_unconverged_block_solves(self, monkeypatch):
         data = synth_blobs((4, 3), 15, margin=1.0, noise=0.5, seed=46)
         _, report = train(data, TrainConfig(kind="cp", ranks=[2], seed=47))
         assert report.cap_hits == 0
+        import spmd.qp as qp
+
+        real = qp.solve_box_qp
+        monkeypatch.setattr(qp, "solve_box_qp",
+                            lambda problem, **kw: real(problem, max_passes=1, **kw))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             _, report = train(data, TrainConfig(kind="cp", ranks=[2], seed=47,
-                                                qp_max_passes=1, max_outer=2))
+                                                max_outer=2))
         stopped = sum(str(w.message).startswith("coordinate descent stopped")
                       for w in caught)
         assert report.cap_hits == stopped > 0
@@ -483,6 +488,8 @@ class TestTrain:
             train(data, TrainConfig(kind="vector", lam=0.0))
         with pytest.raises(ValueError, match="nonnegative"):
             train(data, TrainConfig(kind="vector", mu1=-1.0))
+        with pytest.raises(ValueError, match="max_outer"):
+            train(data, TrainConfig(kind="vector", max_outer=0))
 
     def test_rank_exceeding_mode_size_warns(self):
         data = synth_blobs((2, 3), 8, margin=1.0, noise=0.2, seed=17)
