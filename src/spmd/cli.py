@@ -462,24 +462,24 @@ def cmd_bench(args) -> int:
             pair = r["pair"]
             rep = ensemble.reports[pair]
             rows.append([method, pair[0], pair[1], per_pair_n[pair], r["n_test"],
-                         r["accuracy"], rep.iterations])
+                         r["accuracy"], rep.iterations, rep.cap_hits])
             text_rows.append((method, f"{pair[0]}v{pair[1]}", per_pair_n[pair],
                               r["n_test"], r["accuracy"], rep.iterations,
-                              rep.wall_time * 1e3))
-        rows.append([method, "mean", "", "", "", mean_acc, ""])
-        text_rows.append((method, "mean", "", "", mean_acc, "", wall * 1e3))
+                              rep.cap_hits, rep.wall_time * 1e3))
+        rows.append([method, "mean", "", "", "", mean_acc, "", ""])
+        text_rows.append((method, "mean", "", "", mean_acc, "", "", wall * 1e3))
 
     write_csv(os.path.join(out, "bench.csv"),
               ["method", "class_a", "class_b", "n_train", "n_test", "accuracy",
-               "iterations"], rows)
+               "iterations", "cap_hits"], rows)
     with open(os.path.join(out, "timings.json"), "w") as f:
         json.dump(timings, f, indent=2, sort_keys=True)
 
-    header = f"{'method':<12} {'pair':>6} {'n_tr':>6} {'n_te':>6} {'accuracy':>9} {'iters':>6} {'wall_ms':>9}"
+    header = f"{'method':<12} {'pair':>6} {'n_tr':>6} {'n_te':>6} {'accuracy':>9} {'iters':>6} {'cap_hits':>8} {'wall_ms':>9}"
     lines = [header, "-" * len(header)]
-    for method, pair, ntr, nte, acc, iters, ms in text_rows:
+    for method, pair, ntr, nte, acc, iters, caps, ms in text_rows:
         lines.append(f"{method:<12} {pair:>6} {str(ntr):>6} {str(nte):>6} "
-                     f"{acc:>9.4f} {str(iters):>6} {ms:>9.1f}")
+                     f"{acc:>9.4f} {str(iters):>6} {str(caps):>8} {ms:>9.1f}")
     table = "\n".join(lines) + "\n"
     with open(os.path.join(out, "bench.txt"), "w") as f:
         f.write(table)

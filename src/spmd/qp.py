@@ -37,9 +37,9 @@ decide convergence are exact. H has rank at most D,
 often far below N, and coordinate descent alone crawls on such degenerate
 duals, so every pass that leaves the solve unconverged ends with one
 subspace step on the free set F = {i : 0 < alpha_i < lam/N}: a
-least-squares Newton step on H_FF = B_F'B_F, or a step along the part of
--grad_F that H_FF cannot reach, whichever lowers the objective more, cut
-at the box. Both directions come from the thin SVD of the D x |F| factor
+least-squares Newton step on H_FF = B_F'B_F, or (when H_FF is singular)
+a step along the part of -grad_F that H_FF cannot reach, whichever lowers
+the objective more, cut at the box. Both directions come from the thin SVD of the D x |F| factor
 B_F, so the step costs O(D^2 |F|) and no square array of size |F| is
 built. A zero-curvature step that the box cuts is repeated on the part of
 F it left free. Each coordinate visit and each such step is an exact or
@@ -177,8 +177,10 @@ def _free_set_step(bf: np.ndarray, gf: np.ndarray, a: np.ndarray,
     stops it first. The residual r = gf - V V'gf is the part of gf outside
     range(bf'bf); along -r the objective falls linearly (gf'r = r'r,
     bf r = 0), so when r is not zero the face is unbounded below and that
-    step runs to the box. Each step is a line minimization along a descent
-    direction, so the objective never rises.
+    step runs to the box. On a full-rank face (|F| <= D, no value cut) r
+    is zero in exact arithmetic, so only the Newton step is taken. Each
+    step is a line minimization along a descent direction, so the
+    objective never rises.
 
     When the zero-curvature step wins, the coordinates it put on a bound
     leave the face and the step is repeated on the rest of it, with the
@@ -196,8 +198,11 @@ def _free_set_step(bf: np.ndarray, gf: np.ndarray, a: np.ndarray,
         s, v = s[cut], v[:, cut]
         c = v.T @ gf
         p = -(v @ (c / s**2))
+        # with every value kept and |F| <= D, V V' is the identity and r is
+        # zero but for rounding: only the Newton step is tried
+        dirs = (p,) if s.size == gf.size else (p, v @ c - gf)
         best, gain, newton = None, 0.0, False
-        for k, d in enumerate((p, v @ c - gf)):
+        for k, d in enumerate(dirs):
             slope = float(gf @ d)
             if slope < 0.0:
                 bd = bf @ d

@@ -113,7 +113,10 @@ class TrainConfig:
     relative weight-change stopping threshold checked after each full sweep,
     of which there are at most max_outer (at least 1). qp_tol is the KKT
     residual each block dual is solved to; the pass cap of those solves is
-    :func:`spmd.qp.solve_box_qp`'s default. seed draws the initial factors.
+    :func:`spmd.qp.solve_box_qp`'s default. Training starts from the
+    truncated HOSVD of the class-mean difference (see :func:`train`); seed
+    draws only what that start cannot give: factor columns beyond the rank
+    of a mode's unfolding, over-rank modes, and a zero Tucker core.
     """
 
     kind: str = "rank1"
@@ -316,6 +319,7 @@ def primal_objective(weight: DenseTensor, data: LabeledDataset,
 
 
 def _init_state(dims, mode_ranks, kind, rng):
+    """Seeded draw: orthonormal factors (unit columns when R_m > I_m), a core."""
     factors = []
     for i, r in zip(dims, mode_ranks):
         g = rng.standard_normal((i, max(r, 1)))
@@ -331,6 +335,57 @@ def _init_state(dims, mode_ranks, kind, rng):
     return factors, core
 
 
+def _class_mean_difference(data: LabeledDataset) -> np.ndarray:
+    """Flat M = mean(X | +1) - mean(X | -1), one product with the samples.
+
+    The weights are t_i / N_{t_i}, so no class's rows are copied out.
+    """
+    pos = data.labels > 0
+    n_pos = np.count_nonzero(pos)
+    w = np.where(pos, 1.0 / n_pos, -1.0 / (pos.size - n_pos))
+    return w @ data.samples
+
+
+def _start_state(data: LabeledDataset, mode_ranks, kind, rng):
+    """Initial factors and core: the truncated HOSVD of the class-mean difference.
+
+    Factor V_m holds the leading R_m left singular vectors of unfold(M, m)
+    (De Lathauwer, De Moor & Vandewalle, SIAM J. Matrix Anal. Appl. 2000;
+    the "nvecs" start of CP-ALS in Kolda & Bader, SIAM Review 2009). The
+    Tucker core is M x_1 V_1' ... x_M V_M' scaled to unit norm; each CP
+    term is signed so that <term, M> >= 0, so the vector kind starts at
+    M/||M||. With orthonormal factors ||W0|| is 1 for rank-1 and Tucker
+    and sqrt(R) for CP, the scale of the seeded draw's orthonormal factors.
+
+    The seeded draw of :func:`_init_state` fills what M cannot: columns
+    beyond the min(I_m, prod of the other sizes) singular vectors (by QR
+    completion), whole over-rank modes (R_m > I_m, normalised columns),
+    and the core when the projected core is zero (equal class means).
+    """
+    dims = data.dims
+    drawn, drawn_core = _init_state(dims, mode_ranks, kind, rng)
+    m = _class_mean_difference(data)
+    diff = DenseTensor(dims, m)
+    factors = []
+    for mode, (i, r, g) in enumerate(zip(dims, mode_ranks, drawn), start=1):
+        if r > i:
+            factors.append(g)
+            continue
+        u = np.linalg.svd(unfold(diff, mode), full_matrices=False)[0][:, :r]
+        if u.shape[1] < r:
+            u = np.linalg.qr(np.hstack([u, g[:, u.shape[1]:]]))[0]
+        factors.append(u)
+    if kind != "tucker":
+        signs = khatri_rao(factors[::-1]).T @ m
+        factors[0] = factors[0] * np.where(signs < 0.0, -1.0, 1.0)
+        return factors, None
+    core = _core_design(m[None], dims, factors)[0]
+    norm = float(np.linalg.norm(core))
+    if norm == 0.0:
+        core, norm = drawn_core.data, drawn_core.norm()
+    return factors, DenseTensor(mode_ranks, core / norm)
+
+
 def _reconstruct(factors, core) -> DenseTensor:
     if core is None:
         return cp_reconstruct(factors)
@@ -340,6 +395,11 @@ def _reconstruct(factors, core) -> DenseTensor:
 def train(data: LabeledDataset, cfg: TrainConfig):
     """Alternating block optimization; returns (WeightModel, TrainReport).
 
+    The initial weight W0 is the truncated HOSVD of the class-mean
+    difference M = mean(X | +1) - mean(X | -1) (see ``_start_state``):
+    factor V_m holds the leading R_m left singular vectors of unfold(M, m),
+    the Tucker core is M projected onto them, and ||W0|| is 1 (sqrt(R) for
+    CP). cfg.seed draws the columns and the core that M cannot give.
     Blocks sweep modes 1..M (plus the Tucker core) each outer iteration.
     The dual variables are per-sample hinge multipliers, shared by every
     block, so each block's first solve warm-starts from the most recently
@@ -375,8 +435,8 @@ def train(data: LabeledDataset, cfg: TrainConfig):
     if cfg.max_outer < 1:
         raise ValueError(f"max_outer must be at least 1, got {cfg.max_outer}")
 
-    rng = np.random.default_rng(cfg.seed)
-    factors, core = _init_state(dims, mode_ranks, cfg.kind, rng)
+    factors, core = _start_state(data, mode_ranks, cfg.kind,
+                                 np.random.default_rng(cfg.seed))
     n = len(data)
 
     blocks = list(range(1, len(dims) + 1)) + ([0] if cfg.kind == "tucker" else [])

@@ -386,11 +386,16 @@ class TestBenchCommand:
         out = tmp_path / "out"
         assert main(["bench", "--config", cfg, "--out", str(out)]) == 0
         lines = (out / "bench.csv").read_text().strip().split("\n")
-        assert lines[0] == "method,class_a,class_b,n_train,n_test,accuracy,iterations"
+        assert lines[0] == ("method,class_a,class_b,n_train,n_test,accuracy,"
+                            "iterations,cap_hits")
         assert len(lines) == 1 + 2 * (3 + 1)  # per method: 3 pairs + mean row
         assert sum(1 for ln in lines if ",mean," in ln) == 2
+        rows = [ln.split(",") for ln in lines[1:]]
+        assert all(r[7] == "0" for r in rows if r[1] != "mean")
+        assert all(r[6] == r[7] == "" for r in rows if r[1] == "mean")
         table = capsys.readouterr().out
         assert "svm" in table and "spmd-r1" in table
+        assert table.split("\n")[0].split()[-3:] == ["iters", "cap_hits", "wall_ms"]
         assert (out / "bench.txt").exists()
         timings = json.loads((out / "timings.json").read_text())
         assert set(timings) == {"svm", "spmd-r1"}

@@ -120,6 +120,19 @@ class TestOvoTrain:
             assert np.array_equal(seq.models[pair].reconstruct().data,
                                   par.models[pair].reconstruct().data)
 
+    def test_rank1_ovo_sweep_count(self):
+        # Sweeps to convergence over the 45 rank-1 pairs of a 10-class,
+        # 28 x 28 draw (the ovo-10class benchmark's sizes). The counts are
+        # exact for a seed: 363 from a random orthonormal start, 221 from
+        # the HOSVD of the class-mean difference. The bound is about 1.1x
+        # the latter, so a start or solver change that brings back the
+        # extra sweeps fails here, not only in a timing.
+        data = synth_multiclass((28, 28), 10, 50, margin=1.5, noise=0.5, seed=0)
+        ens = ovo_train(data, TrainConfig(kind="rank1"), workers=1)
+        reports = ens.reports.values()
+        assert all(r.converged and r.cap_hits == 0 for r in reports)
+        assert sum(r.iterations for r in reports) <= 243
+
     def test_single_class_rejected(self):
         data = MulticlassDataset(np.ones((4, 2)), (2,), np.full(4, 5))
         with pytest.raises(ValueError, match="at least 2 classes"):

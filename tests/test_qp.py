@@ -435,6 +435,34 @@ class TestFreeSetStep:
         a = _free_set_step(bf, gf, np.array([0.1, 0.5, 0.5]), 1.0)
         np.testing.assert_array_equal(a, [0.0, 1.0, 1.0])
 
+    @pytest.mark.parametrize("upper", [10.0, 0.12], ids=["wide", "tight"])
+    def test_full_rank_face_takes_only_the_newton_step(self, monkeypatch, upper):
+        # |F| <= D with every singular value kept: gf has no part outside
+        # range(H_FF), so the only line search is along the Newton direction
+        import spmd.qp as qp
+        real = qp._box_line_step
+        calls = []
+
+        def spy(a, d, *args):
+            calls.append(d)
+            return real(a, d, *args)
+
+        monkeypatch.setattr(qp, "_box_line_step", spy)
+        rng = np.random.default_rng(60)
+        a0 = np.full(3, 0.1)
+        # about half of these draws round the residual's slope below zero,
+        # which a second line search along it would pick up
+        for _ in range(20):
+            calls.clear()
+            bf, gf = rng.standard_normal((5, 3)), rng.standard_normal(3)
+            got = qp._free_set_step(bf, gf, a0.copy(), upper)
+            assert len(calls) == 1
+            p = -np.linalg.solve(bf.T @ bf, gf)
+            np.testing.assert_allclose(calls[0], p, rtol=1e-10)
+            bp = bf @ p
+            want, _ = real(a0, p, float(gf @ p), float(bp @ bp), upper)
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-15)
+
     def test_stationary_point_unchanged(self):
         a0 = np.array([0.3, 0.7])
         a = _free_set_step(np.eye(2), np.zeros(2), a0, 1.0)

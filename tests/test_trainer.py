@@ -19,8 +19,9 @@ from spmd.tensor import DenseTensor, unvec
 from spmd.trainer import (Hyper, MetricCollapseError, TrainConfig, WeightModel,
                           apply_bias, block_features, block_update, load_model,
                           predict, primal_objective, psd_root, decision_scores,
-                          save_model, train, _init_state, _mode_contract,
-                          _mode_ranks)
+                          save_model, train, _class_mean_difference,
+                          _init_state, _mode_contract, _mode_ranks,
+                          _start_state)
 from spmd.tensor import cp_reconstruct, tucker_reconstruct, unfold
 
 
@@ -276,11 +277,12 @@ class TestWarmStart:
         return calls, report
 
     def test_first_solve_starts_from_hinge_rule_at_initial_weight(self, monkeypatch):
-        data = synth_blobs((4, 3), 15, margin=3.0, noise=0.5, seed=45)
+        # margin 1.5 leaves some, not all, samples inside the margin at W0
+        data = synth_blobs((4, 3), 15, margin=1.5, noise=0.5, seed=45)
         cfg = TrainConfig(kind="rank1", lam=3.0, seed=41)
         calls, _ = self.spy_train(monkeypatch, data, cfg)
-        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-        factors, _ = _init_state(data.dims, (1, 1), "rank1", rng)
+        rng = np.random.default_rng(cfg.seed)
+        factors, _ = _start_state(data, (1, 1), "rank1", rng)
         margins = data.labels * (data.samples @ cp_reconstruct(factors).data)
         want = np.where(margins < 1.0, cfg.lam / len(data), 0.0)
         assert 0 < np.count_nonzero(want) < len(data)
@@ -310,6 +312,125 @@ class TestWarmStart:
                   for a in (None, hinge, latest)]
             for v in vs[1:]:
                 np.testing.assert_allclose(v, vs[0], rtol=0.0, atol=1e-7)
+
+
+class TestStartState:
+    """Training starts from the truncated HOSVD of the class-mean difference."""
+
+    @staticmethod
+    def mean_difference(data):
+        # the boolean-index class means the trainer does not compute
+        return (data.samples[data.labels > 0].mean(axis=0)
+                - data.samples[data.labels < 0].mean(axis=0))
+
+    def test_mean_difference_matches_class_means(self):
+        data = random_dataset(np.random.default_rng(50), (4, 3), 17)
+        np.testing.assert_allclose(_class_mean_difference(data),
+                                   self.mean_difference(data),
+                                   rtol=1e-13, atol=1e-15)
+
+    @pytest.mark.parametrize("kind,ranks", [
+        ("rank1", []), ("cp", [2]), ("tucker", [3, 2, 2])])
+    def test_factors_are_leading_singular_vectors(self, kind, ranks):
+        dims = (4, 3, 5)
+        data = random_dataset(np.random.default_rng(51), dims, 30)
+        mode_ranks = _mode_ranks(kind, ranks, len(dims))
+        factors, core = _start_state(data, mode_ranks, kind,
+                                     np.random.default_rng(52))
+        m = self.mean_difference(data)
+        diff = DenseTensor(dims, m)
+        for mode, (v, r) in enumerate(zip(factors, mode_ranks), start=1):
+            np.testing.assert_allclose(v.T @ v, np.eye(r), atol=1e-14)
+            u = np.linalg.svd(unfold(diff, mode))[0][:, :r]
+            np.testing.assert_allclose(np.abs(np.sum(u * v, axis=0)), 1.0,
+                                       atol=1e-10)
+        if kind == "tucker":
+            proj = tucker_reconstruct(diff, [v.T for v in factors])
+            np.testing.assert_allclose(core.data, proj.data / proj.norm(),
+                                       atol=1e-14)
+            w0 = tucker_reconstruct(core, factors)
+            assert w0.norm() == pytest.approx(1.0, rel=1e-13)
+        else:
+            assert core is None
+            w0 = cp_reconstruct(factors)
+            assert w0.norm() == pytest.approx(np.sqrt(mode_ranks[0]), rel=1e-13)
+            for r in range(mode_ranks[0]):
+                term = cp_reconstruct([v[:, [r]] for v in factors])
+                assert term.data @ m > 0.0
+        assert w0.data @ m > 0.0
+
+    def test_vector_start_is_normalised_mean_difference(self):
+        data = random_dataset(np.random.default_rng(53), (6,), 20)
+        factors, core = _start_state(data, (1,), "vector",
+                                     np.random.default_rng(54))
+        m = self.mean_difference(data)
+        assert core is None
+        np.testing.assert_allclose(factors[0][:, 0], m / np.linalg.norm(m),
+                                   rtol=1e-13)
+
+    def test_qr_completion_beyond_the_unfolding_rank(self):
+        # mode 1 of 3 x 2 data has 2 singular vectors and rank 3
+        data = synth_blobs((3, 2), 10, margin=1.0, noise=0.5, seed=55)
+        factors, _ = _start_state(data, (3, 2), "tucker",
+                                  np.random.default_rng(56))
+        v = factors[0]
+        assert v.shape == (3, 3)
+        np.testing.assert_allclose(v.T @ v, np.eye(3), atol=1e-14)
+        diff = DenseTensor((3, 2), self.mean_difference(data))
+        u = np.linalg.svd(unfold(diff, 1), full_matrices=False)[0]
+        np.testing.assert_allclose(np.abs(np.sum(u * v[:, :2], axis=0)), 1.0,
+                                   atol=1e-12)
+        _, report = train(data, TrainConfig(kind="tucker", ranks=[3, 2], seed=56))
+        assert report.converged and descent_ok(report.objectives)
+
+    def test_over_rank_mode_keeps_the_drawn_columns(self):
+        data = synth_blobs((2, 3), 10, margin=1.0, noise=0.3, seed=57)
+        drawn, _ = _init_state((2, 3), (3, 2), "tucker", np.random.default_rng(58))
+        factors, _ = _start_state(data, (3, 2), "tucker", np.random.default_rng(58))
+        np.testing.assert_array_equal(factors[0], drawn[0])
+        np.testing.assert_allclose(np.linalg.norm(factors[0], axis=0), 1.0)
+        with pytest.warns(UserWarning, match="rank 3 exceeds mode size 2"):
+            _, report = train(data, TrainConfig(kind="tucker", ranks=[3, 2],
+                                                seed=58))
+        assert report.converged and descent_ok(report.objectives)
+
+    def test_equal_class_means_fall_back_to_the_drawn_core(self):
+        # integer rows, 8 against 4: every partial sum of M is exact, so
+        # the class means are equal to the last bit. With balanced classes
+        # W = 0 would be the optimum; here sum_i t_i X_i is not zero.
+        rng = np.random.default_rng(59)
+        neg = rng.integers(-3, 4, size=(4, 12)).astype(float)
+        shift = rng.integers(-3, 4, size=(8, 12)).astype(float)
+        shift[-1] = -shift[:-1].sum(axis=0)
+        pos = np.vstack([neg, neg]) + shift
+        data = LabeledDataset(np.vstack([pos, neg]), (4, 3),
+                              np.r_[np.ones(8), -np.ones(4)])
+        assert not _class_mean_difference(data).any()
+        _, drawn = _init_state((4, 3), (2, 2), "tucker", np.random.default_rng(60))
+        factors, core = _start_state(data, (2, 2), "tucker",
+                                     np.random.default_rng(60))
+        np.testing.assert_array_equal(core.data, drawn.data / drawn.norm())
+        for v in factors:
+            np.testing.assert_allclose(v.T @ v, np.eye(2), atol=1e-14)
+        _, report = train(data, TrainConfig(kind="tucker", ranks=[2, 2], seed=60))
+        assert report.converged and descent_ok(report.objectives)
+
+    @pytest.mark.parametrize("dims,kind,ranks", [
+        ((28, 28), "rank1", []), ((7, 4, 7, 4), "tucker", [2, 2, 2, 2])],
+        ids=["rank1-28x28", "tucker-7x4x7x4"])
+    def test_peak_below_a_quarter_of_the_samples(self, dims, kind, ranks):
+        # at N = 2000 the samples take 12.5 MB; class means by boolean
+        # indexing copy half of them, which breaks the bound
+        rng = np.random.default_rng(61)
+        data = random_dataset(rng, dims, 2000)
+        mode_ranks = _mode_ranks(kind, ranks, len(dims))
+        tracemalloc.start()
+        try:
+            _start_state(data, mode_ranks, kind, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < data.samples.nbytes / 4, peak
 
 
 class TestPrimalObjective:
