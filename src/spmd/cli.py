@@ -218,7 +218,7 @@ def _split_per_class(n_classes: int, n_train: int, n_test: int):
     return train, test
 
 
-def build_binary_dataset(ds: dict, seed: int):
+def build_binary_dataset(ds: dict):
     """(train, test-or-None) LabeledDatasets from a dataset section."""
     src = ds["source"]
     if src == "synth":
@@ -356,7 +356,7 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         cfg["seed"] = args.seed
     method = cfg["method"]
-    train_set, test_set = build_binary_dataset(cfg["dataset"], cfg["seed"])
+    train_set, test_set = build_binary_dataset(cfg["dataset"])
     flat = _METHOD_KIND[method] == "vector"
     train_set, test_set = _flatten_for(flat, train_set), _flatten_for(flat, test_set)
     tc = make_train_config(cfg, method, train_set.dims)
@@ -417,7 +417,7 @@ def cmd_eval(args) -> int:
     except ValueError as e:
         raise ConfigError(str(e))
     cfg = resolve_config(load_config(args.config), need_method=False)
-    data, _ = build_binary_dataset(cfg["dataset"], cfg["seed"])
+    data, _ = build_binary_dataset(cfg["dataset"])
     data = _flatten_for(len(model.shape) == 1, data)
     try:
         labels, scores = predict(model, data.samples, data.dims)

@@ -1,21 +1,18 @@
 """Signed margins and their first two moments.
 
 The margin of sample i is t_i <W, Z_i>. Moments use the population
-convention (divide by N). A tiny negative variance from floating-point
-cancellation is clamped to zero with a warning.
+convention (divide by N). The variance is taken about the mean (two
+passes), so it is never negative and needs no clamp.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import LabeledDataset
 from .tensor import DenseTensor
-
-VARIANCE_CLAMP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -33,20 +30,14 @@ def signed_margins(w: DenseTensor, data: LabeledDataset) -> np.ndarray:
 
 
 def _moments(margins: np.ndarray) -> tuple[float, float]:
-    """(mean, variance) from one sum and one dot; clamps tiny negative rounding."""
+    """(mean, variance): the variance is c'c/N with c = m - mean, never negative."""
     margins = np.asarray(margins, dtype=np.float64)
     if margins.size == 0:
         raise ValueError("no margins")
     n = margins.size
     mean = float(margins.sum()) / n
-    square = float(margins @ margins) / n
-    v = square - mean**2
-    if v < 0.0:
-        if v < -VARIANCE_CLAMP_TOL * max(1.0, square):
-            raise ValueError(f"variance {v} is negative beyond rounding tolerance")
-        warnings.warn(f"variance {v} clamped to 0", stacklevel=3)
-        v = 0.0
-    return mean, v
+    c = margins - mean
+    return mean, float(c @ c) / n
 
 
 def summarize_scores(scores: np.ndarray, labels: np.ndarray) -> MarginSummary:

@@ -60,15 +60,8 @@ def ovo_train(data: MulticlassDataset, cfg: TrainConfig,
         model, report = train(subset, pcfg)
         return pair, pcfg, model, report
 
-    results = {}
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for pair, pcfg, model, report in pool.map(run, pairs):
-                results[pair] = (pcfg, model, report)
-    else:
-        for pair in pairs:
-            pair, pcfg, model, report = run(pair)
-            results[pair] = (pcfg, model, report)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        results = {pair: rest for pair, *rest in pool.map(run, pairs)}
 
     return OvoEnsemble(
         classes=classes,

@@ -15,8 +15,9 @@ L is the clamped eigenbasis square-root factor of the block metric (see
 MetricRoot); with symmetric roots these are the usual A^{1/2} whitenings.
 
 Both satisfy <W, Z_i> = v'z_i and ||W||_F^2 = v'v, so every block update
-minimizes the full objective over that block and the objective sequence is
-non-increasing.
+minimizes the full objective over that block. An update that still raises
+J (rounding, or a solve stopped at its pass cap) is not kept, so the
+objective sequence is non-increasing exactly.
 """
 
 from __future__ import annotations
@@ -115,8 +116,8 @@ class TrainConfig:
     residual each block dual is solved to; the pass cap of those solves is
     :func:`spmd.qp.solve_box_qp`'s default. Training starts from the
     truncated HOSVD of the class-mean difference (see :func:`train`); seed
-    draws only what that start cannot give: factor columns beyond the rank
-    of a mode's unfolding, over-rank modes, and a zero Tucker core.
+    draws only what that start cannot give: the columns of an over-rank
+    mode (R_m > I_m) and a zero Tucker core.
     """
 
     kind: str = "rank1"
@@ -144,7 +145,7 @@ class WeightModel:
     bias_feature: bool = False
 
     def reconstruct(self) -> DenseTensor:
-        """The full weight tensor (small shapes only; prediction never needs it)."""
+        """The full weight tensor W, the one :func:`decision_scores` scores with."""
         return _reconstruct(list(self.factors), self.core)
 
 
@@ -318,23 +319,6 @@ def primal_objective(weight: DenseTensor, data: LabeledDataset,
     return _scored_objective(weight, data, hyper)[0]
 
 
-def _init_state(dims, mode_ranks, kind, rng):
-    """Seeded draw: orthonormal factors (unit columns when R_m > I_m), a core."""
-    factors = []
-    for i, r in zip(dims, mode_ranks):
-        g = rng.standard_normal((i, max(r, 1)))
-        if r <= i:
-            q, _ = np.linalg.qr(g[:, :r])
-            factors.append(q)
-        else:
-            g /= np.linalg.norm(g, axis=0, keepdims=True)
-            factors.append(g)
-    core = None
-    if kind == "tucker":
-        core = DenseTensor(mode_ranks, 0.1 * rng.standard_normal(int(np.prod(mode_ranks))))
-    return factors, core
-
-
 def _class_mean_difference(data: LabeledDataset) -> np.ndarray:
     """Flat M = mean(X | +1) - mean(X | -1), one product with the samples.
 
@@ -351,30 +335,28 @@ def _start_state(data: LabeledDataset, mode_ranks, kind, rng):
 
     Factor V_m holds the leading R_m left singular vectors of unfold(M, m)
     (De Lathauwer, De Moor & Vandewalle, SIAM J. Matrix Anal. Appl. 2000;
-    the "nvecs" start of CP-ALS in Kolda & Bader, SIAM Review 2009). The
-    Tucker core is M x_1 V_1' ... x_M V_M' scaled to unit norm; each CP
-    term is signed so that <term, M> >= 0, so the vector kind starts at
-    M/||M||. With orthonormal factors ||W0|| is 1 for rank-1 and Tucker
-    and sqrt(R) for CP, the scale of the seeded draw's orthonormal factors.
+    the "nvecs" start of CP-ALS in Kolda & Bader, SIAM Review 2009); when
+    R_m exceeds the unfolding's column count, the full SVD completes the
+    basis. The Tucker core is M x_1 V_1' ... x_M V_M' scaled to unit norm;
+    each CP term is signed so that <term, M> >= 0, so the vector kind
+    starts at M/||M||. With orthonormal factors ||W0|| is 1 for rank-1 and
+    Tucker and sqrt(R) for CP.
 
-    The seeded draw of :func:`_init_state` fills what M cannot: columns
-    beyond the min(I_m, prod of the other sizes) singular vectors (by QR
-    completion), whole over-rank modes (R_m > I_m, normalised columns),
-    and the core when the projected core is zero (equal class means).
+    ``rng`` draws only what M cannot give, in this order: the unit columns
+    of each over-rank mode (R_m > I_m), then a core when the projected
+    core is zero (equal class means).
     """
     dims = data.dims
-    drawn, drawn_core = _init_state(dims, mode_ranks, kind, rng)
     m = _class_mean_difference(data)
     diff = DenseTensor(dims, m)
     factors = []
-    for mode, (i, r, g) in enumerate(zip(dims, mode_ranks, drawn), start=1):
+    for mode, (i, r) in enumerate(zip(dims, mode_ranks), start=1):
         if r > i:
-            factors.append(g)
+            g = rng.standard_normal((i, r))
+            factors.append(g / np.linalg.norm(g, axis=0))
             continue
-        u = np.linalg.svd(unfold(diff, mode), full_matrices=False)[0][:, :r]
-        if u.shape[1] < r:
-            u = np.linalg.qr(np.hstack([u, g[:, u.shape[1]:]]))[0]
-        factors.append(u)
+        a = unfold(diff, mode)
+        factors.append(np.linalg.svd(a, full_matrices=r > a.shape[1])[0][:, :r])
     if kind != "tucker":
         signs = khatri_rao(factors[::-1]).T @ m
         factors[0] = factors[0] * np.where(signs < 0.0, -1.0, 1.0)
@@ -382,7 +364,8 @@ def _start_state(data: LabeledDataset, mode_ranks, kind, rng):
     core = _core_design(m[None], dims, factors)[0]
     norm = float(np.linalg.norm(core))
     if norm == 0.0:
-        core, norm = drawn_core.data, drawn_core.norm()
+        core = rng.standard_normal(core.size)
+        norm = float(np.linalg.norm(core))
     return factors, DenseTensor(mode_ranks, core / norm)
 
 
@@ -401,6 +384,8 @@ def train(data: LabeledDataset, cfg: TrainConfig):
     the Tucker core is M projected onto them, and ||W0|| is 1 (sqrt(R) for
     CP). cfg.seed draws the columns and the core that M cannot give.
     Blocks sweep modes 1..M (plus the Tucker core) each outer iteration.
+    A block update is kept only if J does not rise, so the objective trace
+    never rises and the iterate returned is the best one seen.
     The dual variables are per-sample hinge multipliers, shared by every
     block, so each block's first solve warm-starts from the most recently
     solved alpha; the very first solve starts from the hinge rule at the
@@ -410,10 +395,9 @@ def train(data: LabeledDataset, cfg: TrainConfig):
     pass cap; a solve that stops at the cap warns and counts in
     ``report.cap_hits``.
     Each block update scores the training set once: that product gives the
-    objective, the sweep's margin moments and, when the last iterate is
-    returned, the final ones. Stops when the relative weight change after
-    a sweep drops to cfg.tol, or after cfg.max_outer sweeps (with a
-    warning, returning the best-objective iterate seen).
+    objective, the sweep's margin moments and the final ones. Stops when
+    the relative weight change after a sweep drops to cfg.tol, or after
+    cfg.max_outer sweeps (with a warning).
     """
     t0 = time.perf_counter()
     if len(data) < 2:
@@ -442,16 +426,12 @@ def train(data: LabeledDataset, cfg: TrainConfig):
     blocks = list(range(1, len(dims) + 1)) + ([0] if cfg.kind == "tucker" else [])
     warm = [None] * len(blocks)
 
-    def snapshot():
-        return [f.copy() for f in factors], core
-
     w = _reconstruct(factors, core)
     j, summ = _scored_objective(w, data, hyper)
     latest = np.where(summ.margins < 1.0, hyper.lam / n, 0.0)
     objectives = [j]
     block_labels = ["init"]
     weight_norms = [w.norm()]
-    best = (j, snapshot())
     history = []
     qp_passes = clamp_events = cap_hits = 0
     converged = False
@@ -464,6 +444,7 @@ def train(data: LabeledDataset, cfg: TrainConfig):
             v, sol = block_update(
                 feats, data.labels, hyper, cfg.qp_tol,
                 warm_alpha=latest if warm[i] is None else warm[i])
+            kept = list(factors), core
             if b == 0:
                 core = DenseTensor(mode_ranks, root.inv_half.T @ v)
                 label = "core"
@@ -475,18 +456,20 @@ def train(data: LabeledDataset, cfg: TrainConfig):
             qp_passes += sol.iterations
             cap_hits += not sol.converged
 
-            w = _reconstruct(factors, core)
-            j, summ = _scored_objective(w, data, hyper)
-            if not np.isfinite(j):
+            w_new = _reconstruct(factors, core)
+            j_new, summ_new = _scored_objective(w_new, data, hyper)
+            if not np.isfinite(j_new):
                 raise TrainingError(
                     f"objective became non-finite after {label} update "
-                    f"(outer {outer}); last finite value {objectives[-1]:.6g}"
+                    f"(outer {outer}); last finite value {j:.6g}"
                 )
+            if j_new <= j:
+                w, j, summ = w_new, j_new, summ_new
+            else:  # J rose: put the old block back
+                factors, core = kept
             objectives.append(j)
             block_labels.append(label)
             weight_norms.append(w.norm())
-            if j < best[0]:
-                best = (j, snapshot())
 
         denom = w_prev.norm()
         diff = float(np.linalg.norm(w.data - w_prev.data))
@@ -507,18 +490,15 @@ def train(data: LabeledDataset, cfg: TrainConfig):
         warnings.warn(
             f"no convergence in {cfg.max_outer} sweeps "
             f"(last relative change {history[-1]['rel_change']:.3g}); "
-            "returning best iterate",
+            "returning the last iterate",
             stacklevel=2,
         )
-        if objectives[-1] > best[0]:
-            factors, core = best[1]
-            j, summ = _scored_objective(_reconstruct(factors, core), data, hyper)
 
     model = WeightModel(
         kind=cfg.kind,
         shape=dims,
         ranks=mode_ranks,
-        factors=tuple(f.copy() for f in factors),
+        factors=tuple(factors),
         core=core,
         hyper=hyper,
         bias_feature=cfg.bias_feature,
@@ -549,7 +529,7 @@ def train(data: LabeledDataset, cfg: TrainConfig):
 
 def decision_scores(model: WeightModel, samples: np.ndarray,
                     dims: tuple[int, ...]) -> np.ndarray:
-    """<W, Z_i> for flat-row samples, evaluated in factored form.
+    """<W, Z_i> for flat-row samples: one product with the reconstructed W.
 
     A bias model also takes samples in its pre-bias shape and appends the
     constant-1 slab that :func:`apply_bias` appends in training.
@@ -563,10 +543,7 @@ def decision_scores(model: WeightModel, samples: np.ndarray,
         raise ValueError(
             f"sample dims {dims}: the sample shape does not match model shape "
             f"{model.shape}{also}")
-    if model.core is None:
-        # vec(W) = khatri_rao(V_M, ..., V_1) 1 for the column-major rows
-        return samples @ khatri_rao(list(reversed(model.factors))).sum(axis=1)
-    return _core_design(samples, model.shape, list(model.factors)) @ model.core.data
+    return samples @ model.reconstruct().data
 
 
 def predict(model: WeightModel, samples: np.ndarray,

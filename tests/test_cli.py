@@ -321,7 +321,7 @@ class TestEvalCommand:
         assert header == "n,accuracy,gamma_m,gamma_v"
         n, acc, gm, gv = row.split(",")
         resolved = resolve_config(json.loads(open(cfg).read()))
-        data, _ = build_binary_dataset(resolved["dataset"], resolved["seed"])
+        data, _ = build_binary_dataset(resolved["dataset"])
         model = load_model(model_path)
         scores = decision_scores(model, data.samples, data.dims)
         summ = summarize_scores(scores, data.labels)

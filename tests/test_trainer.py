@@ -20,8 +20,7 @@ from spmd.trainer import (Hyper, MetricCollapseError, TrainConfig, WeightModel,
                           apply_bias, block_features, block_update, load_model,
                           predict, primal_objective, psd_root, decision_scores,
                           save_model, train, _class_mean_difference,
-                          _init_state, _mode_contract, _mode_ranks,
-                          _start_state)
+                          _mode_contract, _mode_ranks, _start_state)
 from spmd.tensor import cp_reconstruct, tucker_reconstruct, unfold
 
 
@@ -30,6 +29,16 @@ def random_dataset(rng, dims, n):
     labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
     labels[0], labels[1] = 1.0, -1.0
     return LabeledDataset(samples, dims, labels)
+
+
+def random_state(rng, dims, mode_ranks, kind):
+    """Seeded orthonormal factors and, for Tucker, a core."""
+    factors = [np.linalg.qr(rng.standard_normal((i, r)))[0]
+               for i, r in zip(dims, mode_ranks)]
+    core = None
+    if kind == "tucker":
+        core = DenseTensor(mode_ranks, rng.standard_normal(int(np.prod(mode_ranks))))
+    return factors, core
 
 
 class TestModeRanks:
@@ -116,8 +125,8 @@ class TestBlockFeatureMemory:
         # tensordot over a transposed batch makes) breaks the bound at once
         rng = np.random.default_rng(30)
         data = random_dataset(rng, dims, 2000)
-        factors, core = _init_state(dims, _mode_ranks(kind, ranks, len(dims)),
-                                    kind, rng)
+        factors, core = random_state(rng, dims,
+                                     _mode_ranks(kind, ranks, len(dims)), kind)
         blocks = list(range(1, len(dims) + 1)) + ([0] if core is not None else [])
         for b in blocks:
             tracemalloc.start()
@@ -385,10 +394,16 @@ class TestStartState:
 
     def test_over_rank_mode_keeps_the_drawn_columns(self):
         data = synth_blobs((2, 3), 10, margin=1.0, noise=0.3, seed=57)
-        drawn, _ = _init_state((2, 3), (3, 2), "tucker", np.random.default_rng(58))
         factors, _ = _start_state(data, (3, 2), "tucker", np.random.default_rng(58))
-        np.testing.assert_array_equal(factors[0], drawn[0])
-        np.testing.assert_allclose(np.linalg.norm(factors[0], axis=0), 1.0)
+        again, _ = _start_state(data, (3, 2), "tucker", np.random.default_rng(58))
+        other, _ = _start_state(data, (3, 2), "tucker", np.random.default_rng(59))
+        assert factors[0].shape == (2, 3)
+        np.testing.assert_allclose(np.linalg.norm(factors[0], axis=0), 1.0,
+                                   rtol=1e-15)
+        np.testing.assert_array_equal(factors[0], again[0])
+        assert not np.array_equal(factors[0], other[0])
+        # the mode that fits keeps its singular vectors, whatever the seed
+        np.testing.assert_array_equal(factors[1], other[1])
         with pytest.warns(UserWarning, match="rank 3 exceeds mode size 2"):
             _, report = train(data, TrainConfig(kind="tucker", ranks=[3, 2],
                                                 seed=58))
@@ -406,10 +421,13 @@ class TestStartState:
         data = LabeledDataset(np.vstack([pos, neg]), (4, 3),
                               np.r_[np.ones(8), -np.ones(4)])
         assert not _class_mean_difference(data).any()
-        _, drawn = _init_state((4, 3), (2, 2), "tucker", np.random.default_rng(60))
         factors, core = _start_state(data, (2, 2), "tucker",
                                      np.random.default_rng(60))
-        np.testing.assert_array_equal(core.data, drawn.data / drawn.norm())
+        _, again = _start_state(data, (2, 2), "tucker", np.random.default_rng(60))
+        _, other = _start_state(data, (2, 2), "tucker", np.random.default_rng(61))
+        assert core.norm() == pytest.approx(1.0, rel=1e-15)
+        np.testing.assert_array_equal(core.data, again.data)
+        assert not np.array_equal(core.data, other.data)
         for v in factors:
             np.testing.assert_allclose(v.T @ v, np.eye(2), atol=1e-14)
         _, report = train(data, TrainConfig(kind="tucker", ranks=[2, 2], seed=60))
@@ -572,6 +590,32 @@ class TestTrain:
         stopped = sum(str(w.message).startswith("coordinate descent stopped")
                       for w in caught)
         assert report.cap_hits == stopped > 0
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_objective_trace_never_rises(self, seed):
+        # exactly, with no slack: a block update that raises J by rounding
+        # alone (by up to 8.9e-16 on these draws) is not kept
+        data = synth_blobs((6, 5), 40, margin=1.0, noise=1.0, seed=seed)
+        _, report = train(data, TrainConfig(kind="tucker", ranks=[3, 3],
+                                            lam=5.0, seed=seed))
+        assert np.all(np.diff(report.objectives) <= 0.0)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_capped_solves_never_raise_the_objective(self, monkeypatch, seed):
+        import spmd.qp as qp
+
+        real = qp.solve_box_qp
+        monkeypatch.setattr(qp, "solve_box_qp",
+                            lambda problem, **kw: real(problem, max_passes=1, **kw))
+        data = synth_blobs((6, 5), 40, margin=1.0, noise=1.0, seed=seed)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "coordinate descent stopped")
+            warnings.filterwarnings("ignore", "no convergence")
+            _, report = train(data, TrainConfig(kind="tucker", ranks=[3, 3],
+                                                lam=5.0, seed=seed))
+        assert report.cap_hits > 0
+        assert np.all(np.diff(report.objectives) <= 0.0)
+        assert report.final_objective == min(report.objectives)
 
     def test_unconverged_warns_and_flags(self):
         data = synth_blobs((3, 3), 10, margin=0.5, noise=1.0, seed=10)
