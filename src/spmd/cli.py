@@ -331,7 +331,13 @@ def write_csv(path: str, header: list, rows: list) -> None:
 
 
 def write_run_json(out_dir: str, command: str, resolved: dict, extra: dict | None = None):
+    # BLAS may split a product differently across threads, so results are
+    # bit-reproducible only at the same BLAS thread count; record what sets it
+    blas = {var: os.environ.get(var) for var in
+            ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    blas["cpu_count"] = os.cpu_count()
     payload = {
+        "blas": blas,
         "command": command,
         "config": resolved,
         "version": __version__,
@@ -566,7 +572,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bench", help="one-vs-one benchmark over methods")
     common(sp)
-    sp.add_argument("--workers", type=int, help="parallel pair trainings")
+    sp.add_argument("--workers", type=int,
+                    help="accepted for old configs; pairs always train one at "
+                         "a time, so it changes nothing")
     sp.set_defaults(fn=cmd_bench)
 
     sp = sub.add_parser("check", help="run the theory-check sweeps")

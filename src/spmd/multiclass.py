@@ -1,15 +1,16 @@
 """One-vs-one multiclass harness over the binary trainer.
 
 One model is trained per unordered class pair on that pair's samples only.
-Each pair's seed is derived from (global seed, a, b), so results do not
-depend on the execution schedule and parallel runs reproduce sequential
-ones exactly.
+Pairs train one at a time, in sorted pair order, in the calling thread: a
+pair training is hundreds of small numpy calls per block update, all under
+the interpreter lock, so threads would only take turns holding it.
+Each pair's seed is derived from (global seed, a, b), so a pair's model
+does not depend on which other pairs are trained.
 """
 
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 
@@ -47,28 +48,24 @@ class OvoEnsemble:
 
 def ovo_train(data: MulticlassDataset, cfg: TrainConfig,
               workers: int = 1) -> OvoEnsemble:
-    """Train one binary model per class pair (class a -> +1, b -> -1)."""
+    """Train one binary model per class pair (class a -> +1, b -> -1).
+
+    Pairs always train one at a time in the calling thread. ``workers``
+    must be at least 1 and changes neither the results nor the execution;
+    it is kept for callers and configs that pass it.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     classes = tuple(int(c) for c in np.unique(data.labels))
     if len(classes) < 2:
         raise ValueError(f"need at least 2 classes, found {classes}")
-    pairs = list(combinations(classes, 2))
-
-    def run(pair):
-        a, b = pair
-        subset = data.binary_view(a, b)
+    models, configs, reports = {}, {}, {}
+    for a, b in combinations(classes, 2):
         pcfg = replace(cfg, seed=pair_seed(cfg.seed, a, b))
-        model, report = train(subset, pcfg)
-        return pair, pcfg, model, report
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = {pair: rest for pair, *rest in pool.map(run, pairs)}
-
-    return OvoEnsemble(
-        classes=classes,
-        models={p: r[1] for p, r in results.items()},
-        configs={p: r[0] for p, r in results.items()},
-        reports={p: r[2] for p, r in results.items()},
-    )
+        models[(a, b)], reports[(a, b)] = train(data.binary_view(a, b), pcfg)
+        configs[(a, b)] = pcfg
+    return OvoEnsemble(classes=classes, models=models, configs=configs,
+                       reports=reports)
 
 
 def pairwise_accuracy(ensemble: OvoEnsemble, test: MulticlassDataset):

@@ -396,7 +396,8 @@ def train(data: LabeledDataset, cfg: TrainConfig):
     ``report.cap_hits``.
     Each block update scores the training set once: that product gives the
     objective, the sweep's margin moments and the final ones. Stops when
-    the relative weight change after a sweep drops to cfg.tol, or after
+    the relative weight change after a sweep drops to cfg.tol and none of
+    that sweep's block solves stopped at the pass cap, or after
     cfg.max_outer sweeps (with a warning).
     """
     t0 = time.perf_counter()
@@ -439,6 +440,7 @@ def train(data: LabeledDataset, cfg: TrainConfig):
     w_prev = w
 
     for outer in range(1, cfg.max_outer + 1):
+        sweep_caps = 0
         for i, b in enumerate(blocks):
             feats, root = block_features(data, factors, core, b)
             v, sol = block_update(
@@ -454,7 +456,7 @@ def train(data: LabeledDataset, cfg: TrainConfig):
             clamp_events += root.clamped
             warm[i] = latest = sol.alpha
             qp_passes += sol.iterations
-            cap_hits += not sol.converged
+            sweep_caps += not sol.converged
 
             w_new = _reconstruct(factors, core)
             j_new, summ_new = _scored_objective(w_new, data, hyper)
@@ -482,7 +484,10 @@ def train(data: LabeledDataset, cfg: TrainConfig):
             "rel_change": rel,
         })
         w_prev = w
-        if rel <= cfg.tol:
+        cap_hits += sweep_caps
+        # a sweep whose block solves stopped at the pass cap may have changed
+        # W little only because its duals were not solved
+        if rel <= cfg.tol and sweep_caps == 0:
             converged = True
             break
 

@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -250,13 +251,22 @@ class TestTrainCommand:
         assert main(["train", "--config", str(bad)]) == 2
         assert "not valid JSON" in capsys.readouterr().err
 
-    def test_seed_flag_overrides_config(self, tmp_path):
+    def test_seed_flag_overrides_config(self, tmp_path, monkeypatch):
+        # the BLAS thread count can change a model's last bits, so run.json
+        # records what sets it
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setenv("MKL_NUM_THREADS", "2")
         cfg = write_config(tmp_path, seed=0)
         out = tmp_path / "out"
         main(["train", "--config", cfg, "--out", str(out), "--seed", "9"])
         payload = json.loads((out / "run.json").read_text())
         assert payload["config"]["seed"] == 9
         assert payload["command"] == "train"
+        assert payload["blas"] == {"OPENBLAS_NUM_THREADS": "1",
+                                   "OMP_NUM_THREADS": None,
+                                   "MKL_NUM_THREADS": "2",
+                                   "cpu_count": os.cpu_count()}
 
     def test_run_json_reproduces_run(self, tmp_path):
         cfg = write_config(tmp_path, mu1=0.5, seed=3)
@@ -320,7 +330,7 @@ class TestEvalCommand:
         header, row = (out / "eval.csv").read_text().strip().split("\n")
         assert header == "n,accuracy,gamma_m,gamma_v"
         n, acc, gm, gv = row.split(",")
-        resolved = resolve_config(json.loads(open(cfg).read()))
+        resolved = resolve_config(json.loads(Path(cfg).read_text()))
         data, _ = build_binary_dataset(resolved["dataset"])
         model = load_model(model_path)
         scores = decision_scores(model, data.samples, data.dims)
@@ -430,7 +440,7 @@ class TestBenchCommand:
                 (out / "bench.csv").read_text().strip().split("\n")[1:]]
         got = {(r[0], int(r[1]), int(r[2])): float(r[5])
                for r in rows if r[1] != "mean"}
-        resolved = resolve_config(json.loads(open(cfg).read()),
+        resolved = resolve_config(json.loads(Path(cfg).read_text()),
                                   need_method=False, need_methods=True)
         train_multi, test_multi = build_multiclass_dataset(resolved["dataset"])
         want = {}

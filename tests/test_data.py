@@ -7,6 +7,7 @@ pixel-exactly through the writer/loader pair.
 import json
 import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,9 +82,9 @@ class TestIdxErrors:
 
     def test_truncated_file(self, idx_pair, tmp_path):
         ip, *_ = idx_pair
-        blob = open(ip, "rb").read()
+        blob = Path(ip).read_bytes()
         bad = str(tmp_path / "trunc.idx3-ubyte")
-        open(bad, "wb").write(blob[:-5])
+        Path(bad).write_bytes(blob[:-5])
         with pytest.raises(IdxTruncatedError):
             load_idx_images(bad)
 
@@ -101,9 +102,9 @@ class TestIdxErrors:
 
     def test_trailing_bytes_warn(self, idx_pair, tmp_path):
         ip, *_ = idx_pair
-        blob = open(ip, "rb").read()
+        blob = Path(ip).read_bytes()
         padded = str(tmp_path / "padded.idx3-ubyte")
-        open(padded, "wb").write(blob + b"\x07")
+        Path(padded).write_bytes(blob + b"\x07")
         with pytest.warns(UserWarning, match="trailing"):
             load_idx_images(padded)
 
@@ -285,7 +286,7 @@ class TestDatasetDirectory:
         data = synth_blobs((2, 2), 3, seed=19)
         path = str(tmp_path / "ds")
         save_dataset(path, data)
-        meta = json.load(open(os.path.join(path, "meta.json")))
+        meta = json.loads(Path(path, "meta.json").read_text())
         assert meta["dims"] == [2, 2]
         assert meta["n"] == 6
 

@@ -2,9 +2,10 @@
 
 Hand-built single-weight models make the per-pair accuracy and averaging
 rules exactly predictable; trained ensembles on synthetic blobs cover determinism, pair
-symmetry, and the parallel-equals-sequential guarantee.
+symmetry, and that the ``workers`` keyword changes no result.
 """
 
+import threading
 import warnings
 from itertools import combinations
 
@@ -119,6 +120,26 @@ class TestOvoTrain:
         for pair in seq.pairs:
             assert np.array_equal(seq.models[pair].reconstruct().data,
                                   par.models[pair].reconstruct().data)
+
+    def test_pairs_train_in_the_calling_thread(self, monkeypatch):
+        import spmd.multiclass
+
+        real = spmd.multiclass.train
+        idents = []
+
+        def recording(data, cfg):
+            idents.append(threading.get_ident())
+            return real(data, cfg)
+
+        monkeypatch.setattr(spmd.multiclass, "train", recording)
+        data = synth_multiclass((2, 2), 4, 6, margin=2.0, noise=0.3, seed=5)
+        ovo_train(data, TrainConfig(kind="rank1", lam=2.0, seed=5), workers=3)
+        assert idents == [threading.get_ident()] * 6
+
+    def test_worker_count_below_one_rejected(self):
+        data = synth_multiclass((2, 2), 3, 6, margin=2.0, noise=0.3, seed=5)
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            ovo_train(data, TrainConfig(kind="rank1", lam=2.0), workers=0)
 
     def test_rank1_ovo_sweep_count(self):
         # Sweeps to convergence over the 45 rank-1 pairs of a 10-class,

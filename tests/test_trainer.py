@@ -8,6 +8,7 @@ KKT-verified max-margin reference.
 
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -617,6 +618,35 @@ class TestTrain:
         assert np.all(np.diff(report.objectives) <= 0.0)
         assert report.final_objective == min(report.objectives)
 
+    @pytest.mark.parametrize("seed", [4, 6, 9])
+    def test_converged_run_ends_on_an_uncapped_sweep(self, monkeypatch, seed):
+        # with one pass per solve, a sweep can change W by less than tol only
+        # because its duals were not solved; such a sweep must not end the
+        # run as converged (on these seeds the final sweep's solves were all
+        # capped before the rule)
+        import spmd.qp as qp
+
+        real = qp.solve_box_qp
+        capped = []
+
+        def one_pass(problem, **kw):
+            sol = real(problem, max_passes=1, **kw)
+            capped.append(not sol.converged)
+            return sol
+
+        monkeypatch.setattr(qp, "solve_box_qp", one_pass)
+        data = synth_blobs((6, 5), 40, margin=1.0, noise=1.0, seed=seed)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "coordinate descent stopped")
+            warnings.filterwarnings("ignore", "no convergence")
+            _, report = train(data, TrainConfig(kind="tucker", ranks=[3, 3],
+                                                lam=5.0, seed=seed))
+        blocks = 3                    # mode1, mode2, core
+        assert len(capped) == blocks * report.iterations
+        assert report.cap_hits == sum(capped)
+        assert report.converged
+        assert not any(capped[-blocks:])
+
     def test_unconverged_warns_and_flags(self):
         data = synth_blobs((3, 3), 10, margin=0.5, noise=1.0, seed=10)
         with pytest.warns(UserWarning, match="no convergence"):
@@ -822,8 +852,8 @@ class TestPersistence:
                                            seed=32))
         path = str(tmp_path / "model.spmd")
         save_model(path, model)
-        blob = open(path, "rb").read()
-        open(path, "wb").write(blob[:-8])
+        blob = Path(path).read_bytes()
+        Path(path).write_bytes(blob[:-8])
         with pytest.raises(ValueError, match="truncated"):
             load_model(path)
 
