@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -84,6 +85,24 @@ def _need(cond, msg):
         raise ConfigError(msg)
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; ``true``/``false`` are not integers."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    """A JSON number that is a finite float; ``true``/``false`` are not numbers."""
+    if _is_int(x):
+        return abs(x) <= sys.float_info.max
+    return isinstance(x, float) and math.isfinite(x)
+
+
+def _is_dims(x) -> bool:
+    """A non-empty list of positive integers (a shape)."""
+    return (isinstance(x, list) and len(x) >= 1
+            and all(_is_int(d) and d >= 1 for d in x))
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path) as f:
@@ -104,22 +123,19 @@ def resolve_config(raw: dict, need_method=True, need_methods=False) -> dict:
     cfg.update(raw)
 
     for key in ("mu1", "mu2", "lambda", "epsilon", "qp_tol"):
-        _need(isinstance(cfg[key], (int, float)) and not isinstance(cfg[key], bool),
-              f"field '{key}' must be a number")
+        _need(_is_number(cfg[key]), f"field '{key}' must be a number")
         cfg[key] = float(cfg[key])
     _need(cfg["mu1"] >= 0 and cfg["mu2"] >= 0, "fields 'mu1'/'mu2' must be >= 0")
     _need(cfg["lambda"] > 0, "field 'lambda' must be > 0")
     _need(cfg["epsilon"] > 0, "field 'epsilon' must be > 0")
     _need(cfg["qp_tol"] > 0, "field 'qp_tol' must be > 0")
     for key in ("max_outer", "seed", "workers"):
-        _need(isinstance(cfg[key], int) and not isinstance(cfg[key], bool),
-              f"field '{key}' must be an integer")
+        _need(_is_int(cfg[key]), f"field '{key}' must be an integer")
     _need(cfg["max_outer"] >= 1, "field 'max_outer' must be >= 1")
     _need(cfg["workers"] >= 1, "field 'workers' must be >= 1")
     _need(isinstance(cfg["bias_feature"], bool), "field 'bias_feature' must be boolean")
     _need(isinstance(cfg["ranks"], list) and
-          all(isinstance(r, int) and not isinstance(r, bool) and r >= 1
-              for r in cfg["ranks"]),
+          all(_is_int(r) and r >= 1 for r in cfg["ranks"]),
           "field 'ranks' must be a list of integers >= 1")
 
     if need_method:
@@ -141,39 +157,42 @@ def resolve_config(raw: dict, need_method=True, need_methods=False) -> dict:
     _need(not unknown, f"unknown dataset field(s) for source {src!r}: {sorted(unknown)}")
 
     if src == "synth":
-        _need(isinstance(ds.get("shape"), list) and len(ds["shape"]) >= 1 and
-              all(isinstance(d, int) and d >= 1 for d in ds["shape"]),
+        _need(_is_dims(ds.get("shape")),
               "field 'dataset.shape' must be a list of positive integers")
-        _need(isinstance(ds.get("n_per_class"), int) and ds["n_per_class"] >= 1,
+        _need(_is_int(ds.get("n_per_class")) and ds["n_per_class"] >= 1,
               "field 'dataset.n_per_class' must be a positive integer")
+        if ds.get("test_n_per_class") is not None:
+            _need(_is_int(ds["test_n_per_class"]) and ds["test_n_per_class"] >= 0,
+                  "field 'dataset.test_n_per_class' must be an integer >= 0")
         ds.setdefault("margin", 1.5)
         ds.setdefault("noise", 0.5)
-        _need(float(ds["margin"]) > 0, "field 'dataset.margin' must be > 0")
-        _need(float(ds["noise"]) >= 0, "field 'dataset.noise' must be >= 0")
+        _need(_is_number(ds["margin"]) and ds["margin"] > 0,
+              "field 'dataset.margin' must be a number > 0")
+        _need(_is_number(ds["noise"]) and ds["noise"] >= 0,
+              "field 'dataset.noise' must be a number >= 0")
         if ds.get("n_classes") is not None:
-            _need(isinstance(ds["n_classes"], int) and ds["n_classes"] >= 2,
+            _need(_is_int(ds["n_classes"]) and ds["n_classes"] >= 2,
                   "field 'dataset.n_classes' must be an integer >= 2")
     elif src == "idx":
         for key in ("images", "labels"):
             _need(isinstance(ds.get(key), str),
                   f"field 'dataset.{key}' must be a path string")
         _need(isinstance(ds.get("classes"), list) and len(ds["classes"]) >= 2 and
-              all(isinstance(c, int) for c in ds["classes"]),
+              all(_is_int(c) for c in ds["classes"]),
               "field 'dataset.classes' must be a list of >= 2 integer labels")
         if ds.get("per_class") is not None:
-            _need(isinstance(ds["per_class"], int) and ds["per_class"] >= 1,
+            _need(_is_int(ds["per_class"]) and ds["per_class"] >= 1,
                   "field 'dataset.per_class' must be a positive integer")
         if ds.get("test_per_class") is not None:
-            _need(isinstance(ds["test_per_class"], int) and ds["test_per_class"] >= 1,
+            _need(_is_int(ds["test_per_class"]) and ds["test_per_class"] >= 1,
                   "field 'dataset.test_per_class' must be a positive integer")
     else:
         _need(isinstance(ds.get("path"), str), "field 'dataset.path' must be a path string")
 
     ds.setdefault("seed", 0)
-    _need(isinstance(ds["seed"], int), "field 'dataset.seed' must be an integer")
+    _need(_is_int(ds["seed"]), "field 'dataset.seed' must be an integer")
     if ds.get("reshape") is not None:
-        _need(isinstance(ds["reshape"], list) and len(ds["reshape"]) >= 1 and
-              all(isinstance(d, int) and d >= 1 for d in ds["reshape"]),
+        _need(_is_dims(ds["reshape"]),
               "field 'dataset.reshape' must be a list of positive integers")
     cfg["dataset"] = ds
     return cfg
@@ -287,8 +306,10 @@ def build_multiclass_dataset(ds: dict):
 
 def make_train_config(cfg: dict, method: str, dims: tuple) -> TrainConfig:
     kind, ranks = _METHOD_KIND[method], list(cfg["ranks"])
+    if cfg["bias_feature"]:  # train checks the ranks on the biased shape
+        dims = (dims[0] + 1,) + tuple(dims[1:])
     try:
-        _mode_ranks(kind, ranks, len(dims))
+        _mode_ranks(kind, ranks, dims)
     except ValueError as e:
         raise ConfigError(f"field 'ranks' for method {method!r}: {e}")
     zero = method in _ZERO_MU

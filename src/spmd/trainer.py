@@ -15,9 +15,9 @@ L is the clamped eigenbasis square-root factor of the block metric (see
 MetricRoot); with symmetric roots these are the usual A^{1/2} whitenings.
 
 Both satisfy <W, Z_i> = v'z_i and ||W||_F^2 = v'v, so every block update
-minimizes the full objective over that block. An update that still raises
-J (rounding, or a solve stopped at its pass cap) is not kept, so the
-objective sequence is non-increasing exactly.
+minimizes the full objective over that block. An update that does not
+lower J (a tie, rounding, or a solve stopped at its pass cap) is not kept,
+so the objective sequence is non-increasing exactly.
 """
 
 from __future__ import annotations
@@ -109,15 +109,16 @@ class TrainConfig:
 
     kind: "vector", "rank1", "cp", or "tucker".
     ranks: [] or [1] for vector/rank1 (rank1 also takes a 1 per mode), [R]
-    for cp, one rank per mode for tucker.
+    for cp, one rank per mode for tucker, each at most its mode size (a
+    mode whose rank equals its size is left to the core, see :func:`train`).
     lam is the hinge weight; mu1/mu2 weigh margin variance/mean. tol is the
     relative weight-change stopping threshold checked after each full sweep,
     of which there are at most max_outer (at least 1). qp_tol is the KKT
     residual each block dual is solved to; the pass cap of those solves is
     :func:`spmd.qp.solve_box_qp`'s default. Training starts from the
     truncated HOSVD of the class-mean difference (see :func:`train`); seed
-    draws only what that start cannot give: the columns of an over-rank
-    mode (R_m > I_m) and a zero Tucker core.
+    draws only what that start cannot give: the columns of a CP mode whose
+    rank exceeds its size and a zero Tucker core.
     """
 
     kind: str = "rank1"
@@ -171,8 +172,15 @@ class TrainReport:
     wall_time: float
 
 
-def _mode_ranks(kind: str, ranks, order: int) -> tuple[int, ...]:
-    """Per-mode factor column counts implied by kind and the ranks list."""
+def _mode_ranks(kind: str, ranks, dims) -> tuple[int, ...]:
+    """Per-mode factor column counts implied by kind and the ranks list.
+
+    ``dims`` is the sample shape the model is trained on (with the bias
+    slab, if any). A Tucker rank above its mode size is rejected: the mode-m
+    unfolding of W has rank at most I_m, so such a rank adds no reach. A CP
+    rank may exceed a mode size.
+    """
+    order = len(dims)
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
     ranks = [int(r) for r in (ranks or [])]
@@ -192,6 +200,9 @@ def _mode_ranks(kind: str, ranks, order: int) -> tuple[int, ...]:
         raise ValueError(
             f"tucker kind needs one rank per mode ({order}), got {len(ranks)}"
         )
+    for mode, (i, r) in enumerate(zip(dims, ranks), start=1):
+        if r > i:
+            raise ValueError(f"tucker rank {r} of mode {mode} exceeds its size {i}")
     return tuple(ranks)
 
 
@@ -343,8 +354,8 @@ def _start_state(data: LabeledDataset, mode_ranks, kind, rng):
     Tucker and sqrt(R) for CP.
 
     ``rng`` draws only what M cannot give, in this order: the unit columns
-    of each over-rank mode (R_m > I_m), then a core when the projected
-    core is zero (equal class means).
+    of each over-rank mode (R_m > I_m, which only CP allows), then a core
+    when the projected core is zero (equal class means).
     """
     dims = data.dims
     m = _class_mean_difference(data)
@@ -383,9 +394,14 @@ def train(data: LabeledDataset, cfg: TrainConfig):
     factor V_m holds the leading R_m left singular vectors of unfold(M, m),
     the Tucker core is M projected onto them, and ||W0|| is 1 (sqrt(R) for
     CP). cfg.seed draws the columns and the core that M cannot give.
-    Blocks sweep modes 1..M (plus the Tucker core) each outer iteration.
-    A block update is kept only if J does not rise, so the objective trace
-    never rises and the iterate returned is the best one seen.
+    Blocks sweep modes 1..M (plus the Tucker core, last) each outer
+    iteration, except a Tucker mode whose rank equals its size: that factor
+    is square and invertible, so C x_m V_m is just another core and the
+    core block reaches every W the mode block could. Such a factor keeps
+    its orthogonal start. A Tucker rank above its mode size is rejected.
+    A block update is kept only if J falls, so the objective trace never
+    rises and the iterate returned is the best one seen; a tie keeps the
+    old block, so a flat J (a zero optimal W, say) ends the run at once.
     The dual variables are per-sample hinge multipliers, shared by every
     block, so each block's first solve warm-starts from the most recently
     solved alpha; the very first solve starts from the hinge rule at the
@@ -408,7 +424,7 @@ def train(data: LabeledDataset, cfg: TrainConfig):
     if cfg.bias_feature:
         data = apply_bias(data)
     dims = data.dims
-    mode_ranks = _mode_ranks(cfg.kind, cfg.ranks, len(dims))
+    mode_ranks = _mode_ranks(cfg.kind, cfg.ranks, dims)
     for i, r in zip(dims, mode_ranks):
         if r > i:
             warnings.warn(f"rank {r} exceeds mode size {i}", stacklevel=2)
@@ -424,7 +440,10 @@ def train(data: LabeledDataset, cfg: TrainConfig):
                                  np.random.default_rng(cfg.seed))
     n = len(data)
 
-    blocks = list(range(1, len(dims) + 1)) + ([0] if cfg.kind == "tucker" else [])
+    # a square Tucker mode is left to the core (see above)
+    tucker = cfg.kind == "tucker"
+    blocks = [m for m, (i, r) in enumerate(zip(dims, mode_ranks), start=1)
+              if not tucker or r < i] + ([0] if tucker else [])
     warm = [None] * len(blocks)
 
     w = _reconstruct(factors, core)
@@ -465,9 +484,9 @@ def train(data: LabeledDataset, cfg: TrainConfig):
                     f"objective became non-finite after {label} update "
                     f"(outer {outer}); last finite value {j:.6g}"
                 )
-            if j_new <= j:
+            if j_new < j:
                 w, j, summ = w_new, j_new, summ_new
-            else:  # J rose: put the old block back
+            else:  # J did not fall: put the old block back
                 factors, core = kept
             objectives.append(j)
             block_labels.append(label)

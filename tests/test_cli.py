@@ -140,6 +140,23 @@ class TestResolveConfig:
         with pytest.raises(ConfigError, match="'dataset.margin'"):
             resolve_config(minimal(dataset=ds))
 
+    @pytest.mark.parametrize("field,value", [
+        ("test_n_per_class", "x"), ("test_n_per_class", 2.5),
+        ("test_n_per_class", -3), ("test_n_per_class", True),
+        ("margin", [1]), ("margin", None), ("margin", "x"), ("margin", True),
+        ("margin", 10 ** 400),
+        ("noise", [1]), ("noise", None), ("noise", "x"), ("noise", "0.5"),
+        ("n_per_class", True), ("shape", [2, True]), ("reshape", [4, True]),
+        ("seed", True),
+    ])
+    def test_synth_field_errors_exit_2(self, tmp_path, capsys, field, value):
+        # every synth field is checked before any compute; a bool is
+        # neither an integer nor a number
+        cfg = write_config(tmp_path, dataset=dict(SYNTH, **{field: value}))
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f"'dataset.{field}'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_idx_requires_paths_and_classes(self):
         ds = {"source": "idx", "images": "im", "labels": "lb", "classes": [3]}
         with pytest.raises(ConfigError, match="'dataset.classes'"):
@@ -155,13 +172,13 @@ class TestMethodRanks:
     """make_train_config applies the trainer's rank rules to each method."""
 
     @staticmethod
-    def ranks(method, ranks, dims):
-        cfg = resolve_config(minimal(method=method, ranks=ranks))
+    def ranks(method, ranks, dims, **over):
+        cfg = resolve_config(minimal(method=method, ranks=ranks, **over))
         return make_train_config(cfg, method, dims).ranks
 
-    def rejects(self, method, ranks, dims):
-        with pytest.raises(ConfigError, match="field 'ranks'"):
-            self.ranks(method, ranks, dims)
+    def rejects(self, method, ranks, dims, match="field 'ranks'", **over):
+        with pytest.raises(ConfigError, match=match):
+            self.ranks(method, ranks, dims, **over)
 
     def test_vector_methods_need_no_ranks(self):
         assert self.ranks("svm", [], (4,)) == []
@@ -184,6 +201,16 @@ class TestMethodRanks:
     def test_tucker_needs_rank_per_mode(self):
         assert self.ranks("spmd-tucker", [2, 3], (3, 4)) == [2, 3]
         self.rejects("spmd-tucker", [2], (3, 4))
+
+    def test_tucker_rank_at_most_its_mode_size(self):
+        assert self.ranks("spmd-tucker", [3, 4], (3, 4)) == [3, 4]
+        self.rejects("spmd-tucker", [4, 2], (3, 4),
+                     match="tucker rank 4 of mode 1 exceeds its size 3")
+        # train checks the biased shape, whose mode 1 is one larger
+        assert self.ranks("spmd-tucker", [4, 2], (3, 4),
+                          bias_feature=True) == [4, 2]
+        self.rejects("spmd-tucker", [5, 2], (3, 4), bias_feature=True,
+                     match="tucker rank 5 of mode 1 exceeds its size 4")
 
 
 class TestMakeTrainConfig:
@@ -621,3 +648,35 @@ class TestMnistShapedPipeline:
         out = tmp_path / "out"
         assert main(["train", "--config", cfg, "--out", str(out)]) == 0
         assert load_model(str(out / "model.spmd")).shape == (7, 4, 7, 4)
+
+
+class TestReadmeConfigs:
+    """Every JSON config under README's "CLI usage" is a valid config."""
+
+    @staticmethod
+    def blocks():
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        usage = readme.split("\n## CLI usage\n", 1)[1].split("\n## ", 1)[0]
+        return [json.loads(b.split("\n```", 1)[0])
+                for b in usage.split("```json\n")[1:]]
+
+    def test_every_example_resolves_and_its_method_trains(self):
+        blocks = self.blocks()
+        assert len(blocks) >= 3
+        for block in blocks:
+            cfg = resolve_config(block, need_method="method" in block,
+                                 need_methods="methods" in block)
+            if "method" in block:
+                ds = cfg["dataset"]
+                dims = tuple(ds.get("reshape") or ds["shape"])
+                if block["method"] in ("svm", "lmdm"):
+                    dims = (int(np.prod(dims)),)
+                make_train_config(cfg, block["method"], dims)
+
+    def test_synth_train_example_runs(self, tmp_path):
+        block, = [b for b in self.blocks()
+                  if "method" in b and b["dataset"]["source"] == "synth"]
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps(block))
+        assert main(["train", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 0

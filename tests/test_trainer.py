@@ -44,28 +44,36 @@ def random_state(rng, dims, mode_ranks, kind):
 
 class TestModeRanks:
     def test_vector_needs_order_1(self):
-        assert _mode_ranks("vector", [], 1) == (1,)
+        assert _mode_ranks("vector", [], (5,)) == (1,)
         with pytest.raises(ValueError, match="order-1"):
-            _mode_ranks("vector", [], 2)
+            _mode_ranks("vector", [], (2, 3))
 
     def test_rank1_fixed(self):
-        assert _mode_ranks("rank1", [], 3) == (1, 1, 1)
+        assert _mode_ranks("rank1", [], (2, 3, 4)) == (1, 1, 1)
         with pytest.raises(ValueError, match="rank1"):
-            _mode_ranks("rank1", [2], 2)
+            _mode_ranks("rank1", [2], (2, 3))
 
     def test_cp_single_shared_rank(self):
-        assert _mode_ranks("cp", [2], 3) == (2, 2, 2)
+        # a CP rank may exceed a mode size
+        assert _mode_ranks("cp", [2], (2, 3, 4)) == (2, 2, 2)
+        assert _mode_ranks("cp", [6], (2, 5)) == (6, 6)
         with pytest.raises(ValueError, match="single"):
-            _mode_ranks("cp", [2, 2], 2)
+            _mode_ranks("cp", [2, 2], (2, 3))
 
     def test_tucker_per_mode(self):
-        assert _mode_ranks("tucker", [1, 2, 3], 3) == (1, 2, 3)
+        assert _mode_ranks("tucker", [1, 2, 3], (2, 3, 4)) == (1, 2, 3)
         with pytest.raises(ValueError, match="per mode"):
-            _mode_ranks("tucker", [1, 2], 3)
+            _mode_ranks("tucker", [1, 2], (2, 3, 4))
+
+    def test_tucker_rank_at_most_its_mode_size(self):
+        assert _mode_ranks("tucker", [3, 2], (3, 4)) == (3, 2)
+        with pytest.raises(ValueError,
+                           match="tucker rank 5 of mode 2 exceeds its size 4"):
+            _mode_ranks("tucker", [3, 5], (3, 4))
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
-            _mode_ranks("butterfly", [], 2)
+            _mode_ranks("butterfly", [], (2, 3))
 
 
 class TestPsdRoot:
@@ -127,7 +135,7 @@ class TestBlockFeatureMemory:
         rng = np.random.default_rng(30)
         data = random_dataset(rng, dims, 2000)
         factors, core = random_state(rng, dims,
-                                     _mode_ranks(kind, ranks, len(dims)), kind)
+                                     _mode_ranks(kind, ranks, dims), kind)
         blocks = list(range(1, len(dims) + 1)) + ([0] if core is not None else [])
         for b in blocks:
             tracemalloc.start()
@@ -344,7 +352,7 @@ class TestStartState:
     def test_factors_are_leading_singular_vectors(self, kind, ranks):
         dims = (4, 3, 5)
         data = random_dataset(np.random.default_rng(51), dims, 30)
-        mode_ranks = _mode_ranks(kind, ranks, len(dims))
+        mode_ranks = _mode_ranks(kind, ranks, dims)
         factors, core = _start_state(data, mode_ranks, kind,
                                      np.random.default_rng(52))
         m = self.mean_difference(data)
@@ -394,10 +402,11 @@ class TestStartState:
         assert report.converged and descent_ok(report.objectives)
 
     def test_over_rank_mode_keeps_the_drawn_columns(self):
+        # only CP takes a rank above a mode size (Tucker rejects one)
         data = synth_blobs((2, 3), 10, margin=1.0, noise=0.3, seed=57)
-        factors, _ = _start_state(data, (3, 2), "tucker", np.random.default_rng(58))
-        again, _ = _start_state(data, (3, 2), "tucker", np.random.default_rng(58))
-        other, _ = _start_state(data, (3, 2), "tucker", np.random.default_rng(59))
+        factors, _ = _start_state(data, (3, 3), "cp", np.random.default_rng(58))
+        again, _ = _start_state(data, (3, 3), "cp", np.random.default_rng(58))
+        other, _ = _start_state(data, (3, 3), "cp", np.random.default_rng(59))
         assert factors[0].shape == (2, 3)
         np.testing.assert_allclose(np.linalg.norm(factors[0], axis=0), 1.0,
                                    rtol=1e-15)
@@ -406,8 +415,7 @@ class TestStartState:
         # the mode that fits keeps its singular vectors, whatever the seed
         np.testing.assert_array_equal(factors[1], other[1])
         with pytest.warns(UserWarning, match="rank 3 exceeds mode size 2"):
-            _, report = train(data, TrainConfig(kind="tucker", ranks=[3, 2],
-                                                seed=58))
+            _, report = train(data, TrainConfig(kind="cp", ranks=[3], seed=58))
         assert report.converged and descent_ok(report.objectives)
 
     def test_equal_class_means_fall_back_to_the_drawn_core(self):
@@ -442,7 +450,7 @@ class TestStartState:
         # indexing copy half of them, which breaks the bound
         rng = np.random.default_rng(61)
         data = random_dataset(rng, dims, 2000)
-        mode_ranks = _mode_ranks(kind, ranks, len(dims))
+        mode_ranks = _mode_ranks(kind, ranks, dims)
         tracemalloc.start()
         try:
             _start_state(data, mode_ranks, kind, rng)
@@ -555,11 +563,13 @@ class TestTrain:
         drift = float(np.linalg.norm(w_after.data - w_before.data))
         assert drift <= 1e-2 * (1 + w_before.norm())
 
-    @pytest.mark.parametrize("kind,ranks,dims", [
-        ("vector", [], (6,)), ("rank1", [], (3, 4)), ("cp", [2], (3, 4)),
-        ("tucker", [2, 2], (3, 4))], ids=["vector", "rank1", "cp", "tucker"])
+    @pytest.mark.parametrize("kind,ranks,dims,skipped", [
+        ("vector", [], (6,), []), ("rank1", [], (3, 4), []),
+        ("cp", [2], (3, 4), []), ("tucker", [2, 2], (3, 4), []),
+        ("tucker", [3, 2], (3, 4), [1])],
+        ids=["vector", "rank1", "cp", "tucker", "tucker-square"])
     def test_every_block_update_uses_block_features(self, monkeypatch, kind,
-                                                    ranks, dims):
+                                                    ranks, dims, skipped):
         import spmd.trainer as trainer
         real = trainer.block_features
         calls = []
@@ -570,10 +580,41 @@ class TestTrain:
 
         monkeypatch.setattr(trainer, "block_features", spy)
         data = synth_blobs(dims, 10, margin=1.5, noise=0.3, seed=14)
-        _, report = train(data, TrainConfig(kind=kind, ranks=ranks, seed=15))
+        model, report = train(data, TrainConfig(kind=kind, ranks=ranks, seed=15))
         want = [0 if lab == "core" else int(lab[len("mode"):])
                 for lab in report.block_labels[1:]]
         assert calls == want
+        # a square Tucker mode is never a block and keeps its start factor
+        assert [m for m in range(1, len(dims) + 1) if m not in calls] == skipped
+        start, _ = _start_state(data, _mode_ranks(kind, ranks, dims), kind,
+                                np.random.default_rng(15))
+        for m in skipped:
+            np.testing.assert_array_equal(model.factors[m - 1], start[m - 1])
+
+    def test_square_tucker_trains_only_the_core(self):
+        # square factors are invertible, so the core alone reaches every W
+        data = synth_blobs((3, 4), 12, margin=1.0, noise=0.4, seed=6)
+        flat = LabeledDataset(data.samples, (12,), data.labels)
+        _, r_t = train(data, TrainConfig(kind="tucker", ranks=[3, 4], seed=7))
+        _, r_v = train(flat, TrainConfig(kind="vector", seed=7))
+        assert r_t.block_labels[0] == "init"
+        assert set(r_t.block_labels[1:]) == {"core"}
+        assert r_t.final_objective == pytest.approx(r_v.final_objective, abs=1e-6)
+
+    def test_equal_class_means_converge_at_the_zero_weight(self):
+        # the second class holds the first class's rows in reverse order, so
+        # the class means are equal and W = 0 is optimal (J = lam = 1); an
+        # update that only ties J must not count as a move
+        rows = np.random.default_rng(0).integers(-3, 4, (8, 12)).astype(float)
+        data = LabeledDataset(np.vstack([rows, rows[::-1]]), (4, 3),
+                              np.r_[np.ones(8), -np.ones(8)])
+        for kind, ranks in [("rank1", []), ("tucker", [2, 2]), ("cp", [2])]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                model, report = train(data, TrainConfig(kind=kind, ranks=ranks))
+            assert report.converged and report.iterations == 2, kind
+            assert report.final_objective == pytest.approx(1.0, abs=1e-12)
+            assert model.reconstruct().norm() < 1e-12
 
     def test_cap_hits_count_unconverged_block_solves(self, monkeypatch):
         data = synth_blobs((4, 3), 15, margin=1.0, noise=0.5, seed=46)
@@ -686,16 +727,24 @@ class TestTrain:
         with pytest.raises(ValueError, match="max_outer"):
             train(data, TrainConfig(kind="vector", max_outer=0))
 
-    def test_rank_exceeding_mode_size_warns(self):
-        data = synth_blobs((2, 3), 8, margin=1.0, noise=0.2, seed=17)
-        with pytest.warns(UserWarning, match="exceeds mode size"):
-            train(data, TrainConfig(kind="tucker", ranks=[3, 2], max_outer=2,
-                                    tol=1.0, seed=18))
+    def test_over_rank_tucker_mode_is_rejected(self):
+        data = synth_blobs((2, 5), 8, margin=1.0, noise=0.2, seed=17)
+        with pytest.raises(ValueError,
+                           match="tucker rank 3 of mode 1 exceeds its size 2"):
+            train(data, TrainConfig(kind="tucker", ranks=[3, 2], seed=18))
+        # the bias slab makes mode 1 one larger, and the check sees it
+        cfg = TrainConfig(kind="tucker", ranks=[3, 2], bias_feature=True,
+                          max_outer=2, tol=1.0, seed=18)
+        model, _ = train(data, cfg)
+        assert model.shape == (3, 5) and model.ranks == (3, 2)
+        cfg.ranks = [4, 2]
+        with pytest.raises(ValueError,
+                           match="tucker rank 4 of mode 1 exceeds its size 3"):
+            train(data, cfg)
 
     @pytest.mark.parametrize("kind,ranks,want", [
-        ("tucker", [3, 2], ["rank 3 exceeds mode size 2"]),
         ("cp", [6], ["rank 6 exceeds mode size 2", "rank 6 exceeds mode size 5"]),
-    ], ids=["tucker", "cp"])
+    ], ids=["cp"])
     def test_one_warning_per_over_rank_mode(self, kind, ranks, want):
         data = synth_blobs((2, 5), 8, margin=1.0, noise=0.2, seed=17)
         with warnings.catch_warnings(record=True) as caught:
