@@ -282,7 +282,11 @@ def build_multiclass_dataset(ds: dict):
     if src == "synth":
         k = ds.get("n_classes") or 3
         n_train = ds["n_per_class"]
-        n_test = ds.get("test_n_per_class") or n_train
+        n_test = ds.get("test_n_per_class")
+        if n_test is None:
+            n_test = n_train
+        _need(n_test >= 1, "field 'dataset.test_n_per_class' must be at least 1 "
+                           "for bench, which scores every pair on test rows")
         drawn = synth_multiclass(ds["shape"], k, n_train + n_test,
                                  ds["margin"], ds["noise"], ds["seed"])
         train, test = _split_per_class(k, n_train, n_test)

@@ -39,12 +39,14 @@ duals, so every pass that leaves the solve unconverged ends with one
 subspace step on the free set F = {i : 0 < alpha_i < lam/N}: a
 least-squares Newton step on H_FF = B_F'B_F, or (when H_FF is singular)
 a step along the part of -grad_F that H_FF cannot reach, whichever lowers
-the objective more, cut at the box. Both directions come from the thin SVD of the D x |F| factor
-B_F, so the step costs O(D^2 |F|) and no square array of size |F| is
-built. A zero-curvature step that the box cuts is repeated on the part of
-F it left free. Each coordinate visit and each such step is an exact or
-box-capped line minimization along a descent direction, so the objective
-never rises.
+the objective more, cut at the box. Both directions come from the
+eigenpairs of the smaller Gram matrix of the D x |F| factor B_F: B_F'B_F
+when |F| <= D, else B_F B_F' (D x D), whose eigenvectors B_F' maps to
+those of H_FF. The step costs O(min(D, |F|)^2 max(D, |F|)), and no
+square array larger than min(D, |F|) is built. A zero-curvature step
+that the box cuts is repeated on the part of F it left free. Each
+coordinate visit and each such step is an exact or box-capped line
+minimization along a descent direction, so the objective never rises.
 """
 
 from __future__ import annotations
@@ -152,14 +154,17 @@ def _box_line_step(a: np.ndarray, d: np.ndarray, slope: float, curv: float,
     Returns the new point and the objective decrease. Coordinates that the
     step carries onto the box land on it exactly.
     """
-    with np.errstate(divide="ignore"):
-        room = np.where(d > 0.0, (upper - a) / d, np.where(d < 0.0, -a / d, np.inf))
+    up, down = d > 0.0, d < 0.0
+    room = np.full(d.size, np.inf)
+    np.divide(upper - a, d, out=room, where=up)
+    np.divide(-a, d, out=room, where=down)
     t = float(room.min())
     if curv > 0.0:
         t = min(t, -slope / curv)
-    new = np.clip(a + t * d, 0.0, upper)
+    new = np.minimum(np.maximum(a + t * d, 0.0), upper)
     hit = room <= t
-    new[hit] = np.where(d[hit] > 0.0, upper, 0.0)
+    new[hit & up] = upper
+    new[hit & down] = 0.0
     return new, -(slope + 0.5 * curv * t) * t
 
 
@@ -169,12 +174,16 @@ def _free_set_step(bf: np.ndarray, gf: np.ndarray, a: np.ndarray,
 
     bf is the D x |F| factor B_F of the face Hessian, which is never formed.
     Two directions are tried and the one that lowers the objective more is
-    taken; both come from the thin SVD bf = U diag(s) V'. Singular values
-    with s_i^2 <= eps |F| s_max^2 count as zero, the cut lstsq applies to
-    bf'bf. The Newton direction p = -V diag(1/s^2) V'gf over the kept
-    values is the min-norm least-squares solution of bf'bf p = -gf; along
-    it gf'p = -|bf p|^2, so the line minimum is at t = 1 unless the box
-    stops it first. The residual r = gf - V V'gf is the part of gf outside
+    taken; both come from the eigenpairs bf'bf = V diag(s^2) V' of the face,
+    read off the smaller Gram matrix: ``eigh(bf'bf)`` when |F| <= D, else
+    ``eigh(bf bf')`` = U diag(s^2) U' and V = bf'U diag(1/s). That costs
+    O(min(D, |F|)^2 max(D, |F|)) for the Gram and O(min(D, |F|)^3) for the
+    ``eigh``, a few times less than a thin SVD of bf. Eigenvalues
+    s_i^2 <= eps |F| s_max^2 count as zero, the cut lstsq applies to bf'bf.
+    The Newton direction p = -V diag(1/s^2) V'gf over the kept values is
+    the min-norm least-squares solution of bf'bf p = -gf; along it
+    gf'p = -|bf p|^2, so the line minimum is at t = 1 unless the box stops
+    it first. The residual r = gf - V V'gf is the part of gf outside
     range(bf'bf); along -r the objective falls linearly (gf'r = r'r,
     bf r = 0), so when r is not zero the face is unbounded below and that
     step runs to the box. On a full-rank face (|F| <= D, no value cut) r
@@ -189,26 +198,28 @@ def _free_set_step(bf: np.ndarray, gf: np.ndarray, a: np.ndarray,
     again, and the two can trade the same small move for thousands of
     passes.
     """
+    eps = np.finfo(np.float64).eps
     out, face = a, None  # face: positions in out of the current face
     while True:
-        # V is the left factor of the tall bf' (|F| x D), whose SVD LAPACK
-        # computes about twice as fast as that of the wide bf
-        v, s, _ = np.linalg.svd(bf.T, full_matrices=False)
-        cut = s**2 > np.finfo(np.float64).eps * gf.size * s[0] ** 2
-        s, v = s[cut], v[:, cut]
+        d_rows, k = bf.shape
+        lam, v = np.linalg.eigh(bf.T @ bf if k <= d_rows else bf @ bf.T)
+        cut = lam > eps * k * lam[-1]
+        lam, v = lam[cut], v[:, cut]
+        if k > d_rows:
+            v = (bf.T @ v) / np.sqrt(lam)
         c = v.T @ gf
-        p = -(v @ (c / s**2))
+        p = -(v @ (c / lam))
         # with every value kept and |F| <= D, V V' is the identity and r is
         # zero but for rounding: only the Newton step is tried
-        dirs = (p,) if s.size == gf.size else (p, v @ c - gf)
+        dirs = (p,) if lam.size == k else (p, v @ c - gf)
         best, gain, newton = None, 0.0, False
-        for k, d in enumerate(dirs):
+        for i, d in enumerate(dirs):
             slope = float(gf @ d)
             if slope < 0.0:
                 bd = bf @ d
                 new, drop = _box_line_step(a, d, slope, float(bd @ bd), upper)
                 if drop > gain:
-                    best, gain, newton = new, drop, k == 0
+                    best, gain, newton = new, drop, i == 0
         if best is None:
             return out
         if face is None:
@@ -245,9 +256,10 @@ def solve_box_qp(problem: QpProblem, tol: float = 1e-8, max_passes: int = 4000,
     subspace minimization step on F, as in gradient projection for
     bound-constrained QPs (More & Toraldo, SIAM J. Optim. 1991): a
     least-squares Newton step on H_FF = B_F'B_F, or a zero-curvature step
-    when grad_F leaves range(H_FF), both taken from the thin SVD of B_F,
-    cut at the box and repeated on the part of F it leaves free (see
-    ``_free_set_step``), after which u is recomputed again.
+    when grad_F leaves range(H_FF), both taken from the eigenpairs of the
+    smaller Gram matrix of B_F, cut at the box and repeated on the part of
+    F it leaves free (see ``_free_set_step``), after which u is recomputed
+    again.
     Neither the coordinate visits nor this step raise the objective, so
     ``objective_trace`` is non-increasing. On the rank-D duals of small
     blocks, where coordinate descent alone crawls for thousands of passes,
@@ -270,23 +282,28 @@ def solve_box_qp(problem: QpProblem, tol: float = 1e-8, max_passes: int = 4000,
     if alpha.size != n:
         raise ValueError(f"warm start has {alpha.size} entries, need {n}")
 
+    gs, hs = g.tolist(), diag.tolist()  # per-visit scalars as Python floats
+
     def exact():
         u = B @ alpha
         grad = rows @ u + g
-        return u, grad, float(np.abs(alpha - np.clip(alpha - grad, 0.0, upper)).max())
+        proj = np.minimum(np.maximum(alpha - grad, 0.0), upper)
+        return u, grad, float(np.abs(alpha - proj).max())
 
     u, grad, residual = exact()
+    objective = float(0.5 * (u @ u) + g @ alpha)
     trace = []
     converged = False
     passes = 0
     for passes in range(1, max_passes + 1):
         for i in np.flatnonzero(((grad < 0.0) & (alpha < upper))
-                                | ((grad > 0.0) & (alpha > 0.0))):
+                                | ((grad > 0.0) & (alpha > 0.0))).tolist():
             bi = rows[i]
-            gi = bi @ u + g[i]
-            hii = diag[i]
+            gi = float(bi @ u) + gs[i]
+            hii = hs[i]
+            ai = float(alpha[i])
             if hii > 0.0:
-                new = alpha[i] - gi / hii
+                new = ai - gi / hii
                 if new < 0.0:
                     new = 0.0
                 elif new > upper:
@@ -297,7 +314,7 @@ def solve_box_qp(problem: QpProblem, tol: float = 1e-8, max_passes: int = 4000,
                 new = upper
             else:
                 continue
-            delta = new - alpha[i]
+            delta = new - ai
             if delta != 0.0:
                 alpha[i] = new
                 u += delta * bi
@@ -308,7 +325,8 @@ def solve_box_qp(problem: QpProblem, tol: float = 1e-8, max_passes: int = 4000,
                 alpha[free] = _free_set_step(rows[free].T, grad[free],
                                              alpha[free], upper)
                 u, grad, residual = exact()
-        trace.append(float(0.5 * (u @ u) + g @ alpha))
+        objective = float(0.5 * (u @ u) + g @ alpha)
+        trace.append(objective)
         if residual <= tol:
             converged = True
             break
@@ -319,5 +337,5 @@ def solve_box_qp(problem: QpProblem, tol: float = 1e-8, max_passes: int = 4000,
             stacklevel=2,
         )
     alpha.setflags(write=False)
-    return QpSolution(alpha, passes, residual, problem.objective(alpha),
-                      converged, tuple(trace))
+    return QpSolution(alpha, passes, residual, objective, converged,
+                      tuple(trace))

@@ -244,7 +244,8 @@ def _mode_contract(samples: np.ndarray, dims: tuple[int, ...], mode: int,
     rows of c follow the unfolding's columns, lower modes fastest, so c is
     a (P_>m, P_<m, R) array. The contraction reads the samples in place and
     copies none of them: the lowest mode is one stacked product over the
-    samples, any other mode sums one stacked product per index above it.
+    samples, the highest one 2-D product of the (N I_M, P_<M) row view with
+    c, and any other mode sums one stacked product per index above it.
     """
     n = samples.shape[0]
     lo = int(np.prod(dims[:mode - 1]))
@@ -253,6 +254,9 @@ def _mode_contract(samples: np.ndarray, dims: tuple[int, ...], mode: int,
     cr = c.reshape(hi, lo, c.shape[1])
     if lo == 1:
         return cr[:, 0].T @ x[..., 0]
+    if hi == 1:
+        out = (samples.reshape(-1, lo) @ c).reshape(n, dims[mode - 1], -1)
+        return out.transpose(0, 2, 1)
     out = x[:, 0] @ cr[0]
     for h in range(1, hi):
         out += x[:, h] @ cr[h]
@@ -311,17 +315,23 @@ def block_update(features: np.ndarray, labels: np.ndarray, hyper: Hyper,
     return recover(sol.alpha), sol
 
 
+def _objective(sq_norm: float, scores: np.ndarray, labels: np.ndarray,
+               hyper: Hyper) -> tuple[float, MarginSummary]:
+    """J and the margin summary from ||W||^2 and the raw scores <W, Z_i>."""
+    summ = summarize_scores(scores, labels)
+    hinge = np.maximum(0.0, 1.0 - summ.margins).sum()
+    j = float(0.5 * sq_norm
+              + hyper.mu1 * summ.variance
+              - hyper.mu2 * summ.mean
+              + hyper.lam / labels.size * hinge)
+    return j, summ
+
+
 def _scored_objective(weight: DenseTensor, data: LabeledDataset,
                       hyper: Hyper) -> tuple[float, MarginSummary]:
     """J(W) and the margin summary, from one product of the samples with W."""
-    summ = summarize_scores(data.samples @ weight.data, data.labels)
-    hinge = np.maximum(0.0, 1.0 - summ.margins).sum()
-    n = len(data)
-    j = float(0.5 * (weight.data @ weight.data)
-              + hyper.mu1 * summ.variance
-              - hyper.mu2 * summ.mean
-              + hyper.lam / n * hinge)
-    return j, summ
+    return _objective(float(weight.data @ weight.data),
+                      data.samples @ weight.data, data.labels, hyper)
 
 
 def primal_objective(weight: DenseTensor, data: LabeledDataset,
@@ -410,11 +420,14 @@ def train(data: LabeledDataset, cfg: TrainConfig):
     Every block dual is solved to cfg.qp_tol within solve_box_qp's default
     pass cap; a solve that stops at the cap warns and counts in
     ``report.cap_hits``.
-    Each block update scores the training set once: that product gives the
-    objective, the sweep's margin moments and the final ones. Stops when
-    the relative weight change after a sweep drops to cfg.tol and none of
-    that sweep's block solves stopped at the pass cap, or after
-    cfg.max_outer sweeps (with a warning).
+    Each block update is scored in its own coordinates: by the whitening
+    identities the scores are feats'v (D x N, from the features the solve
+    already holds) and ||W||^2 = v'v, which give J, the margin moments and
+    ``weight_norms`` with no product of the N x P samples. W itself is
+    rebuilt once at the start and once after each sweep, for the relative
+    weight change. Stops when the relative weight change after a sweep
+    drops to cfg.tol and none of that sweep's block solves stopped at the
+    pass cap, or after cfg.max_outer sweeps (with a warning).
     """
     t0 = time.perf_counter()
     if len(data) < 2:
@@ -456,7 +469,6 @@ def train(data: LabeledDataset, cfg: TrainConfig):
     qp_passes = clamp_events = cap_hits = 0
     converged = False
     outer = 0
-    w_prev = w
 
     for outer in range(1, cfg.max_outer + 1):
         sweep_caps = 0
@@ -465,33 +477,34 @@ def train(data: LabeledDataset, cfg: TrainConfig):
             v, sol = block_update(
                 feats, data.labels, hyper, cfg.qp_tol,
                 warm_alpha=latest if warm[i] is None else warm[i])
-            kept = list(factors), core
-            if b == 0:
-                core = DenseTensor(mode_ranks, root.inv_half.T @ v)
-                label = "core"
-            else:
-                factors[b - 1] = unvec(v, (dims[b - 1], mode_ranks[b - 1])) @ root.inv_half
-                label = f"mode{b}"
+            label = "core" if b == 0 else f"mode{b}"
             clamp_events += root.clamped
             warm[i] = latest = sol.alpha
             qp_passes += sol.iterations
             sweep_caps += not sol.converged
 
-            w_new = _reconstruct(factors, core)
-            j_new, summ_new = _scored_objective(w_new, data, hyper)
+            # the whitening identities: <W, Z_i> = v'z_i and ||W||^2 = v'v
+            sq_norm = float(v @ v)
+            j_new, summ_new = _objective(sq_norm, feats.T @ v, data.labels, hyper)
             if not np.isfinite(j_new):
                 raise TrainingError(
                     f"objective became non-finite after {label} update "
                     f"(outer {outer}); last finite value {j:.6g}"
                 )
-            if j_new < j:
-                w, j, summ = w_new, j_new, summ_new
-            else:  # J did not fall: put the old block back
-                factors, core = kept
+            if j_new < j:  # a block that does not lower J is not kept
+                j, summ = j_new, summ_new
+                if b == 0:
+                    core = DenseTensor(mode_ranks, root.inv_half.T @ v)
+                else:
+                    factors[b - 1] = (unvec(v, (dims[b - 1], mode_ranks[b - 1]))
+                                      @ root.inv_half)
+                weight_norms.append(float(np.sqrt(sq_norm)))
+            else:
+                weight_norms.append(weight_norms[-1])
             objectives.append(j)
             block_labels.append(label)
-            weight_norms.append(w.norm())
 
+        w_prev, w = w, _reconstruct(factors, core)
         denom = w_prev.norm()
         diff = float(np.linalg.norm(w.data - w_prev.data))
         rel = diff / denom if denom > 0 else (0.0 if diff == 0.0 else np.inf)
@@ -502,7 +515,6 @@ def train(data: LabeledDataset, cfg: TrainConfig):
             "gamma_v": summ.variance,
             "rel_change": rel,
         })
-        w_prev = w
         cap_hits += sweep_caps
         # a sweep whose block solves stopped at the pass cap may have changed
         # W little only because its duals were not solved

@@ -7,7 +7,9 @@ hinge-loss reference is averaged subgradient descent finished by an exact
 active-set polish whose KKT conditions are verified before the result is
 trusted. ``vec`` and ``inner`` are the textbook column-stacking and
 elementwise Frobenius definitions, used as references for the factored
-inner products.
+inner products. ``svd_free_set_step`` is the box-QP solver's free-set step
+taken from the thin SVD of the face factor, the reference for the solver's
+Gram-eigenvalue form of the same step.
 """
 
 import itertools
@@ -178,3 +180,60 @@ def max_margin_reference(samples, labels, lam, seed=0):
             if w_hat is not None:
                 return w_hat, hinge_objective(w_hat, samples, labels, lam)
     raise RuntimeError("no KKT-verified active set found")
+
+
+def _box_line_step(a, d, slope, curv, upper):
+    """Minimize slope*t + curv*t^2/2 over t >= 0 with a + t d in [0, upper]."""
+    with np.errstate(divide="ignore"):
+        room = np.where(d > 0.0, (upper - a) / d, np.where(d < 0.0, -a / d, np.inf))
+    t = float(room.min())
+    if curv > 0.0:
+        t = min(t, -slope / curv)
+    new = np.clip(a + t * d, 0.0, upper)
+    hit = room <= t
+    new[hit] = np.where(d[hit] > 0.0, upper, 0.0)
+    return new, -(slope + 0.5 * curv * t) * t
+
+
+def svd_free_set_step(bf, gf, a, upper):
+    """The free-set step of the box-QP solver, from the thin SVD of bf.
+
+    bf is the D x |F| factor of the face Hessian bf'bf and gf the gradient
+    at the free coordinates a. With bf = U diag(s) V' and the values
+    s_i^2 <= eps |F| s_max^2 cut, it tries the Newton direction
+    -V diag(1/s^2) V'gf and (unless every value is kept and |F| <= D) the
+    zero-curvature direction V V'gf - gf, takes the one whose box-cut line
+    minimum lowers the objective more, and repeats a cut zero-curvature
+    step on the coordinates it left free.
+    """
+    out, face = a, None
+    while True:
+        v, s, _ = np.linalg.svd(bf.T, full_matrices=False)
+        cut = s**2 > np.finfo(np.float64).eps * gf.size * s[0] ** 2
+        s, v = s[cut], v[:, cut]
+        c = v.T @ gf
+        p = -(v @ (c / s**2))
+        dirs = (p,) if s.size == gf.size else (p, v @ c - gf)
+        best, gain, newton = None, 0.0, False
+        for k, d in enumerate(dirs):
+            slope = float(gf @ d)
+            if slope < 0.0:
+                bd = bf @ d
+                new, drop = _box_line_step(a, d, slope, float(bd @ bd), upper)
+                if drop > gain:
+                    best, gain, newton = new, drop, k == 0
+        if best is None:
+            return out
+        if face is None:
+            out = best
+        else:
+            out[face] = best
+        if newton:
+            return out
+        kept = (best > 0.0) & (best < upper)
+        if kept.all() or not kept.any():
+            return out
+        gf = (gf + bf.T @ (bf @ (best - a)))[kept]
+        bf = bf[:, kept]
+        a = best[kept]
+        face = np.flatnonzero(kept) if face is None else face[kept]

@@ -484,6 +484,25 @@ class TestBenchCommand:
                     np.where(scores >= 0, 1.0, -1.0) == rows_ab.labels))
         assert got == want
 
+    def test_test_rows_default_to_n_per_class(self, tmp_path):
+        cfg = json.loads(Path(self.bench_config(tmp_path)).read_text())
+        del cfg["dataset"]["test_n_per_class"]
+        resolved = resolve_config(cfg, need_method=False, need_methods=True)
+        train_multi, test_multi = build_multiclass_dataset(resolved["dataset"])
+        assert len(test_multi) == len(train_multi) == 3 * 8
+
+    def test_zero_test_rows_exits_2(self, tmp_path, capsys):
+        # bench scores every pair on test rows; 0 used to read as "as many
+        # as n_per_class" and every pair reported n_test 2 * n_per_class
+        ds = {"source": "synth", "shape": [2, 2], "n_per_class": 10,
+              "margin": 3.0, "noise": 0.2, "seed": 0, "n_classes": 3,
+              "test_n_per_class": 0}
+        cfg = self.bench_config(tmp_path, dataset=ds)
+        out = tmp_path / "out"
+        assert main(["bench", "--config", cfg, "--out", str(out)]) == 2
+        assert "'dataset.test_n_per_class'" in capsys.readouterr().err
+        assert not (out / "bench.csv").exists()
+
     def test_empty_method_list_exits_2(self, tmp_path, capsys):
         cfg = self.bench_config(tmp_path, methods=[])
         assert main(["bench", "--config", cfg]) == 2

@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import box_qp_reference, sample_space_dual, variance_curvature
+from oracles import (box_qp_reference, sample_space_dual,
+                     svd_free_set_step, variance_curvature)
 from spmd.qp import (QpProblem, QpSolution, _free_set_step, assemble_dual,
                      solve_box_qp)
 
@@ -467,3 +468,36 @@ class TestFreeSetStep:
         a0 = np.array([0.3, 0.7])
         a = _free_set_step(np.eye(2), np.zeros(2), a0, 1.0)
         np.testing.assert_array_equal(a, a0)
+
+    @pytest.mark.parametrize("d,k,rank", [
+        (8, 5, None), (6, 6, None), (5, 30, None), (10, 6, 3), (6, 25, 3)],
+        ids=["face<D", "face=D", "face>D", "deficient-face<D",
+             "deficient-face>D"])
+    def test_matches_the_svd_step(self, d, k, rank):
+        # the Gram eigenpairs give the SVD step's directions; the step never
+        # raises the face objective q(x) = 0.5|B_F(x - a)|^2 + gf'(x - a)
+        rng = np.random.default_rng(61)
+        for _ in range(50):
+            bf = (rng.standard_normal((d, k)) if rank is None else
+                  rng.standard_normal((d, rank)) @ rng.standard_normal((rank, k)))
+            upper = float(rng.choice([0.5, 10.0]))
+            a0, gf = rng.uniform(0.0, upper, k), rng.standard_normal(k)
+            got = _free_set_step(bf, gf.copy(), a0.copy(), upper)
+            want = svd_free_set_step(bf, gf.copy(), a0.copy(), upper)
+            gap = np.linalg.norm((got - a0) - (want - a0))
+            assert gap <= 1e-8 * np.linalg.norm(want - a0)
+            step = bf @ (got - a0)
+            assert 0.5 * (step @ step) + gf @ (got - a0) <= 0.0
+
+    def test_takes_no_svd(self, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("the free-set step took an SVD")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        rng = np.random.default_rng(62)
+        for d, k in [(8, 5), (5, 30), (2, 3)]:
+            bf = rng.standard_normal((d, k))
+            _free_set_step(bf, rng.standard_normal(k), np.full(k, 0.5), 1.0)
+        # a cut zero-curvature step that repeats
+        _free_set_step(np.zeros((2, 3)), np.array([1.0, -1.0, -1.0]),
+                       np.array([0.1, 0.5, 0.5]), 1.0)

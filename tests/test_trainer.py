@@ -122,6 +122,20 @@ class TestModeContraction:
                     want = unfold(data.sample(i), m) @ c
                     np.testing.assert_allclose(got[i].T, want, rtol=1e-13, atol=1e-13)
 
+    @pytest.mark.parametrize("dims", [(28, 28), (7, 4, 7, 4), (3,), (8, 4, 7, 4)],
+                             ids=["28x28", "7x4x7x4", "order-1", "biased"])
+    def test_highest_mode_matches_unfolding(self, dims):
+        # the highest mode is one 2-D product over the (N I_M, P_<M) view
+        rng = np.random.default_rng(3)
+        data = random_dataset(rng, dims, 5)
+        m = len(dims)
+        c = rng.standard_normal((int(np.prod(dims)) // dims[-1], 2))
+        got = _mode_contract(data.samples, dims, m, c)
+        assert got.shape == (5, 2, dims[-1])
+        for i in range(5):
+            want = unfold(data.sample(i), m) @ c
+            np.testing.assert_allclose(got[i].T, want, rtol=1e-13, atol=1e-13)
+
 
 class TestBlockFeatureMemory:
     """block_features reads the N x P samples in place and never copies them."""
@@ -753,6 +767,59 @@ class TestTrain:
                                     tol=1.0, seed=18))
         assert [str(w.message) for w in caught
                 if issubclass(w.category, UserWarning)] == want
+
+
+class TestBlockCoordinateScoring:
+    """train scores each block update from its own features, not from W.
+
+    After a block solve the scores are feats'v and ||W||^2 = v'v, by the
+    whitening identities; the reported J, margin moments and norms must
+    agree with a fresh evaluation of the reconstructed model.
+    """
+
+    CASES = [
+        ("rank1", [], (4, 3), False), ("vector", [], (6,), False),
+        ("cp", [3], (2, 3), False), ("tucker", [2, 3, 2], (4, 3, 2), False),
+        ("rank1", [], (4, 3), True), ("tucker", [2, 2], (3, 4), True)]
+
+    @pytest.mark.parametrize("kind,ranks,dims,bias", CASES,
+                             ids=["rank1", "vector", "cp-over-rank", "tucker",
+                                  "rank1-bias", "tucker-bias"])
+    def test_report_matches_the_reconstructed_model(self, kind, ranks, dims, bias):
+        data = synth_blobs(dims, 15, margin=1.5, noise=0.5, seed=21)
+        cfg = TrainConfig(kind=kind, ranks=ranks, seed=22, bias_feature=bias)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "rank 3 exceeds mode size 2")
+            model, report = train(data, cfg)
+        if kind == "cp":
+            assert report.clamp_events > 0  # the 2 x 3 mode metric is singular
+        tol = 1e-10 if report.clamp_events else 1e-12
+        scored = apply_bias(data) if bias else data
+        w = model.reconstruct()
+        assert report.final_objective == pytest.approx(
+            primal_objective(w, scored, model.hyper), rel=tol)
+        summ = summarize_scores(decision_scores(model, data.samples, data.dims),
+                                data.labels)
+        assert report.gamma_m == pytest.approx(summ.mean, rel=tol)
+        assert report.gamma_v == pytest.approx(summ.variance, rel=tol)
+        assert report.weight_norms[-1] == pytest.approx(w.norm(), rel=tol)
+
+    @pytest.mark.parametrize("kind,ranks,dims", [
+        ("rank1", [], (4, 3)), ("cp", [2], (4, 3)), ("tucker", [2, 2], (4, 3))])
+    def test_weight_rebuilt_once_per_sweep(self, monkeypatch, kind, ranks, dims):
+        import spmd.trainer as trainer
+        real = trainer._reconstruct
+        calls = []
+
+        def counting(factors, core):
+            calls.append(1)
+            return real(factors, core)
+
+        monkeypatch.setattr(trainer, "_reconstruct", counting)
+        data = synth_blobs(dims, 15, margin=1.0, noise=1.0, seed=23)
+        _, report = train(data, TrainConfig(kind=kind, ranks=ranks, seed=24))
+        assert len(report.objectives) - 1 > report.iterations  # >1 block per sweep
+        assert len(calls) <= 1 + report.iterations
 
 
 class TestPrediction:
