@@ -140,21 +140,6 @@ class MulticlassDataset:
         return LabeledDataset(self.samples[mask], self.dims, labels, meta)
 
 
-def batch_view(samples: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
-    """Reinterpret flat column-major rows as an (N, I1, ..., IM) array."""
-    n = samples.shape[0]
-    rev = samples.reshape((n,) + tuple(reversed(dims)))
-    return np.transpose(rev, (0,) + tuple(range(len(dims), 0, -1)))
-
-
-def flatten_batch(arr: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`batch_view`: (N, I1, ..., IM) -> flat rows."""
-    n = arr.shape[0]
-    order = len(arr.shape) - 1
-    rev = np.transpose(arr, (0,) + tuple(range(order, 0, -1)))
-    return np.ascontiguousarray(rev.reshape(n, -1))
-
-
 # --- IDX files -------------------------------------------------------------
 #
 # Big-endian header: 4-byte magic, then one 4-byte size per dimension.
@@ -170,52 +155,62 @@ def _read_exact(f, n: int, path: str) -> bytes:
     return buf
 
 
+def _idx_sizes(f, path: str, magic: int, rank: int) -> tuple[int, ...]:
+    """Check an IDX file's magic number and read its ``rank`` sizes."""
+    got, = struct.unpack(">I", _read_exact(f, 4, path))
+    if got != magic:
+        kind = "image" if magic == IDX_IMAGE_MAGIC else "label"
+        raise IdxMagicError(f"{path}: magic {got} != {magic} (not an IDX {kind} file)")
+    return struct.unpack(">" + "I" * rank, _read_exact(f, 4 * rank, path))
+
+
+def _warn_trailing(f, path: str, n: int, what: str) -> None:
+    if f.read(1):
+        warnings.warn(f"{path}: trailing bytes after {n} {what}", stacklevel=3)
+
+
 def load_idx_images(path: str) -> np.ndarray:
     """Parse an IDX image file into a uint8 array of shape (N, rows, cols)."""
     with open(path, "rb") as f:
-        magic, = struct.unpack(">I", _read_exact(f, 4, path))
-        if magic != IDX_IMAGE_MAGIC:
-            raise IdxMagicError(
-                f"{path}: magic {magic} != {IDX_IMAGE_MAGIC} (not an IDX image file)"
-            )
-        n, rows, cols = struct.unpack(">III", _read_exact(f, 12, path))
+        n, rows, cols = _idx_sizes(f, path, IDX_IMAGE_MAGIC, 3)
         raw = _read_exact(f, n * rows * cols, path)
-        if f.read(1):
-            warnings.warn(f"{path}: trailing bytes after {n} images", stacklevel=2)
+        _warn_trailing(f, path, n, "images")
     return np.frombuffer(raw, dtype=np.uint8).reshape(n, rows, cols)
 
 
 def load_idx_labels(path: str) -> np.ndarray:
     """Parse an IDX label file into a uint8 vector of length N."""
     with open(path, "rb") as f:
-        magic, = struct.unpack(">I", _read_exact(f, 4, path))
-        if magic != IDX_LABEL_MAGIC:
-            raise IdxMagicError(
-                f"{path}: magic {magic} != {IDX_LABEL_MAGIC} (not an IDX label file)"
-            )
-        n, = struct.unpack(">I", _read_exact(f, 4, path))
+        n, = _idx_sizes(f, path, IDX_LABEL_MAGIC, 1)
         raw = _read_exact(f, n, path)
-        if f.read(1):
-            warnings.warn(f"{path}: trailing bytes after {n} labels", stacklevel=2)
+        _warn_trailing(f, path, n, "labels")
     return np.frombuffer(raw, dtype=np.uint8).copy()
 
 
 def load_idx(images_path: str, labels_path: str) -> MulticlassDataset:
     """Load an IDX image/label pair, scale to [0, 1], flatten column-major.
 
-    Pixel value p becomes p / 255.0; sample dims are (rows, cols).
+    Pixel value p becomes p / 255.0; sample dims are (rows, cols). The
+    samples are the only full-size allocation: the pixels are read and
+    scaled about 256 KB at a time into the (N, cols, rows) array, whose
+    rows are already the flat column-major samples.
     """
-    images = load_idx_images(images_path)
-    labels = load_idx_labels(labels_path)
-    if images.shape[0] != labels.shape[0]:
-        raise IdxCountMismatchError(
-            f"{images_path} has {images.shape[0]} images but "
-            f"{labels_path} has {labels.shape[0]} labels"
-        )
-    arr = images.astype(np.float64) / 255.0
-    samples = flatten_batch(arr)
-    dims = images.shape[1:]
-    return MulticlassDataset(samples, dims, labels,
+    with open(images_path, "rb") as f:
+        n, rows, cols = _idx_sizes(f, images_path, IDX_IMAGE_MAGIC, 3)
+        labels = load_idx_labels(labels_path)
+        if n != labels.size:
+            raise IdxCountMismatchError(
+                f"{images_path} has {n} images but {labels_path} has {labels.size} labels"
+            )
+        samples = np.empty((n, cols, rows))
+        step = max(1, (1 << 18) // max(1, rows * cols))
+        for lo in range(0, n, step):
+            block = samples[lo:lo + step]
+            raw = _read_exact(f, block.size, images_path)
+            pixels = np.frombuffer(raw, dtype=np.uint8).reshape(-1, rows, cols)
+            np.divide(pixels.transpose(0, 2, 1), 255.0, out=block)
+        _warn_trailing(f, images_path, n, "images")
+    return MulticlassDataset(samples.reshape(n, rows * cols), (rows, cols), labels,
                              meta={"source": os.path.basename(images_path)})
 
 
@@ -348,10 +343,10 @@ def synth_blobs(shape, n_per_class: int, margin: float = 1.0,
     direction = _unit_rank1(rng, shape)
     p = direction.size
     n = 2 * n_per_class
-    noise_block = rng.standard_normal((n, p)) * noise
-    samples = np.empty((n, p))
-    samples[:n_per_class] = margin * direction + noise_block[:n_per_class]
-    samples[n_per_class:] = -margin * direction + noise_block[n_per_class:]
+    samples = rng.standard_normal((n, p))
+    samples *= noise
+    samples[:n_per_class] += margin * direction
+    samples[n_per_class:] += -margin * direction
     labels = np.concatenate([np.ones(n_per_class), -np.ones(n_per_class)])
     meta = {
         "source": "synth",
@@ -375,12 +370,13 @@ def synth_multiclass(shape, n_classes: int, n_per_class: int, margin: float = 1.
     rng = np.random.default_rng(seed)
     p = int(np.prod(shape))
     samples = np.empty((n_classes * n_per_class, p))
-    labels = np.empty(n_classes * n_per_class, dtype=np.int64)
+    labels = np.repeat(np.arange(n_classes, dtype=np.int64), n_per_class)
     for c in range(n_classes):
         center = margin * _unit_rank1(rng, shape)
-        block = slice(c * n_per_class, (c + 1) * n_per_class)
-        samples[block] = center + noise * rng.standard_normal((n_per_class, p))
-        labels[block] = c
+        block = samples[c * n_per_class:(c + 1) * n_per_class]
+        rng.standard_normal(out=block)
+        block *= noise
+        block += center
     meta = {"source": "synth-multiclass", "shape": shape, "n_classes": int(n_classes),
             "n_per_class": int(n_per_class), "margin": float(margin),
             "noise": float(noise), "seed": int(seed)}

@@ -154,17 +154,15 @@ def _box_line_step(a: np.ndarray, d: np.ndarray, slope: float, curv: float,
     Returns the new point and the objective decrease. Coordinates that the
     step carries onto the box land on it exactly.
     """
-    up, down = d > 0.0, d < 0.0
-    room = np.full(d.size, np.inf)
-    np.divide(upper - a, d, out=room, where=up)
-    np.divide(-a, d, out=room, where=down)
+    up = d > 0.0
+    room = np.divide(np.where(up, upper - a, -a), d, out=np.full(d.size, np.inf),
+                     where=d != 0.0)
     t = float(room.min())
     if curv > 0.0:
         t = min(t, -slope / curv)
     new = np.minimum(np.maximum(a + t * d, 0.0), upper)
     hit = room <= t
-    new[hit & up] = upper
-    new[hit & down] = 0.0
+    new[hit] = np.where(up[hit], upper, 0.0)
     return new, -(slope + 0.5 * curv * t) * t
 
 

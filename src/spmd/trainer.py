@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import qp as qpmod
-from .data import LabeledDataset, batch_view, flatten_batch
+from .data import LabeledDataset
 from .margins import MarginSummary, summarize_scores
 from .tensor import (DenseTensor, cp_reconstruct, khatri_rao, kron_chain,
                      tucker_reconstruct, unfold, unvec)
@@ -207,11 +207,16 @@ def _mode_ranks(kind: str, ranks, dims) -> tuple[int, ...]:
 
 
 def _with_ones_slab(samples: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
-    """Flat rows of the samples with a constant-1 slab appended along mode 1."""
-    arr = batch_view(samples, dims)
-    new = np.ones((arr.shape[0], dims[0] + 1) + tuple(dims[1:]))
-    new[:, : dims[0]] = arr
-    return flatten_batch(new)
+    """Flat rows of the samples with a constant-1 slab appended along mode 1.
+
+    A flat column-major row is P/I1 runs of I1 mode-1 entries, so the slab
+    is one more entry after each run: one (N, P/I1, I1+1) array.
+    """
+    n, p = samples.shape
+    out = np.empty((n, p // dims[0], dims[0] + 1))
+    out[:, :, :-1] = samples.reshape(out.shape[:2] + (dims[0],))
+    out[:, :, -1] = 1.0
+    return out.reshape(n, out.shape[1] * out.shape[2])
 
 
 def apply_bias(data: LabeledDataset) -> LabeledDataset:

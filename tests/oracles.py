@@ -9,7 +9,12 @@ trusted. ``vec`` and ``inner`` are the textbook column-stacking and
 elementwise Frobenius definitions, used as references for the factored
 inner products. ``svd_free_set_step`` is the box-QP solver's free-set step
 taken from the thin SVD of the face factor, the reference for the solver's
-Gram-eigenvalue form of the same step.
+Gram-eigenvalue form of the same step; ``box_line_step`` is the box-cut
+line minimization with one masked division per sign of the direction, the
+bit-exact reference for the solver's single-division form. ``batch_view``
+and ``flatten_batch`` map flat column-major sample rows to (N, I1, ..., IM)
+arrays and back through a reversed-axis transpose, the reference for the
+data layer's in-place builders.
 """
 
 import itertools
@@ -182,16 +187,22 @@ def max_margin_reference(samples, labels, lam, seed=0):
     raise RuntimeError("no KKT-verified active set found")
 
 
-def _box_line_step(a, d, slope, curv, upper):
-    """Minimize slope*t + curv*t^2/2 over t >= 0 with a + t d in [0, upper]."""
-    with np.errstate(divide="ignore"):
-        room = np.where(d > 0.0, (upper - a) / d, np.where(d < 0.0, -a / d, np.inf))
+def box_line_step(a, d, slope, curv, upper):
+    """Minimize slope*t + curv*t^2/2 over t >= 0 with a + t d in [0, upper].
+
+    Coordinates that the step carries onto the box land on it exactly.
+    """
+    up, down = d > 0.0, d < 0.0
+    room = np.full(d.size, np.inf)
+    np.divide(upper - a, d, out=room, where=up)
+    np.divide(-a, d, out=room, where=down)
     t = float(room.min())
     if curv > 0.0:
         t = min(t, -slope / curv)
-    new = np.clip(a + t * d, 0.0, upper)
+    new = np.minimum(np.maximum(a + t * d, 0.0), upper)
     hit = room <= t
-    new[hit] = np.where(d[hit] > 0.0, upper, 0.0)
+    new[hit & up] = upper
+    new[hit & down] = 0.0
     return new, -(slope + 0.5 * curv * t) * t
 
 
@@ -219,7 +230,7 @@ def svd_free_set_step(bf, gf, a, upper):
             slope = float(gf @ d)
             if slope < 0.0:
                 bd = bf @ d
-                new, drop = _box_line_step(a, d, slope, float(bd @ bd), upper)
+                new, drop = box_line_step(a, d, slope, float(bd @ bd), upper)
                 if drop > gain:
                     best, gain, newton = new, drop, k == 0
         if best is None:
@@ -237,3 +248,18 @@ def svd_free_set_step(bf, gf, a, upper):
         bf = bf[:, kept]
         a = best[kept]
         face = np.flatnonzero(kept) if face is None else face[kept]
+
+
+def batch_view(samples, dims):
+    """Reinterpret flat column-major rows as an (N, I1, ..., IM) array."""
+    n = samples.shape[0]
+    rev = samples.reshape((n,) + tuple(reversed(dims)))
+    return np.transpose(rev, (0,) + tuple(range(len(dims), 0, -1)))
+
+
+def flatten_batch(arr):
+    """Inverse of :func:`batch_view`: (N, I1, ..., IM) -> flat rows."""
+    n = arr.shape[0]
+    order = len(arr.shape) - 1
+    rev = np.transpose(arr, (0,) + tuple(range(order, 0, -1)))
+    return np.ascontiguousarray(rev.reshape(n, -1))

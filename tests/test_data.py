@@ -7,19 +7,22 @@ pixel-exactly through the writer/loader pair.
 import json
 import os
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from oracles import batch_view, flatten_batch
 from spmd.data import (IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, IdxCountMismatchError,
                        IdxFormatError, IdxMagicError, IdxTruncatedError,
-                       LabeledDataset, MulticlassDataset, batch_view, data_dir,
-                       find_mnist, flatten_batch, load_dataset, load_idx,
+                       LabeledDataset, MulticlassDataset, data_dir,
+                       find_mnist, load_dataset, load_idx,
                        load_idx_images, load_idx_labels,
                        reshape_samples, save_dataset,
                        save_idx_images, save_idx_labels, select_binary,
-                       select_multiclass, synth_blobs, synth_multiclass)
+                       select_multiclass, synth_blobs, synth_multiclass,
+                       _unit_rank1)
 from spmd.tensor import DenseTensor
 
 
@@ -269,6 +272,60 @@ class TestSynthBlobs:
         assert sorted(np.unique(data.labels).tolist()) == [0, 1, 2]
         with pytest.raises(ValueError, match="two classes"):
             synth_multiclass((2, 2), 1, 4)
+
+
+class TestOneAllocation:
+    """Each builder fills its one output array in place.
+
+    A builder that draws, scales or converts into a temporary the size of
+    its output peaks near 2x that output; the traced peak must stay within
+    5% of the returned samples plus a few KB of bookkeeping.
+    """
+
+    @staticmethod
+    def traced(build):
+        build()  # the first call also pays one-time lazy imports
+        tracemalloc.start()
+        try:
+            data = build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * data.samples.nbytes + 8192, peak / data.samples.nbytes
+        return data
+
+    def test_synth_blobs(self):
+        data = self.traced(lambda: synth_blobs((28, 28), 1500, margin=0.7,
+                                               noise=1.3, seed=3))
+        # the two-copy formula: a scaled draw, then each class shifted
+        rng = np.random.default_rng(3)
+        direction = _unit_rank1(rng, (28, 28))
+        noise_block = rng.standard_normal((3000, 784)) * 1.3
+        np.testing.assert_array_equal(data.samples[:1500],
+                                      0.7 * direction + noise_block[:1500])
+        np.testing.assert_array_equal(data.samples[1500:],
+                                      -0.7 * direction + noise_block[1500:])
+
+    def test_synth_multiclass(self):
+        data = self.traced(lambda: synth_multiclass((28, 28), 3, 1000, margin=1.1,
+                                                    noise=0.9, seed=4))
+        rng = np.random.default_rng(4)
+        for c in range(3):
+            center = 1.1 * _unit_rank1(rng, (28, 28))
+            np.testing.assert_array_equal(
+                data.samples[c * 1000:(c + 1) * 1000],
+                center + 0.9 * rng.standard_normal((1000, 784)))
+
+    def test_load_idx(self, tmp_path):
+        rng = np.random.default_rng(5)
+        images = rng.integers(0, 256, size=(3000, 28, 27), dtype=np.uint8)
+        ip, lp = str(tmp_path / "imgs"), str(tmp_path / "labs")
+        save_idx_images(ip, images)
+        save_idx_labels(lp, rng.integers(0, 10, 3000))
+        data = self.traced(lambda: load_idx(ip, lp))
+        assert data.dims == (28, 27)
+        np.testing.assert_array_equal(
+            data.samples, flatten_batch(images.astype(np.float64) / 255.0))
 
 
 class TestDatasetDirectory:

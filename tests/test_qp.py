@@ -16,10 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (box_qp_reference, sample_space_dual,
+from oracles import (box_line_step, box_qp_reference, sample_space_dual,
                      svd_free_set_step, variance_curvature)
-from spmd.qp import (QpProblem, QpSolution, _free_set_step, assemble_dual,
-                     solve_box_qp)
+from spmd.qp import (QpProblem, QpSolution, _box_line_step, _free_set_step,
+                     assemble_dual, solve_box_qp)
 
 
 def random_instance(rng, d, n, mu1=1.0, mu2=1.0, lam=1.0):
@@ -501,3 +501,24 @@ class TestFreeSetStep:
         # a cut zero-curvature step that repeats
         _free_set_step(np.zeros((2, 3)), np.array([1.0, -1.0, -1.0]),
                        np.array([0.1, 0.5, 0.5]), 1.0)
+
+    def test_box_line_step_matches_two_division_form(self):
+        # random faces with zero directions, coordinates on both bounds and
+        # zero or positive curvature: one masked division and one masked
+        # write give the reference's point and drop bit for bit
+        rng = np.random.default_rng(63)
+        for _ in range(2000):
+            k = int(rng.integers(1, 12))
+            upper = float(rng.choice([0.5, 1.0, 10.0]))
+            a = rng.uniform(0.0, upper, k)
+            a[rng.random(k) < 0.2] = 0.0
+            a[rng.random(k) < 0.2] = upper
+            d = rng.standard_normal(k)
+            d[rng.random(k) < 0.3] = 0.0
+            d[rng.integers(k)] = rng.choice([-1.0, 1.0])
+            curv = 0.0 if rng.random() < 0.3 else float(rng.uniform(0.0, 5.0))
+            slope = -float(rng.uniform(0.0, 2.0))
+            got, got_drop = _box_line_step(a, d, slope, curv, upper)
+            want, want_drop = box_line_step(a, d, slope, curv, upper)
+            np.testing.assert_array_equal(got, want)
+            assert got_drop == want_drop

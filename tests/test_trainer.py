@@ -13,8 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import hinge_objective, inner, max_margin_reference, vec
-from spmd.data import LabeledDataset, batch_view, synth_blobs
+from oracles import (batch_view, flatten_batch, hinge_objective, inner,
+                     max_margin_reference, vec)
+from spmd.data import LabeledDataset, synth_blobs
 from spmd.margins import summarize_scores
 from spmd.tensor import DenseTensor, unvec
 from spmd.trainer import (Hyper, MetricCollapseError, TrainConfig, WeightModel,
@@ -904,6 +905,21 @@ class TestBias:
         arr = batch_view(aug.samples, aug.dims)
         np.testing.assert_array_equal(arr[:, :2, :], batch_view(data.samples, data.dims))
         np.testing.assert_array_equal(arr[:, 2, :], np.ones((4, 3)))
+
+    def test_apply_bias_fills_one_array(self):
+        data = synth_blobs((28, 28), 1500, seed=29)
+        apply_bias(data)  # the first call also pays one-time lazy imports
+        tracemalloc.start()
+        try:
+            aug = apply_bias(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * aug.samples.nbytes + 8192, peak / aug.samples.nbytes
+        # the two-copy formula: a ones array of the (N, I1 + 1, ...) batch
+        want = np.ones((3000, 29, 28))
+        want[:, :28] = batch_view(data.samples, data.dims)
+        np.testing.assert_array_equal(aug.samples, flatten_batch(want))
 
     def test_bias_model_predicts_raw_samples(self):
         data = synth_blobs((3, 2), 10, margin=1.5, noise=0.2, seed=25)
