@@ -488,13 +488,12 @@ def cmd_bench(args) -> int:
         acc_rows, mean_acc = pairwise_accuracy(ensemble, mtest)
         wall = time.perf_counter() - t0
         timings[method] = {"total_s": wall}
-        per_pair_n = {p: len(mtrain.binary_view(*p)) for p in ensemble.pairs}
         for r in acc_rows:
             pair = r["pair"]
             rep = ensemble.reports[pair]
-            rows.append([method, pair[0], pair[1], per_pair_n[pair], r["n_test"],
+            rows.append([method, pair[0], pair[1], rep.n_train, r["n_test"],
                          r["accuracy"], rep.iterations, rep.cap_hits])
-            text_rows.append((method, f"{pair[0]}v{pair[1]}", per_pair_n[pair],
+            text_rows.append((method, f"{pair[0]}v{pair[1]}", rep.n_train,
                               r["n_test"], r["accuracy"], rep.iterations,
                               rep.cap_hits, rep.wall_time * 1e3))
         rows.append([method, "mean", "", "", "", mean_acc, "", ""])

@@ -11,7 +11,7 @@ import json
 import os
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,7 +55,6 @@ class LabeledDataset:
     samples: np.ndarray
     dims: tuple[int, ...]
     labels: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
@@ -92,8 +91,7 @@ class LabeledDataset:
 
     def subset(self, idx) -> "LabeledDataset":
         idx = np.asarray(idx)
-        return LabeledDataset(self.samples[idx], self.dims, self.labels[idx],
-                              dict(self.meta))
+        return LabeledDataset(self.samples[idx], self.dims, self.labels[idx])
 
 
 @dataclass(frozen=True)
@@ -103,7 +101,6 @@ class MulticlassDataset:
     samples: np.ndarray
     dims: tuple[int, ...]
     labels: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
@@ -128,16 +125,13 @@ class MulticlassDataset:
 
     def subset(self, idx) -> "MulticlassDataset":
         idx = np.asarray(idx)
-        return MulticlassDataset(self.samples[idx], self.dims, self.labels[idx],
-                                 dict(self.meta))
+        return MulticlassDataset(self.samples[idx], self.dims, self.labels[idx])
 
     def binary_view(self, a: int, b: int) -> LabeledDataset:
         """Samples of classes a (-> +1) and b (-> -1) as a binary dataset."""
         mask = (self.labels == a) | (self.labels == b)
         labels = np.where(self.labels[mask] == a, 1.0, -1.0)
-        meta = dict(self.meta)
-        meta["pair"] = (int(a), int(b))
-        return LabeledDataset(self.samples[mask], self.dims, labels, meta)
+        return LabeledDataset(self.samples[mask], self.dims, labels)
 
 
 # --- IDX files -------------------------------------------------------------
@@ -167,15 +161,6 @@ def _idx_sizes(f, path: str, magic: int, rank: int) -> tuple[int, ...]:
 def _warn_trailing(f, path: str, n: int, what: str) -> None:
     if f.read(1):
         warnings.warn(f"{path}: trailing bytes after {n} {what}", stacklevel=3)
-
-
-def load_idx_images(path: str) -> np.ndarray:
-    """Parse an IDX image file into a uint8 array of shape (N, rows, cols)."""
-    with open(path, "rb") as f:
-        n, rows, cols = _idx_sizes(f, path, IDX_IMAGE_MAGIC, 3)
-        raw = _read_exact(f, n * rows * cols, path)
-        _warn_trailing(f, path, n, "images")
-    return np.frombuffer(raw, dtype=np.uint8).reshape(n, rows, cols)
 
 
 def load_idx_labels(path: str) -> np.ndarray:
@@ -210,8 +195,7 @@ def load_idx(images_path: str, labels_path: str) -> MulticlassDataset:
             pixels = np.frombuffer(raw, dtype=np.uint8).reshape(-1, rows, cols)
             np.divide(pixels.transpose(0, 2, 1), 255.0, out=block)
         _warn_trailing(f, images_path, n, "images")
-    return MulticlassDataset(samples.reshape(n, rows * cols), (rows, cols), labels,
-                             meta={"source": os.path.basename(images_path)})
+    return MulticlassDataset(samples.reshape(n, rows * cols), (rows, cols), labels)
 
 
 def save_idx_images(path: str, images: np.ndarray) -> None:
@@ -294,9 +278,7 @@ def select_multiclass(data: MulticlassDataset, classes, per_class: int | None = 
             idx = rng.choice(idx, size=per_class, replace=False)
         keep.append(idx)
     keep = np.concatenate(keep)
-    meta = dict(data.meta)
-    meta.update(classes=[int(c) for c in classes], per_class=per_class, seed=int(seed))
-    return MulticlassDataset(data.samples[keep], data.dims, data.labels[keep], meta)
+    return MulticlassDataset(data.samples[keep], data.dims, data.labels[keep])
 
 
 def reshape_samples(data, new_dims):
@@ -311,9 +293,7 @@ def reshape_samples(data, new_dims):
             f"cannot reshape {old_dims} (size {int(np.prod(old_dims))}) "
             f"to {new_dims} (size {int(np.prod(new_dims))})"
         )
-    meta = dict(data.meta)
-    meta["reshaped_from"] = tuple(old_dims)
-    return type(data)(data.samples, new_dims, data.labels, meta)
+    return type(data)(data.samples, new_dims, data.labels)
 
 
 # --- synthetic data ----------------------------------------------------------
@@ -348,15 +328,7 @@ def synth_blobs(shape, n_per_class: int, margin: float = 1.0,
     samples[:n_per_class] += margin * direction
     samples[n_per_class:] += -margin * direction
     labels = np.concatenate([np.ones(n_per_class), -np.ones(n_per_class)])
-    meta = {
-        "source": "synth",
-        "shape": shape,
-        "n_per_class": int(n_per_class),
-        "margin": float(margin),
-        "noise": float(noise),
-        "seed": int(seed),
-    }
-    return LabeledDataset(samples, shape, labels, meta)
+    return LabeledDataset(samples, shape, labels)
 
 
 def synth_multiclass(shape, n_classes: int, n_per_class: int, margin: float = 1.5,
@@ -377,27 +349,24 @@ def synth_multiclass(shape, n_classes: int, n_per_class: int, margin: float = 1.
         rng.standard_normal(out=block)
         block *= noise
         block += center
-    meta = {"source": "synth-multiclass", "shape": shape, "n_classes": int(n_classes),
-            "n_per_class": int(n_per_class), "margin": float(margin),
-            "noise": float(noise), "seed": int(seed)}
-    return MulticlassDataset(samples, shape, labels, meta)
+    return MulticlassDataset(samples, shape, labels)
 
 
 # --- dataset directory format ------------------------------------------------
 #
-# meta.json: {"dims": [...], "n": N, "labels": [...], "meta": {...}}
+# meta.json: {"dims": [...], "n": N, "labels": [...]}; any other key is
+#            ignored on load.
 # data.bin:  N * prod(dims) little-endian float64, sample-major, each sample
 #            in flat column-major order.
 
 
 def save_dataset(path: str, data: LabeledDataset) -> None:
-    """Write a dataset directory (meta.json + data.bin)."""
+    """Write a dataset directory: meta.json (dims, n, labels) + data.bin."""
     os.makedirs(path, exist_ok=True)
     meta = {
         "dims": list(data.dims),
         "n": len(data),
         "labels": [int(l) for l in data.labels],
-        "meta": _jsonable(data.meta),
     }
     with open(os.path.join(path, "meta.json"), "w") as f:
         json.dump(meta, f, indent=2, sort_keys=True)
@@ -421,18 +390,4 @@ def load_dataset(path: str) -> LabeledDataset:
             f"{bin_path} holds {raw.size} float64 values, expected {n * p}"
         )
     labels = np.asarray(meta["labels"], dtype=np.float64)
-    return LabeledDataset(raw.reshape(n, p), dims, labels, dict(meta.get("meta", {})))
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return obj
+    return LabeledDataset(raw.reshape(n, p), dims, labels)

@@ -28,9 +28,10 @@ def pair_seed(global_seed: int, a: int, b: int) -> int:
 
 @dataclass(frozen=True)
 class OvoEnsemble:
+    """One model per class pair; ``reports[pair].seed`` is the pair's seed."""
+
     classes: tuple
     models: dict                      # (a, b) with a < b -> WeightModel
-    configs: dict                     # (a, b) -> TrainConfig actually used
     reports: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -59,13 +60,11 @@ def ovo_train(data: MulticlassDataset, cfg: TrainConfig,
     classes = tuple(int(c) for c in np.unique(data.labels))
     if len(classes) < 2:
         raise ValueError(f"need at least 2 classes, found {classes}")
-    models, configs, reports = {}, {}, {}
+    models, reports = {}, {}
     for a, b in combinations(classes, 2):
         pcfg = replace(cfg, seed=pair_seed(cfg.seed, a, b))
         models[(a, b)], reports[(a, b)] = train(data.binary_view(a, b), pcfg)
-        configs[(a, b)] = pcfg
-    return OvoEnsemble(classes=classes, models=models, configs=configs,
-                       reports=reports)
+    return OvoEnsemble(classes=classes, models=models, reports=reports)
 
 
 def pairwise_accuracy(ensemble: OvoEnsemble, test: MulticlassDataset):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import synth_blobs
-from .margins import signed_margins
+from .margins import _moments, signed_margins
 from .tensor import DenseTensor, tucker_reconstruct
 from .trainer import TrainConfig, TrainReport, train
 
@@ -111,14 +111,12 @@ def cantelli_check(margins: np.ndarray, rho: float) -> BoundReport:
     :func:`cantelli_is_hard`); this function just reports.
     """
     margins = np.asarray(margins, dtype=np.float64)
-    n = margins.size
-    gm = float(np.mean(margins))
-    gv = float(np.mean((margins - gm) ** 2))
+    gm, gv = _moments(margins)
     bound = cantelli_margin_tail(gm, gv, rho)
     frac = float(np.mean(margins <= rho))
     return BoundReport.make(
         "cantelli_margin_tail", bound, frac,
-        inputs={"gamma_m": gm, "gamma_v": gv, "rho": rho, "N": n})
+        inputs={"gamma_m": gm, "gamma_v": gv, "rho": rho, "N": margins.size})
 
 
 def _worst_rise(objectives) -> float:
@@ -217,7 +215,7 @@ def cantelli_sweep(n_models: int = 50, seed: int = 0,
     for k in range(n_models):
         data, model, _ = _toy_model(seed + 13 * k, n_per_class=n_per_class)
         margins = signed_margins(model.reconstruct(), data)
-        gm = float(np.mean(margins))
+        gm, _ = _moments(margins)
         if gm <= 0:
             warnings.warn(f"model {k}: nonpositive margin mean {gm:g}; skipped",
                           stacklevel=2)

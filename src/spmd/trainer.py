@@ -221,10 +221,8 @@ def _with_ones_slab(samples: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
 
 def apply_bias(data: LabeledDataset) -> LabeledDataset:
     """Append a constant-1 slab along mode 1, absorbing a bias into the weight."""
-    meta = dict(data.meta)
-    meta["bias_feature"] = True
     return LabeledDataset(_with_ones_slab(data.samples, data.dims),
-                          (data.dims[0] + 1,) + data.dims[1:], data.labels, meta)
+                          (data.dims[0] + 1,) + data.dims[1:], data.labels)
 
 
 def _mode_coefficient(factors, core, mode: int) -> np.ndarray:

@@ -24,8 +24,8 @@ from spmd.cli import (
     make_train_config,
     resolve_config,
 )
-from spmd.data import (MNIST_FILES, reshape_samples, save_idx_images,
-                       save_idx_labels)
+from spmd.data import (MNIST_FILES, MulticlassDataset, reshape_samples,
+                       save_idx_images, save_idx_labels)
 from spmd.multiclass import ovo_train
 from spmd.margins import summarize_scores
 from spmd.theory import BoundReport
@@ -436,6 +436,24 @@ class TestBenchCommand:
         assert (out / "bench.txt").exists()
         timings = json.loads((out / "timings.json").read_text())
         assert set(timings) == {"svm", "spmd-r1"}
+
+    def test_each_pair_view_built_once_per_method(self, tmp_path, monkeypatch):
+        calls = []
+        view = MulticlassDataset.binary_view
+
+        def counted(self, a, b):
+            calls.append((a, b))
+            return view(self, a, b)
+
+        monkeypatch.setattr(MulticlassDataset, "binary_view", counted)
+        cfg = self.bench_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["bench", "--config", cfg, "--out", str(out)]) == 0
+        pairs = [(0, 1), (0, 2), (1, 2)]
+        assert sorted(calls) == sorted(pairs * 2)  # two methods
+        rows = [ln.split(",") for ln in
+                (out / "bench.csv").read_text().strip().split("\n")[1:]]
+        assert [r[3] for r in rows if r[1] != "mean"] == ["16"] * 6
 
     def test_rerun_reproduces_csv(self, tmp_path):
         cfg = self.bench_config(tmp_path)

@@ -14,11 +14,11 @@ import numpy as np
 import pytest
 
 from oracles import batch_view, flatten_batch
+from spmd.cli import main
 from spmd.data import (IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, IdxCountMismatchError,
                        IdxFormatError, IdxMagicError, IdxTruncatedError,
                        LabeledDataset, MulticlassDataset, data_dir,
-                       find_mnist, load_dataset, load_idx,
-                       load_idx_images, load_idx_labels,
+                       find_mnist, load_dataset, load_idx, load_idx_labels,
                        reshape_samples, save_dataset,
                        save_idx_images, save_idx_labels, select_binary,
                        select_multiclass, synth_blobs, synth_multiclass,
@@ -48,9 +48,10 @@ class TestMagics:
 
 class TestIdxRoundTrip:
     def test_images_pixel_exact(self, idx_pair):
-        ip, _, images, _ = idx_pair
-        back = load_idx_images(ip)
-        np.testing.assert_array_equal(back, images)
+        ip, lp, images, _ = idx_pair
+        back = np.rint(load_idx(ip, lp).samples * 255).astype(np.uint8)
+        np.testing.assert_array_equal(
+            back, flatten_batch(images.astype(np.float64)).astype(np.uint8))
 
     def test_labels_exact(self, idx_pair):
         _, lp, _, labels = idx_pair
@@ -79,17 +80,17 @@ class TestIdxErrors:
     def test_wrong_magic_distinct_error(self, idx_pair, tmp_path):
         ip, lp, *_ = idx_pair
         with pytest.raises(IdxMagicError):
-            load_idx_images(lp)
+            load_idx(lp, lp)
         with pytest.raises(IdxMagicError):
             load_idx_labels(ip)
 
     def test_truncated_file(self, idx_pair, tmp_path):
-        ip, *_ = idx_pair
+        ip, lp, *_ = idx_pair
         blob = Path(ip).read_bytes()
         bad = str(tmp_path / "trunc.idx3-ubyte")
         Path(bad).write_bytes(blob[:-5])
         with pytest.raises(IdxTruncatedError):
-            load_idx_images(bad)
+            load_idx(bad, lp)
 
     def test_count_mismatch(self, idx_pair, tmp_path):
         ip, lp, images, labels = idx_pair
@@ -104,12 +105,12 @@ class TestIdxErrors:
         assert issubclass(IdxCountMismatchError, IdxFormatError)
 
     def test_trailing_bytes_warn(self, idx_pair, tmp_path):
-        ip, *_ = idx_pair
+        ip, lp, *_ = idx_pair
         blob = Path(ip).read_bytes()
         padded = str(tmp_path / "padded.idx3-ubyte")
         Path(padded).write_bytes(blob + b"\x07")
         with pytest.warns(UserWarning, match="trailing"):
-            load_idx_images(padded)
+            load_idx(padded, lp)
 
 
 class TestDataDir:
@@ -192,7 +193,6 @@ class TestReshape:
         assert isinstance(re, MulticlassDataset)
         assert re.dims == (2, 2, 5)
         np.testing.assert_array_equal(re.samples, data.samples)
-        assert re.meta["reshaped_from"] == (4, 5)
 
     def test_round_trip_bit_exact(self):
         data = synth_blobs((4, 6), 5, seed=2)
@@ -259,12 +259,6 @@ class TestSynthBlobs:
         d = DenseTensor(clean.dims, clean.samples[0])
         assert d.norm() == pytest.approx(1.0, rel=1e-12)
         assert np.linalg.matrix_rank(d.to_array()) == 1
-
-    def test_meta_records_generator(self):
-        data = synth_blobs((2, 2), 3, margin=1.5, noise=0.25, seed=11)
-        assert data.meta["source"] == "synth"
-        assert data.meta["margin"] == 1.5
-        assert data.meta["seed"] == 11
 
     def test_synth_multiclass_layout(self):
         data = synth_multiclass((2, 3), 3, 4, seed=12)
@@ -337,7 +331,6 @@ class TestDatasetDirectory:
         np.testing.assert_array_equal(back.samples, data.samples)
         np.testing.assert_array_equal(back.labels, data.labels)
         assert back.dims == data.dims
-        assert back.meta["margin"] == 1.2
 
     def test_meta_json_is_plain(self, tmp_path):
         data = synth_blobs((2, 2), 3, seed=19)
@@ -346,6 +339,28 @@ class TestDatasetDirectory:
         meta = json.loads(Path(path, "meta.json").read_text())
         assert meta["dims"] == [2, 2]
         assert meta["n"] == 6
+
+    def test_loads_directory_with_provenance_key(self, tmp_path):
+        # the earlier format also wrote a "meta" provenance object; it is
+        # ignored on load, and the CLI's "dir" source still trains on it
+        data = synth_blobs((3, 2), 6, margin=2.0, noise=0.3, seed=22)
+        path = tmp_path / "old"
+        path.mkdir()
+        (path / "meta.json").write_text(json.dumps({
+            "dims": [3, 2], "n": 12, "labels": [int(l) for l in data.labels],
+            "meta": {"margin": 2.0, "noise": 0.3, "seed": 22, "source": "synth",
+                     "shape": [3, 2], "n_per_class": 6}}))
+        data.samples.astype("<f8").tofile(str(path / "data.bin"))
+        back = load_dataset(str(path))
+        assert back.dims == (3, 2)
+        assert back.samples.tobytes() == data.samples.tobytes()
+        np.testing.assert_array_equal(back.labels, data.labels)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"method": "spmd-r1", "lambda": 5.0,
+                                   "dataset": {"source": "dir", "path": str(path)}}))
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "model.spmd").exists()
 
     def test_size_mismatch_detected(self, tmp_path):
         data = synth_blobs((2, 2), 3, seed=20)

@@ -33,9 +33,7 @@ def vector_model(w):
 def hand_ensemble(classes, weights):
     """Ensemble of vector models keyed by class pair."""
     models = {pair: vector_model(w) for pair, w in weights.items()}
-    cfg = TrainConfig(kind="vector")
-    return OvoEnsemble(classes=tuple(classes), models=models,
-                       configs={p: cfg for p in models})
+    return OvoEnsemble(classes=tuple(classes), models=models)
 
 
 def scalar_test_set(labeled_points):
@@ -75,6 +73,13 @@ class TestEnsembleShape:
         ens = hand_ensemble(range(3), weights)
         assert ens.pairs == [(0, 1), (0, 2), (1, 2)]
 
+    def test_built_from_classes_and_models_alone(self):
+        ens = OvoEnsemble(classes=(0, 1), models={(0, 1): vector_model([1.0])})
+        assert ens.pairs == [(0, 1)] and ens.reports == {}
+        with pytest.raises(TypeError):
+            OvoEnsemble(classes=(0, 1), models={(0, 1): vector_model([1.0])},
+                        configs={})
+
 
 class TestOvoTrain:
     def test_two_classes_one_model(self):
@@ -100,7 +105,7 @@ class TestOvoTrain:
         cfg = TrainConfig(kind="rank1", lam=2.0, seed=99)
         ens = ovo_train(data, cfg)
         for (a, b) in ens.pairs:
-            assert ens.configs[(a, b)].seed == pair_seed(99, a, b)
+            assert ens.reports[(a, b)].seed == pair_seed(99, a, b)
 
     def test_retraining_reproduces_weights(self):
         data = synth_multiclass((2, 2), 3, 6, margin=2.0, noise=0.3, seed=4)
