@@ -66,7 +66,6 @@ _TOP_DEFAULTS = {
     "max_outer": 50,
     "seed": 0,
     "bias_feature": False,
-    "workers": 1,
     "out_dir": None,
     "dataset": None,
 }
@@ -129,10 +128,9 @@ def resolve_config(raw: dict, need_method=True, need_methods=False) -> dict:
     _need(cfg["lambda"] > 0, "field 'lambda' must be > 0")
     _need(cfg["epsilon"] > 0, "field 'epsilon' must be > 0")
     _need(cfg["qp_tol"] > 0, "field 'qp_tol' must be > 0")
-    for key in ("max_outer", "seed", "workers"):
+    for key in ("max_outer", "seed"):
         _need(_is_int(cfg[key]), f"field '{key}' must be an integer")
     _need(cfg["max_outer"] >= 1, "field 'max_outer' must be >= 1")
-    _need(cfg["workers"] >= 1, "field 'workers' must be >= 1")
     _need(isinstance(cfg["bias_feature"], bool), "field 'bias_feature' must be boolean")
     _need(isinstance(cfg["ranks"], list) and
           all(_is_int(r) and r >= 1 for r in cfg["ranks"]),
@@ -177,9 +175,16 @@ def resolve_config(raw: dict, need_method=True, need_methods=False) -> dict:
         for key in ("images", "labels"):
             _need(isinstance(ds.get(key), str),
                   f"field 'dataset.{key}' must be a path string")
-        _need(isinstance(ds.get("classes"), list) and len(ds["classes"]) >= 2 and
-              all(_is_int(c) for c in ds["classes"]),
-              "field 'dataset.classes' must be a list of >= 2 integer labels")
+        for key in ("test_images", "test_labels"):
+            _need(ds.get(key) is None or isinstance(ds[key], str),
+                  f"field 'dataset.{key}' must be a path string")
+        _need((ds.get("test_images") is None) == (ds.get("test_labels") is None),
+              "fields 'dataset.test_images' and 'dataset.test_labels' must be "
+              "given together")
+        classes = ds.get("classes")
+        _need(isinstance(classes, list) and len(classes) >= 2 and
+              all(_is_int(c) for c in classes) and len(set(classes)) == len(classes),
+              "field 'dataset.classes' must be a list of >= 2 distinct integer labels")
         if ds.get("per_class") is not None:
             _need(_is_int(ds["per_class"]) and ds["per_class"] >= 1,
                   "field 'dataset.per_class' must be a positive integer")
@@ -188,6 +193,8 @@ def resolve_config(raw: dict, need_method=True, need_methods=False) -> dict:
                   "field 'dataset.test_per_class' must be a positive integer")
     else:
         _need(isinstance(ds.get("path"), str), "field 'dataset.path' must be a path string")
+        _need(ds.get("test_path") is None or isinstance(ds["test_path"], str),
+              "field 'dataset.test_path' must be a path string")
 
     ds.setdefault("seed", 0)
     _need(_is_int(ds["seed"]), "field 'dataset.seed' must be an integer")
@@ -209,7 +216,7 @@ def _resolve_path(p: str) -> str:
 
 def _load_idx_pair(ds: dict, images_key: str, labels_key: str):
     images, labels = ds.get(images_key), ds.get(labels_key)
-    if images is None or labels is None:
+    if images is None:  # resolve_config gives the pair together or not at all
         return None
     if images == "auto" or labels == "auto":
         found = find_mnist()
@@ -473,8 +480,6 @@ def cmd_bench(args) -> int:
                          need_methods=True)
     if args.seed is not None:
         cfg["seed"] = args.seed
-    if args.workers is not None:
-        cfg["workers"] = args.workers
     train_multi, test_multi = build_multiclass_dataset(cfg["dataset"])
     out = _out_dir(args, cfg, "bench")
 
@@ -484,7 +489,7 @@ def cmd_bench(args) -> int:
         mtrain, mtest = _flatten_for(flat, train_multi), _flatten_for(flat, test_multi)
         tc = make_train_config(cfg, method, mtrain.dims)
         t0 = time.perf_counter()
-        ensemble = ovo_train(mtrain, tc, workers=cfg["workers"])
+        ensemble = ovo_train(mtrain, tc)
         acc_rows, mean_acc = pairwise_accuracy(ensemble, mtest)
         wall = time.perf_counter() - t0
         timings[method] = {"total_s": wall}
@@ -579,14 +584,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "bench, and theory checks.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, config_required=True):
-        if config_required:
-            sp.add_argument("--config", required=True, help="JSON config path")
+    def common(sp):
+        sp.add_argument("--config", required=True, help="JSON config path")
         sp.add_argument("--out", help="output directory (overrides config)")
-        sp.add_argument("--seed", type=int, help="seed override")
 
     sp = sub.add_parser("train", help="train one binary model")
     common(sp)
+    sp.add_argument("--seed", type=int, help="seed override")
     sp.set_defaults(fn=cmd_train)
 
     sp = sub.add_parser("eval", help="evaluate a saved model on a dataset")
@@ -596,9 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bench", help="one-vs-one benchmark over methods")
     common(sp)
-    sp.add_argument("--workers", type=int,
-                    help="accepted for old configs; pairs always train one at "
-                         "a time, so it changes nothing")
+    sp.add_argument("--seed", type=int, help="seed override")
     sp.set_defaults(fn=cmd_bench)
 
     sp = sub.add_parser("check", help="run the theory-check sweeps")

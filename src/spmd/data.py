@@ -260,7 +260,10 @@ def select_binary(data: MulticlassDataset, a: int, b: int,
     """
     if a == b:
         raise ValueError("classes must differ")
-    return select_multiclass(data, [a, b], per_class, seed).binary_view(a, b)
+    # label the gathered rows directly: binary_view would gather them again
+    picked = select_multiclass(data, [a, b], per_class, seed)
+    return LabeledDataset(picked.samples, picked.dims,
+                          np.where(picked.labels == a, 1.0, -1.0))
 
 
 def select_multiclass(data: MulticlassDataset, classes, per_class: int | None = None,

@@ -52,8 +52,10 @@ def ovo_train(data: MulticlassDataset, cfg: TrainConfig,
     """Train one binary model per class pair (class a -> +1, b -> -1).
 
     Pairs always train one at a time in the calling thread. ``workers``
-    must be at least 1 and changes neither the results nor the execution;
-    it is kept for callers and configs that pass it.
+    must be at least 1 and changes neither the results nor the execution.
+    The CLI no longer passes it; it stays only because the benchmark's
+    one-vs-one job (``benchmarks/workloads.py::job_ovo``) still calls
+    ``ovo_train(..., workers=2)``, and goes once that call drops it.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")

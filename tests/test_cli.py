@@ -69,12 +69,19 @@ class TestResolveConfig:
         assert cfg["epsilon"] == 1e-2
         assert cfg["qp_tol"] == 1e-8
         assert cfg["max_outer"] == 50
-        assert cfg["workers"] == 1
         assert cfg["bias_feature"] is False
+        assert "workers" not in cfg
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError, match="unknown config field.*'lamda'"):
             resolve_config(minimal(lamda=1.0))
+
+    def test_workers_field_exits_2(self, tmp_path, capsys):
+        # pairs always train one at a time, so a worker count changes nothing
+        cfg = write_config(tmp_path, workers=1)
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "unknown config field(s): ['workers']" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("key", ["mu1", "mu2", "lambda", "epsilon", "qp_tol"])
     def test_numeric_fields_checked(self, key):
@@ -96,8 +103,8 @@ class TestResolveConfig:
     def test_integer_fields_checked(self):
         with pytest.raises(ConfigError, match="'max_outer' must be an integer"):
             resolve_config(minimal(max_outer=2.5))
-        with pytest.raises(ConfigError, match="'workers' must be >= 1"):
-            resolve_config(minimal(workers=0))
+        with pytest.raises(ConfigError, match="'seed' must be an integer"):
+            resolve_config(minimal(seed="0"))
 
     def test_ranks_must_be_positive_ints(self):
         with pytest.raises(ConfigError, match="'ranks' must be a list"):
@@ -161,6 +168,44 @@ class TestResolveConfig:
         ds = {"source": "idx", "images": "im", "labels": "lb", "classes": [3]}
         with pytest.raises(ConfigError, match="'dataset.classes'"):
             resolve_config(minimal(dataset=ds))
+
+    @pytest.mark.parametrize("command,classes", [
+        ("train", [1, 1]), ("bench", [0, 0, 1]), ("bench", [2, 0, 2]),
+    ])
+    def test_idx_classes_must_differ(self, tmp_path, capsys, command, classes):
+        # a repeated class would have its rows gathered twice
+        ds = {"source": "idx", "images": "im", "labels": "lb", "classes": classes}
+        cfg = write_config(tmp_path, methods=["spmd-r1"], dataset=ds)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert ("'dataset.classes' must be a list of >= 2 distinct"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("source,field,value", [
+        ("idx", "test_images", 5), ("idx", "test_labels", ["lb"]),
+        ("dir", "test_path", 5), ("dir", "test_path", {"p": 1}),
+    ])
+    def test_test_set_paths_must_be_strings(self, tmp_path, capsys, source,
+                                            field, value):
+        if source == "idx":
+            ds = {"source": "idx", "images": "im", "labels": "lb",
+                  "classes": [0, 1], "test_images": "ti", "test_labels": "tl"}
+        else:
+            ds = {"source": "dir", "path": "p"}
+        ds[field] = value
+        cfg = write_config(tmp_path, dataset=ds)
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert (f"'dataset.{field}' must be a path string"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("given", ["test_images", "test_labels"])
+    def test_idx_test_paths_given_together(self, tmp_path, capsys, given):
+        # one of the pair alone would quietly train with no test split
+        ds = {"source": "idx", "images": "im", "labels": "lb",
+              "classes": [0, 1], given: "x"}
+        cfg = write_config(tmp_path, dataset=ds)
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert ("'dataset.test_images' and 'dataset.test_labels' must be given "
+                "together" in capsys.readouterr().err)
 
     def test_reshape_validated(self):
         ds = dict(SYNTH, reshape=[4, "x"])
@@ -406,6 +451,17 @@ class TestEvalCommand:
         assert main(["eval", "--config", cfg, "--model", str(bad)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_seed_flag_exits_2(self, tmp_path, capsys):
+        # eval trains nothing, so a training seed has nothing to override
+        cfg, model = self.train_once(tmp_path)
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--config", cfg, "--model", model,
+                  "--out", str(tmp_path / "o"), "--seed", "1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestBenchCommand:
     def bench_config(self, tmp_path, **over):
@@ -462,12 +518,20 @@ class TestBenchCommand:
         main(["bench", "--config", cfg, "--out", str(out2)])
         assert (out1 / "bench.csv").read_bytes() == (out2 / "bench.csv").read_bytes()
 
-    def test_worker_count_does_not_change_results(self, tmp_path):
+    def test_workers_flag_exits_2(self, tmp_path, capsys):
         cfg = self.bench_config(tmp_path)
-        seq, par = tmp_path / "seq", tmp_path / "par"
-        main(["bench", "--config", cfg, "--out", str(seq), "--workers", "1"])
-        main(["bench", "--config", cfg, "--out", str(par), "--workers", "3"])
-        assert (seq / "bench.csv").read_bytes() == (par / "bench.csv").read_bytes()
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--config", cfg, "--out", str(tmp_path / "o"),
+                  "--workers", "2"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_seed_flag_overrides_config(self, tmp_path):
+        cfg = self.bench_config(tmp_path, seed=0)
+        out = tmp_path / "out"
+        assert main(["bench", "--config", cfg, "--out", str(out), "--seed", "9"]) == 0
+        assert json.loads((out / "run.json").read_text())["config"]["seed"] == 9
 
     def test_synth_test_rows_share_training_centres(self, tmp_path):
         cfg = self.bench_config(tmp_path, methods=["spmd-r1"])

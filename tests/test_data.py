@@ -321,6 +321,15 @@ class TestOneAllocation:
         np.testing.assert_array_equal(
             data.samples, flatten_batch(images.astype(np.float64) / 255.0))
 
+    @pytest.mark.parametrize("a,b,per_class", [(0, 1, None), (1, 0, 2500)])
+    def test_select_binary(self, a, b, per_class):
+        source = synth_multiclass((28, 28), 2, 3000, seed=0)
+        data = self.traced(lambda: select_binary(source, a, b, per_class, seed=6))
+        # the two-gather formula: select the rows, then take the pair's view
+        want = select_multiclass(source, [a, b], per_class, seed=6).binary_view(a, b)
+        np.testing.assert_array_equal(data.samples, want.samples)
+        np.testing.assert_array_equal(data.labels, want.labels)
+
 
 class TestDatasetDirectory:
     def test_round_trip(self, tmp_path):
