@@ -208,27 +208,43 @@ def resolve_config(raw: dict, need_method=True, need_methods=False) -> dict:
 # --- dataset construction ----------------------------------------------------
 
 
-def _resolve_path(p: str) -> str:
-    if p == "auto" or os.path.isabs(p) or os.path.exists(p):
-        return p
-    return os.path.join(data_dir(), p)
+def _dataset_paths(ds: dict) -> dict:
+    """Resolve and check every input the dataset section names, by field.
+
+    ``"auto"`` stands for that one IDX field's standard MNIST file. Any
+    other path is taken as given when absolute or present relative to the
+    working directory, else under the data root. Nothing is read here, so a
+    missing input, held-out or not, exits 2 naming its field before any load.
+    """
+    is_dir = ds["source"] == "dir"
+    what, exists = ("directory", os.path.isdir) if is_dir else ("file", os.path.isfile)
+    keys = (("path", "test_path") if is_dir
+            else ("images", "labels", "test_images", "test_labels"))
+    paths = {}
+    for key in (k for k in keys if ds.get(k) is not None):
+        p = ds[key]
+        if p == "auto" and not is_dir:
+            found = find_mnist()
+            _need(found is not None,
+                  f"field 'dataset.{key}' is 'auto' but the standard IDX files "
+                  f"were not found under {data_dir()!r} (set SPMD_DATA_DIR)")
+            p = found[key if key.startswith("test_") else f"train_{key}"]
+        elif not (os.path.isabs(p) or os.path.exists(p)):
+            p = os.path.join(data_dir(), p)
+        _need(exists(p), f"field 'dataset.{key}': dataset {what} missing: {p}")
+        paths[key] = p
+    return paths
 
 
-def _load_idx_pair(ds: dict, images_key: str, labels_key: str):
-    images, labels = ds.get(images_key), ds.get(labels_key)
-    if images is None:  # resolve_config gives the pair together or not at all
-        return None
-    if images == "auto" or labels == "auto":
-        found = find_mnist()
-        _need(found is not None,
-              f"dataset.{images_key} is 'auto' but the standard IDX files were "
-              f"not found under {data_dir()!r} (set SPMD_DATA_DIR)")
-        key = "train" if images_key == "images" else "test"
-        return load_idx(found[f"{key}_images"], found[f"{key}_labels"])
-    try:
-        return load_idx(_resolve_path(images), _resolve_path(labels))
-    except FileNotFoundError as e:
-        raise ConfigError(f"dataset file missing: {e}")
+def _idx_sets(ds: dict, select):
+    """(train, test-or-None): ``select(raw, per_class, seed)`` on each IDX pair."""
+    paths = _dataset_paths(ds)
+    train_set = select(load_idx(paths["images"], paths["labels"]),
+                       ds.get("per_class"), ds["seed"])
+    if "test_images" not in paths:
+        return train_set, None
+    return train_set, select(load_idx(paths["test_images"], paths["test_labels"]),
+                             ds.get("test_per_class"), ds["seed"] + 1)
 
 
 def _split_per_class(n_classes: int, n_train: int, n_test: int):
@@ -261,21 +277,13 @@ def build_binary_dataset(ds: dict):
         _need(len(ds["classes"]) == 2,
               "field 'dataset.classes' must name exactly 2 classes for binary runs")
         a, b = ds["classes"]
-        raw = _load_idx_pair(ds, "images", "labels")
-        train_set = select_binary(raw, a, b, ds.get("per_class"), ds["seed"])
-        raw_test = _load_idx_pair(ds, "test_images", "test_labels")
-        test_set = None
-        if raw_test is not None:
-            test_set = select_binary(raw_test, a, b, ds.get("test_per_class"),
-                                     ds["seed"] + 1)
+        train_set, test_set = _idx_sets(
+            ds, lambda raw, n, seed: select_binary(raw, a, b, n, seed))
     else:
-        path = _resolve_path(ds["path"])
-        if not os.path.isdir(path):
-            raise ConfigError(f"dataset directory not found: {path}")
-        train_set = load_dataset(path)
-        test_set = None
-        if ds.get("test_path"):
-            test_set = load_dataset(_resolve_path(ds["test_path"]))
+        paths = _dataset_paths(ds)
+        train_set = load_dataset(paths["path"])
+        test_set = (load_dataset(paths["test_path"]) if "test_path" in paths
+                    else None)
     if ds.get("reshape"):
         train_set = reshape_samples(train_set, ds["reshape"])
         if test_set is not None:
@@ -299,14 +307,10 @@ def build_multiclass_dataset(ds: dict):
         train, test = _split_per_class(k, n_train, n_test)
         train_set, test_set = drawn.subset(train), drawn.subset(test)
     elif src == "idx":
-        raw = _load_idx_pair(ds, "images", "labels")
-        train_set = select_multiclass(raw, ds["classes"], ds.get("per_class"),
-                                      ds["seed"])
-        raw_test = _load_idx_pair(ds, "test_images", "test_labels")
-        _need(raw_test is not None,
+        _need(ds.get("test_images") is not None,
               "bench needs 'dataset.test_images'/'test_labels' for idx sources")
-        test_set = select_multiclass(raw_test, ds["classes"],
-                                     ds.get("test_per_class"), ds["seed"] + 1)
+        train_set, test_set = _idx_sets(
+            ds, lambda raw, n, seed: select_multiclass(raw, ds["classes"], n, seed))
     else:
         raise ConfigError("bench supports dataset sources 'synth' and 'idx'")
     if ds.get("reshape"):
@@ -446,8 +450,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if not args.model:
-        raise ConfigError("eval needs --model PATH")
     try:
         model = load_model(args.model)
     except FileNotFoundError:

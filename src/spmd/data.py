@@ -82,10 +82,6 @@ class LabeledDataset:
     def __len__(self) -> int:
         return self.samples.shape[0]
 
-    @property
-    def order(self) -> int:
-        return len(self.dims)
-
     def sample(self, i: int) -> DenseTensor:
         return DenseTensor(self.dims, self.samples[i])
 

@@ -86,11 +86,6 @@ class QpProblem:
     def n(self) -> int:
         return self.g.size
 
-    def objective(self, alpha: np.ndarray) -> float:
-        alpha = np.asarray(alpha, dtype=np.float64)
-        u = self.B @ alpha
-        return float(0.5 * (u @ u) + self.g @ alpha)
-
 
 @dataclass(frozen=True)
 class QpSolution:

@@ -166,10 +166,8 @@ def lemma2_check(seed: int = 0, n: int = 64, dim: int = 9,
     b = 1.0
     z = rng.standard_normal((n, dim))
     z /= np.linalg.norm(z, axis=1, keepdims=True)  # every sample norm = R = 1
-    vals = np.empty(draws)
-    for k in range(draws):
-        s = rng.choice([-1.0, 1.0], size=n)
-        vals[k] = b / n * np.linalg.norm(s @ z)
+    s = rng.choice([-1.0, 1.0], size=(draws, n))
+    vals = b / n * np.linalg.norm(s @ z, axis=1)
     mc = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(draws))
     bound = rademacher_bound(b, 1.0, n)

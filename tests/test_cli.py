@@ -24,8 +24,9 @@ from spmd.cli import (
     make_train_config,
     resolve_config,
 )
-from spmd.data import (MNIST_FILES, MulticlassDataset, reshape_samples,
-                       save_idx_images, save_idx_labels)
+from spmd.data import (MNIST_FILES, MulticlassDataset, load_idx, reshape_samples,
+                       save_dataset, save_idx_images, save_idx_labels,
+                       select_binary, synth_blobs)
 from spmd.multiclass import ovo_train
 from spmd.margins import summarize_scores
 from spmd.theory import BoundReport
@@ -590,6 +591,24 @@ class TestBenchCommand:
         assert main(["bench", "--config", cfg]) == 2
         assert "'methods'" in capsys.readouterr().err
 
+    def test_dir_source_exits_2(self, tmp_path, capsys):
+        save_dataset(str(tmp_path / "ds"), synth_blobs((2, 2), 4, seed=1))
+        cfg = self.bench_config(tmp_path, dataset={"source": "dir",
+                                                   "path": str(tmp_path / "ds")})
+        assert main(["bench", "--config", cfg]) == 2
+        assert "bench supports dataset sources" in capsys.readouterr().err
+
+    def test_reshape_applies_to_train_and_test_rows(self, tmp_path):
+        cfg = json.loads(Path(self.bench_config(tmp_path)).read_text())
+        cfg["dataset"]["reshape"] = [4, 1]
+        resolved = resolve_config(cfg, need_method=False, need_methods=True)
+        train_multi, test_multi = build_multiclass_dataset(resolved["dataset"])
+        assert train_multi.dims == test_multi.dims == (4, 1)
+        path = tmp_path / "reshaped.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["bench", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 0
+
 
 class TestCheckCommand:
     def test_scope_filters_to_norm_inequality(self, tmp_path, capsys):
@@ -687,6 +706,55 @@ class TestIdxSource:
         assert main(["train", "--config", cfg]) == 2
         assert "dataset file missing" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["images", "labels", "test_images",
+                                       "test_labels"])
+    def test_missing_file_named_by_its_field(self, tmp_path, capsys, field):
+        self.write_idx_fixture(tmp_path)
+        paths = {"images": str(tmp_path / "im.idx"), "labels": str(tmp_path / "lb.idx"),
+                 "test_images": str(tmp_path / "im.idx"),
+                 "test_labels": str(tmp_path / "lb.idx")}
+        paths[field] = str(tmp_path / "gone.idx")
+        cfg = self.idx_config(tmp_path, **paths)
+        assert main(["train", "--config", cfg]) == 2
+        assert f"field 'dataset.{field}'" in capsys.readouterr().err
+
+    def test_inputs_checked_before_any_read(self, tmp_path, capsys):
+        # a held-out file that is missing is a config error even when the
+        # training images, read first, are not an IDX file at all
+        self.write_idx_fixture(tmp_path)
+        (tmp_path / "junk.idx").write_bytes(b"JUNKJUNK")
+        cfg = self.idx_config(tmp_path, str(tmp_path / "junk.idx"),
+                              str(tmp_path / "lb.idx"),
+                              test_images=str(tmp_path / "im.idx"),
+                              test_labels=str(tmp_path / "gone.idx"))
+        assert main(["train", "--config", cfg]) == 2
+        assert "field 'dataset.test_labels'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("auto", ["images", "labels"])
+    def test_auto_stands_for_its_own_field_only(self, tmp_path, monkeypatch, auto):
+        # the standard files hold other pixels and another label order than
+        # im.idx/lb.idx, so the training rows show which file each field read
+        self.write_idx_fixture(tmp_path)
+        mnist = tmp_path / "mnist"
+        mnist.mkdir()
+        rng = np.random.default_rng(1)
+        for key, name in MNIST_FILES.items():
+            if key.endswith("images"):
+                save_idx_images(str(mnist / name),
+                                rng.integers(0, 256, size=(12, 2, 2)))
+            else:
+                save_idx_labels(str(mnist / name), np.arange(12) // 6)
+        monkeypatch.setenv("SPMD_DATA_DIR", str(mnist))
+        paths = {"images": str(tmp_path / "im.idx"), "labels": str(tmp_path / "lb.idx")}
+        ds = dict(paths, **{auto: "auto"}, source="idx", classes=[0, 1], per_class=4)
+        paths[auto] = str(mnist / MNIST_FILES[f"train_{auto}"])
+        train_set, test_set = build_binary_dataset(
+            resolve_config(minimal(dataset=ds))["dataset"])
+        want = select_binary(load_idx(paths["images"], paths["labels"]), 0, 1, 4, 0)
+        np.testing.assert_array_equal(train_set.samples, want.samples)
+        np.testing.assert_array_equal(train_set.labels, want.labels)
+        assert test_set is None
+
     def test_insufficient_samples_exit_3(self, tmp_path, capsys):
         self.write_idx_fixture(tmp_path, n_per_class=2)
         cfg = self.idx_config(tmp_path, str(tmp_path / "im.idx"),
@@ -702,6 +770,30 @@ class TestIdxSource:
         assert main(["train", "--config", cfg, "--out", str(out)]) == 0
         model = load_model(str(out / "model.spmd"))
         assert model.shape == (4,)
+
+
+class TestDirSource:
+    def config(self, tmp_path, **ds_over):
+        for name, seed in (("train", 3), ("test", 4)):
+            save_dataset(str(tmp_path / name),
+                         synth_blobs((2, 2), 6, margin=3.0, noise=0.2, seed=seed))
+        ds = {"source": "dir", "path": str(tmp_path / "train"),
+              "test_path": str(tmp_path / "test")}
+        ds.update(ds_over)
+        return write_config(tmp_path, dataset=ds)
+
+    def test_held_out_directory_scored(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["train", "--config", self.config(tmp_path),
+                     "--out", str(out)]) == 0
+        assert "test_accuracy" in (out / "summary.txt").read_text()
+
+    @pytest.mark.parametrize("field", ["path", "test_path"])
+    def test_missing_directory_exits_2_naming_its_field(self, tmp_path, capsys,
+                                                        field):
+        cfg = self.config(tmp_path, **{field: str(tmp_path / "gone")})
+        assert main(["train", "--config", cfg]) == 2
+        assert f"field 'dataset.{field}'" in capsys.readouterr().err
 
 
 class TestMnistShapedPipeline:

@@ -177,6 +177,11 @@ class TestSelectBinary:
         assert sorted(np.unique(sub.labels).tolist()) == [0, 2]
         assert len(sub) == 4
 
+    def test_absent_class_rejected(self, idx_pair):
+        data = load_idx(*idx_pair[:2])
+        with pytest.raises(ValueError, match="class 7 has no samples"):
+            select_multiclass(data, [0, 7])
+
 
 class TestBinaryView:
     def test_signs_and_counts(self, idx_pair):
@@ -266,6 +271,12 @@ class TestSynthBlobs:
         assert sorted(np.unique(data.labels).tolist()) == [0, 1, 2]
         with pytest.raises(ValueError, match="two classes"):
             synth_multiclass((2, 2), 1, 4)
+
+    def test_empty_class_rejected(self):
+        with pytest.raises(ValueError, match="at least one sample per class"):
+            synth_blobs((2, 2), 0)
+        with pytest.raises(ValueError, match="at least one sample per class"):
+            synth_multiclass((2, 2), 3, 0)
 
 
 class TestOneAllocation:
@@ -395,6 +406,16 @@ class TestLabeledDatasetValidation:
         rng = np.random.default_rng(22)
         with pytest.raises(ValueError):
             LabeledDataset(rng.standard_normal((2, 4)), (4,), np.ones(3))
+
+    @pytest.mark.parametrize("cls", [LabeledDataset, MulticlassDataset])
+    @pytest.mark.parametrize("samples, dims, n_labels, match", [
+        (np.zeros(4), (4,), 4, "samples must be"),
+        (np.zeros((2, 4)), (2, 3), 2, "does not match dims|samples must be"),
+        (np.zeros((2, 4)), (4,), 3, "2 samples but 3 labels"),
+    ], ids=["not-2d", "length-vs-dims", "label-count"])
+    def test_malformed_arrays_rejected(self, cls, samples, dims, n_labels, match):
+        with pytest.raises(ValueError, match=match):
+            cls(samples, dims, np.ones(n_labels))
 
     def test_subset(self):
         data = synth_blobs((2, 2), 4, seed=23)

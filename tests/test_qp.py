@@ -32,10 +32,6 @@ def random_instance(rng, d, n, mu1=1.0, mu2=1.0, lam=1.0):
 
 
 class TestQpProblem:
-    def test_objective_value(self):
-        p = QpProblem(np.eye(2), np.array([1.0, -1.0]), 1.0)
-        assert p.objective(np.array([1.0, 1.0])) == pytest.approx(1.0)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             QpProblem(np.zeros((2, 3)), np.zeros(2), 1.0)
@@ -139,6 +135,8 @@ class TestBuildDual:
             assemble_dual(Z, t, -1, 1, 1)
         with pytest.raises(ValueError, match="finite"):
             assemble_dual(np.full((2, 3), np.inf), t, 1, 1, 1)
+        with pytest.raises(ValueError, match="D x N"):
+            assemble_dual(np.ones(3), t, 1, 1, 1)
 
     def test_assembly_and_solve_memory_linear_in_n(self):
         # at D = 28, N = 12000 an N x N H alone would be 1.15 GB; the factor
@@ -241,6 +239,21 @@ class TestSolveBoxQp:
         p = QpProblem(np.zeros((1, 1)), np.array([1.0]), 2.0)
         sol = solve_box_qp(p)
         assert sol.alpha[0] == 0.0
+
+    def test_zero_column_warm_start_moves_to_lower_end(self):
+        # b_1 = 0 and g_1 > 0: a warm start a_1 > 0 violates the KKT
+        # conditions, and the linear rule moves a_1 to 0; starting at the
+        # upper end keeps a_1 out of the free-set step, so only the
+        # coordinate visit can move it
+        p = QpProblem(np.array([[1.0, 0.0]]), np.array([-1.0, 1.0]), 2.0)
+        sol = solve_box_qp(p, alpha0=np.array([0.0, 2.0]))
+        np.testing.assert_array_equal(sol.alpha, [1.0, 0.0])
+        assert sol.converged
+
+    def test_warm_start_of_wrong_size_rejected(self):
+        p = QpProblem(np.eye(2), -np.ones(2), 1.0)
+        with pytest.raises(ValueError, match="warm start has 3 entries, need 2"):
+            solve_box_qp(p, alpha0=np.zeros(3))
 
     def test_grid_plus_projected_gradient_oracle(self):
         rng = np.random.default_rng(10)

@@ -108,6 +108,10 @@ class TestDenseTensor:
         with pytest.raises(ValueError):
             DenseTensor((), np.zeros(1))
 
+    def test_from_array_rejects_scalar(self):
+        with pytest.raises(ValueError, match="scalars are not tensors"):
+            DenseTensor.from_array(np.float64(3.0))
+
 
 class TestVec:
     def test_vec_stacks_columns(self):
@@ -345,6 +349,12 @@ class TestCpReconstruct:
     def test_inconsistent_rank(self):
         with pytest.raises(ValueError):
             cp_reconstruct([np.zeros((2, 2)), np.zeros((3, 1))])
+
+    def test_no_factor_or_no_column_rejected(self):
+        with pytest.raises(ValueError, match="at least one factor"):
+            cp_reconstruct([])
+        with pytest.raises(ValueError, match="rank must be at least 1"):
+            cp_reconstruct([np.zeros((2, 0))])
 
 
 class TestTuckerReconstruct:

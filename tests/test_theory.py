@@ -385,6 +385,20 @@ class TestCapacityCheck:
         assert rep.inputs["draws"] == 100
         assert rep.inputs["N"] == 64
 
+    def test_matches_one_sign_vector_per_draw(self):
+        # reference: the draws one at a time, from the same generator stream;
+        # batching only changes how the norms are summed
+        n, dim, draws = 64, 9, 50
+        rng = np.random.default_rng(5)
+        z = rng.standard_normal((n, dim))
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        vals = np.array([np.linalg.norm(rng.choice([-1.0, 1.0], size=n) @ z) / n
+                         for _ in range(draws)])
+        rep = lemma2_check(seed=5, n=n, dim=dim, draws=draws)
+        assert rep.empirical_value == pytest.approx(vals.mean(), rel=1e-12)
+        assert rep.inputs["mc_stderr"] == pytest.approx(
+            vals.std(ddof=1) / math.sqrt(draws), rel=1e-9)
+
 
 class TestGeneralizationSweep:
     def test_bound_dominates_holdout_error(self):

@@ -76,6 +76,11 @@ class TestModeRanks:
         with pytest.raises(ValueError, match="kind"):
             _mode_ranks("butterfly", [], (2, 3))
 
+    @pytest.mark.parametrize("kind", ["cp", "tucker"])
+    def test_zero_rank_rejected(self, kind):
+        with pytest.raises(ValueError, match="ranks must be positive"):
+            _mode_ranks(kind, [0] if kind == "cp" else [2, 0], (2, 3))
+
 
 class TestPsdRoot:
     def test_reproduces_healthy_metric(self):
@@ -976,6 +981,13 @@ class TestPersistence:
         path = tmp_path / "ver.spmd"
         path.write_bytes(b"SPMD" + struct.pack("<IBBB", 99, 1, 0, 1))
         with pytest.raises(ValueError, match="version"):
+            load_model(str(path))
+
+    def test_unknown_kind_tag(self, tmp_path):
+        import struct
+        path = tmp_path / "kind.spmd"
+        path.write_bytes(b"SPMD" + struct.pack("<IBBB", 1, 99, 0, 1))
+        with pytest.raises(ValueError, match="unknown kind tag 99"):
             load_model(str(path))
 
     def test_truncated(self, tmp_path):
