@@ -16,8 +16,8 @@ from .data import (LabeledDataset, MulticlassDataset, load_dataset, load_idx,
 from .margins import MarginSummary, signed_margins
 from .multiclass import OvoEnsemble, ovo_train, pairwise_accuracy
 from .qp import QpProblem, QpSolution, solve_box_qp
-from .tensor import (DenseTensor, cp_reconstruct, khatri_rao, kron,
-                     outer_product, tucker_reconstruct, unfold)
+from .tensor import (DenseTensor, cp_reconstruct, khatri_rao, outer_product,
+                     tucker_reconstruct, unfold)
 from .theory import (BoundReport, cantelli_margin_tail, descent_certificate,
                      generalization_bound, rademacher_bound, spectral_norm,
                      tucker_norm_inequality)

@@ -224,11 +224,10 @@ def _dataset_paths(ds: dict) -> dict:
     for key in (k for k in keys if ds.get(k) is not None):
         p = ds[key]
         if p == "auto" and not is_dir:
-            found = find_mnist()
-            _need(found is not None,
-                  f"field 'dataset.{key}' is 'auto' but the standard IDX files "
-                  f"were not found under {data_dir()!r} (set SPMD_DATA_DIR)")
-            p = found[key if key.startswith("test_") else f"train_{key}"]
+            p = find_mnist().get(key if key.startswith("test_") else f"train_{key}")
+            _need(p is not None,
+                  f"field 'dataset.{key}' is 'auto' but its standard IDX file "
+                  f"was not found under {data_dir()!r} (set SPMD_DATA_DIR)")
         elif not (os.path.isabs(p) or os.path.exists(p)):
             p = os.path.join(data_dir(), p)
         _need(exists(p), f"field 'dataset.{key}': dataset {what} missing: {p}")

@@ -219,27 +219,22 @@ def data_dir(override: str | None = None) -> str:
     return os.environ.get("SPMD_DATA_DIR", os.path.join(os.getcwd(), "data"))
 
 
-def find_mnist(root: str | None = None) -> dict | None:
-    """Locate the four standard MNIST IDX files under the data root.
+def find_mnist(root: str | None = None) -> dict:
+    """Locate the standard MNIST IDX files under the data root, each on its own.
 
     Accepts both the dotted ("train-images.idx3-ubyte") and dashed
     ("train-images-idx3-ubyte") filename conventions. Gzipped files are
-    not found; decompress them first. Returns a dict of paths, or None if
-    any file is missing.
+    not found; decompress them first. Returns a dict of the paths found,
+    keyed like ``MNIST_FILES``; a missing file has no key.
     """
     root = data_dir(root)
     found = {}
     for key, name in MNIST_FILES.items():
-        candidates = [name, name.replace("-idx", ".idx")]
-        path = None
-        for cand in candidates:
+        for cand in (name, name.replace("-idx", ".idx")):
             p = os.path.join(root, cand)
             if os.path.exists(p):
-                path = p
+                found[key] = p
                 break
-        if path is None:
-            return None
-        found[key] = path
     return found
 
 

@@ -60,14 +60,6 @@ class DenseTensor:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "data", data)
 
-    @classmethod
-    def from_array(cls, arr) -> "DenseTensor":
-        """Build from an ndarray, preserving its index convention."""
-        arr = np.asarray(arr)
-        if arr.ndim == 0:
-            raise ValueError("scalars are not tensors here; need at least one mode")
-        return cls(arr.shape, arr)
-
     def to_array(self) -> np.ndarray:
         """The tensor as an ndarray indexed ``arr[i1, ..., iM]``."""
         return self.data.reshape(self.dims, order="F")
@@ -93,7 +85,8 @@ def outer_product(vectors: list[np.ndarray]) -> DenseTensor:
     vs = [np.asarray(v, dtype=np.float64).ravel() for v in vectors]
     if any(v.size == 0 for v in vs):
         raise ValueError("empty vector in outer product")
-    return DenseTensor.from_array(reduce(np.multiply.outer, vs))
+    t = reduce(np.multiply.outer, vs)
+    return DenseTensor(t.shape, t)
 
 
 def unfold(t: DenseTensor, mode: int) -> np.ndarray:
@@ -110,17 +103,11 @@ def unfold(t: DenseTensor, mode: int) -> np.ndarray:
     )
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two matrices (a's indices vary slower)."""
-    return np.kron(np.atleast_2d(np.asarray(a, dtype=np.float64)),
-                   np.atleast_2d(np.asarray(b, dtype=np.float64)))
-
-
 def kron_chain(mats: list[np.ndarray], empty_dim: int = 1) -> np.ndarray:
     """Left-to-right Kronecker chain; identity of size ``empty_dim`` for []."""
     if len(mats) == 0:
         return np.eye(empty_dim)
-    return reduce(kron, mats)
+    return reduce(np.kron, mats)
 
 
 def khatri_rao(mats: list[np.ndarray], empty_cols: int = 1) -> np.ndarray:
@@ -148,10 +135,10 @@ def cp_reconstruct(factors: list[np.ndarray]) -> DenseTensor:
     if len(factors) == 0:
         raise ValueError("need at least one factor matrix")
     mats = [np.atleast_2d(np.asarray(v, dtype=np.float64)) for v in factors]
-    kr = khatri_rao(mats[::-1])
-    if kr.shape[1] < 1:
+    if min(m.shape[1] for m in mats) < 1:
         raise ValueError("rank must be at least 1")
-    return DenseTensor(tuple(m.shape[0] for m in mats), kr.sum(axis=1))
+    return DenseTensor(tuple(m.shape[0] for m in mats),
+                       khatri_rao(mats[::-1]).sum(axis=1))
 
 
 def tucker_reconstruct(core: DenseTensor, factors: list[np.ndarray]) -> DenseTensor:
@@ -174,4 +161,4 @@ def tucker_reconstruct(core: DenseTensor, factors: list[np.ndarray]) -> DenseTen
                 f"factor {m} has {v.shape[1]} columns, core mode {m} has size {core.dims[m - 1]}"
             )
         t = (t.reshape(t.shape[0], -1).T @ v.T).reshape(t.shape[1:] + v.shape[:1])
-    return DenseTensor.from_array(t)
+    return DenseTensor(t.shape, t)

@@ -7,12 +7,14 @@ whitened coordinate system where the block objective is exactly the primal
 objective restricted to that block:
 
     mode m:  P = coefficient of V_m in the mode-m unfolding, A = P P' = L L',
-             v = vec(V_m L),  z_i = vec(U_i P' L^{-T})
-    core:    K = kron of factor Grams (highest mode leftmost) = L L',
-             f~ = L' vec(F),  z_i = L^{-1} (x V_m' contractions)
+             v = vec(V_m L),  z_i = vec(U_i P' L^+')
+    core:    K = kron of factor Grams V_m'V_m (highest mode leftmost) = L L',
+             L = kron of the Grams' roots L_m,  f~ = L' vec(F),
+             z_i = vec(X_i x_1 (V_1 L_1^+')' ... x_M (V_M L_M^+')')
 
-L is the clamped eigenbasis square-root factor of the block metric (see
-MetricRoot); with symmetric roots these are the usual A^{1/2} whitenings.
+L is the range root of the block metric (see MetricRoot): R x r, with
+left inverse L^+, for a metric of rank r. With symmetric full-rank roots
+these are the usual A^{1/2} whitenings.
 
 Both satisfy <W, Z_i> = v'z_i and ||W||_F^2 = v'v, so every block update
 minimizes the full objective over that block. An update that does not
@@ -61,21 +63,19 @@ class Hyper(NamedTuple):
 
 @dataclass(frozen=True)
 class MetricRoot:
-    """Eigenvalue-clamped square-root factor of a block metric A.
+    """Square-root factor of a block metric A on its range.
 
-    ``half = U diag(sqrt(w_clamped))`` and ``inv_half = half^{-1}``, so
-    ``half @ half.T`` reproduces A with eigenvalues clamped below at
-    ``EIG_CLAMP_REL * trace(A)/dim``. The eigenbasis (rather than symmetric)
-    factor keeps the whitening identities exact to machine precision even
-    for ill-conditioned A: the diagonal scalings cancel exactly wherever
-    the root meets its inverse. The floor only guards zero and negative
-    eigenvalues (a mode whose rank exceeds the product of the other ranks
-    yields a structurally singular metric); it is kept near round-off so
-    the clamp perturbs reconstructed norms by at most ~1e-14 * trace(A)
-    relative terms. Whitened features stay bounded regardless: a feature
-    component along eigenvector u scales as sqrt(u'Au)/sqrt(w_clamped) <= 1
-    up to round-off, so shrinking the floor cannot blow them up.
-    ``clamped`` counts raised eigenvalues.
+    ``half = U_r diag(sqrt(w_r))`` (R x r) over the eigenpairs of A at or
+    above ``EIG_CLAMP_REL * trace(A)/R``, and ``inv_half = diag(1/sqrt(w_r))
+    U_r'`` (r x R) is its exact left inverse, so ``half @ half.T`` is A
+    with only the dropped round-off directions missing. A block whitened by
+    it has r columns and reaches exactly the range of W that the other
+    blocks allow: a metric is singular only structurally (a mode whose rank
+    exceeds the product of the other ranks), and its null directions do not
+    move W. The eigenbasis (rather than symmetric) factor keeps the
+    whitening identities exact to machine precision even for
+    ill-conditioned A: the diagonal scalings cancel exactly wherever the
+    root meets its inverse. ``clamped`` counts the dropped directions.
     """
 
     half: np.ndarray
@@ -84,7 +84,7 @@ class MetricRoot:
 
 
 def psd_root(a: np.ndarray, context: str = "block") -> MetricRoot:
-    """Clamped square-root factor (half @ half.T = A) of a symmetric PSD matrix."""
+    """Range root (half @ half.T = A, inv_half @ half = I) of a symmetric PSD matrix."""
     a = np.asarray(a, dtype=np.float64)
     a = 0.5 * (a + a.T)
     tr = float(np.trace(a))
@@ -95,12 +95,13 @@ def psd_root(a: np.ndarray, context: str = "block") -> MetricRoot:
             f"{context}: metric trace {tr:g} is not positive; block collapsed"
         )
     w, u = np.linalg.eigh(a)
-    floor = EIG_CLAMP_REL * tr / a.shape[0]
-    clamped = int(np.sum(w < floor))
-    s = np.sqrt(np.maximum(w, floor))
-    half = u * s
-    inv_half = (u / s).T
-    return MetricRoot(half, inv_half, clamped)
+    clamped = int(np.sum(w < EIG_CLAMP_REL * tr / a.shape[0]))
+    # eigh sorts ascending, so the dropped directions lead; slicing only when
+    # one drops keeps u's layout, and with it the BLAS rounding, otherwise
+    if clamped:
+        w, u = w[clamped:], u[:, clamped:]
+    s = np.sqrt(w)
+    return MetricRoot(u * s, (u / s).T, clamped)
 
 
 @dataclass
@@ -278,13 +279,23 @@ def _core_design(samples: np.ndarray, dims: tuple[int, ...], factors) -> np.ndar
 
 
 def core_features(data: LabeledDataset, factors):
-    """Whitened core features and the Gram-Kronecker metric root."""
+    """Whitened core features and the root of the core metric.
+
+    The core metric is kron of the factor Grams V_m'V_m, highest mode
+    leftmost (Kolda & Bader, SIAM Review 2009), so the Kronecker products
+    of their range roots are its root and that root's left inverse. Each
+    factor is whitened on its own, V_m L_m^+', so no eigendecomposition is
+    larger than one mode's Gram and no product with a prod(R) x prod(R)
+    matrix whitens the features.
+    """
     factors = [np.asarray(v, dtype=np.float64) for v in factors]
-    grams = [v.T @ v for v in factors]
-    k = kron_chain(list(reversed(grams)))
-    root = psd_root(k, context="core metric")
-    design = _core_design(data.samples, data.dims, factors)
-    return (design @ root.inv_half.T).T, root
+    roots = [psd_root(v.T @ v, context=f"core metric, mode {m} Gram")
+             for m, v in enumerate(factors, start=1)]
+    design = _core_design(data.samples, data.dims,
+                          [v @ r.inv_half.T for v, r in zip(factors, roots)])
+    half = kron_chain([r.half for r in reversed(roots)])
+    inv_half = kron_chain([r.inv_half for r in reversed(roots)])
+    return design.T, MetricRoot(half, inv_half, half.shape[0] - half.shape[1])
 
 
 def block_features(data: LabeledDataset, factors, core, block: int):
@@ -292,10 +303,10 @@ def block_features(data: LabeledDataset, factors, core, block: int):
 
     ``block`` is a mode 1..M, or 0 for the Tucker core (``core`` is None for
     CP and rank-1 weights). A block solution v maps back as
-    ``V_m = unvec(v) @ root.inv_half`` for a mode and
-    ``vec(F) = root.inv_half.T @ v`` for the core. When the block is the
-    identity map (order-1 data, one column, no core) the features are the
-    raw samples, a view, with a 1 x 1 identity root. No block copies the
+    ``V_m = unvec(v) @ root.inv_half`` for a mode (unvec to the root's r
+    columns) and ``vec(F) = root.inv_half.T @ v`` for the core. When the
+    block is the identity map (order-1 data, one column, no core) the
+    features are the raw samples, a view, with a 1 x 1 identity root. No block copies the
     N x P samples; only its D x N features are new arrays.
     """
     if block == 0:
@@ -499,7 +510,7 @@ def train(data: LabeledDataset, cfg: TrainConfig):
                 if b == 0:
                     core = DenseTensor(mode_ranks, root.inv_half.T @ v)
                 else:
-                    factors[b - 1] = (unvec(v, (dims[b - 1], mode_ranks[b - 1]))
+                    factors[b - 1] = (unvec(v, (dims[b - 1], root.inv_half.shape[0]))
                                       @ root.inv_half)
                 weight_norms.append(float(np.sqrt(sq_norm)))
             else:

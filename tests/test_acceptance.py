@@ -227,7 +227,7 @@ def test_criterion_8_mnist_sanity(tmp_path):
     """Desk-scale MNIST trends: 0-vs-1 accuracy floors over 5 seeds and the
     margin-distribution advantage over the zero-mu configuration."""
     found = find_mnist()
-    if found is None:
+    if len(found) < 4:
         record_skip(8, "MNIST IDX files not found under the data root (no "
                        "network access in this environment; set SPMD_DATA_DIR "
                        "to a directory holding train/t10k images+labels to "

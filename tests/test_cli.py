@@ -755,6 +755,24 @@ class TestIdxSource:
         np.testing.assert_array_equal(train_set.labels, want.labels)
         assert test_set is None
 
+    def test_auto_needs_only_the_standard_files_it_names(self, tmp_path,
+                                                         monkeypatch, capsys):
+        # the data root holds the two training files and no held-out pair
+        mnist = tmp_path / "mnist"
+        mnist.mkdir()
+        self.write_idx_fixture(mnist)
+        (mnist / "im.idx").rename(mnist / MNIST_FILES["train_images"])
+        (mnist / "lb.idx").rename(mnist / MNIST_FILES["train_labels"])
+        monkeypatch.setenv("SPMD_DATA_DIR", str(mnist))
+        out = tmp_path / "out"
+        cfg = self.idx_config(tmp_path, "auto", "auto")
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+        assert (out / "model.spmd").exists()
+        cfg = self.idx_config(tmp_path, "auto", "auto", test_images="auto",
+                              test_labels="auto")
+        assert main(["train", "--config", cfg]) == 2
+        assert "field 'dataset.test_images' is 'auto'" in capsys.readouterr().err
+
     def test_insufficient_samples_exit_3(self, tmp_path, capsys):
         self.write_idx_fixture(tmp_path, n_per_class=2)
         cfg = self.idx_config(tmp_path, str(tmp_path / "im.idx"),

@@ -124,7 +124,7 @@ class TestDataDir:
         assert data_dir() == os.path.join(os.getcwd(), "data")
 
     def test_find_mnist_both_name_styles(self, tmp_path):
-        assert find_mnist(str(tmp_path)) is None
+        assert find_mnist(str(tmp_path)) == {}
         names = ["train-images-idx3-ubyte", "train-labels-idx1-ubyte",
                  "t10k-images.idx3-ubyte", "t10k-labels.idx1-ubyte"]
         rng = np.random.default_rng(1)
@@ -136,9 +136,9 @@ class TestDataDir:
                 save_idx_labels(str(tmp_path / name),
                                 np.array([0, 1], dtype=np.uint8))
         found = find_mnist(str(tmp_path))
-        assert found is not None
         assert set(found) == {"train_images", "train_labels",
                               "test_images", "test_labels"}
+        assert found["test_labels"] == str(tmp_path / "t10k-labels.idx1-ubyte")
 
 
 class TestSelectBinary:

@@ -14,9 +14,8 @@ import pytest
 from oracles import inner, vec
 from spmd.data import LabeledDataset
 from spmd.margins import signed_margins
-from spmd.tensor import (DenseTensor, cp_reconstruct, khatri_rao, kron,
-                         kron_chain, outer_product, tucker_reconstruct, unfold,
-                         unvec)
+from spmd.tensor import (DenseTensor, cp_reconstruct, khatri_rao, kron_chain,
+                         outer_product, tucker_reconstruct, unfold, unvec)
 
 
 def random_tensor(rng, dims):
@@ -45,10 +44,10 @@ class TestDenseTensor:
         assert arr[1, 2] == 1 + 2 * 2
         assert arr[0, 1] == 2.0
 
-    def test_from_array_round_trip(self):
+    def test_array_round_trip(self):
         rng = np.random.default_rng(0)
         arr = rng.standard_normal((2, 3, 4))
-        t = DenseTensor.from_array(arr)
+        t = DenseTensor(arr.shape, arr)
         assert t.dims == (2, 3, 4)
         np.testing.assert_array_equal(t.to_array(), arr)
 
@@ -59,15 +58,6 @@ class TestDenseTensor:
         assert t.data[0] == 0.0
         with pytest.raises(ValueError):
             t.data[0] = 1.0
-
-    @pytest.mark.parametrize("layout", ["c", "f", "strided"])
-    def test_from_array_never_aliases_source(self, layout):
-        src = source_arrays()[layout]
-        want = src.copy()
-        t = DenseTensor.from_array(src)
-        assert not np.shares_memory(t.data, src)
-        src[...] = 0.0
-        np.testing.assert_array_equal(t.to_array(), want)
 
     @pytest.mark.parametrize("layout", ["c", "f", "strided"])
     def test_direct_never_aliases_source(self, layout):
@@ -108,9 +98,10 @@ class TestDenseTensor:
         with pytest.raises(ValueError):
             DenseTensor((), np.zeros(1))
 
-    def test_from_array_rejects_scalar(self):
-        with pytest.raises(ValueError, match="scalars are not tensors"):
-            DenseTensor.from_array(np.float64(3.0))
+    def test_scalar_rejected(self):
+        scalar = np.float64(3.0)
+        with pytest.raises(ValueError, match="at least one mode"):
+            DenseTensor(np.shape(scalar), scalar)
 
 
 class TestVec:
@@ -154,11 +145,11 @@ class TestOuterProduct:
 
 class TestUnfold:
     def test_matrix_mode1_is_itself(self):
-        t = DenseTensor.from_array(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        t = DenseTensor((2, 2), np.array([[1.0, 2.0], [3.0, 4.0]]))
         np.testing.assert_array_equal(unfold(t, 1), [[1.0, 2.0], [3.0, 4.0]])
 
     def test_matrix_mode2_is_transpose(self):
-        t = DenseTensor.from_array(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        t = DenseTensor((2, 2), np.array([[1.0, 2.0], [3.0, 4.0]]))
         np.testing.assert_array_equal(unfold(t, 2), [[1.0, 3.0], [2.0, 4.0]])
 
     def test_index_map_all_modes(self):
@@ -211,7 +202,7 @@ class TestModeNProduct:
         np.testing.assert_array_equal(out.data, t.data)
 
     def test_ones_row_sums_fibers(self):
-        t = DenseTensor.from_array(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        t = DenseTensor((2, 2), np.array([[1.0, 2.0], [3.0, 4.0]]))
         out = mode_product(t, np.ones((1, 2)), 1)
         assert out.dims == (1, 2)
         np.testing.assert_allclose(out.to_array(), [[4.0, 6.0]])
@@ -267,10 +258,10 @@ class TestInner:
 
 class TestKron:
     def test_identity_blocks(self):
-        np.testing.assert_array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
+        np.testing.assert_array_equal(kron_chain([np.eye(2), np.eye(2)]), np.eye(4))
 
     def test_row_vectors_hand_forced(self):
-        out = kron(np.array([[1.0, 2.0]]), np.array([[1.0, 0.0]]))
+        out = kron_chain([np.array([[1.0, 2.0]]), np.array([[1.0, 0.0]])])
         np.testing.assert_array_equal(out, [[1.0, 0.0, 2.0, 0.0]])
 
     def test_vec_identity(self):
@@ -278,14 +269,15 @@ class TestKron:
         rng = np.random.default_rng(13)
         a, b, x = (rng.standard_normal((2, 2)) for _ in range(3))
         lhs = vec(b @ x @ a.T)
-        rhs = kron(a, b) @ vec(x)
+        rhs = kron_chain([a, b]) @ vec(x)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
     def test_chain_is_left_associative(self):
         rng = np.random.default_rng(14)
         mats = [rng.standard_normal((2, 2)) for _ in range(3)]
         np.testing.assert_allclose(
-            kron_chain(mats), kron(kron(mats[0], mats[1]), mats[2]), rtol=1e-12)
+            kron_chain(mats), np.kron(np.kron(mats[0], mats[1]), mats[2]),
+            rtol=1e-12)
 
     def test_empty_chain_is_identity(self):
         np.testing.assert_array_equal(kron_chain([], empty_dim=3), np.eye(3))
@@ -355,6 +347,8 @@ class TestCpReconstruct:
             cp_reconstruct([])
         with pytest.raises(ValueError, match="rank must be at least 1"):
             cp_reconstruct([np.zeros((2, 0))])
+        with pytest.raises(ValueError, match="rank must be at least 1"):
+            cp_reconstruct([np.zeros((2, 0)), np.zeros((3, 0))])
 
 
 class TestTuckerReconstruct:
@@ -369,7 +363,7 @@ class TestTuckerReconstruct:
         f = [rng.standard_normal((d, 2)) for d in (3, 2, 3)]
         core_arr = np.zeros((2, 2, 2))
         core_arr[0, 0, 0] = core_arr[1, 1, 1] = 1.0
-        out = tucker_reconstruct(DenseTensor.from_array(core_arr), f)
+        out = tucker_reconstruct(DenseTensor(core_arr.shape, core_arr), f)
         np.testing.assert_allclose(out.data, cp_reconstruct(f).data, rtol=1e-12, atol=1e-13)
 
     def test_nested_loop_oracle(self):

@@ -23,7 +23,7 @@ from spmd.trainer import (Hyper, MetricCollapseError, TrainConfig, WeightModel,
                           predict, primal_objective, psd_root, decision_scores,
                           save_model, train, _class_mean_difference,
                           _mode_contract, _mode_ranks, _start_state)
-from spmd.tensor import cp_reconstruct, tucker_reconstruct, unfold
+from spmd.tensor import cp_reconstruct, kron_chain, tucker_reconstruct, unfold
 
 
 def random_dataset(rng, dims, n):
@@ -94,14 +94,20 @@ class TestPsdRoot:
         assert root.clamped == 0
 
     def test_structurally_singular_metric(self):
-        # rank-1 A: the floor only nudges the null direction, so norms built
-        # through the root stay within round-off of the true value
+        # a rank-2 metric of size 4, as a mode whose rank exceeds the product
+        # of the other ranks gives: the root spans its range and nothing else
         rng = np.random.default_rng(1)
-        p = rng.standard_normal((2, 1)) * 3.0
+        p = rng.standard_normal((4, 2)) * 3.0
         A = p @ p.T
         root = psd_root(A)
-        assert root.clamped == 1
-        V = rng.standard_normal((5, 2))
+        assert root.half.shape == (4, 2) and root.inv_half.shape == (2, 4)
+        assert root.clamped == 2
+        np.testing.assert_allclose(root.half @ root.half.T, A, rtol=0,
+                                   atol=1e-12 * np.abs(A).max())
+        np.testing.assert_allclose(root.inv_half @ root.half, np.eye(2),
+                                   rtol=0, atol=1e-12)
+        # norms built through the root are exact: V P and (V half) agree
+        V = rng.standard_normal((5, 4))
         lhs = float(vec(V @ root.half) @ vec(V @ root.half))
         rhs = float(np.sum((V @ p) ** 2))
         assert abs(lhs - rhs) <= 1e-12 * (1 + rhs)
@@ -172,7 +178,7 @@ class TestModeFeatureIdentities:
     def test_tucker_identity_factors_reduce_to_unfolding(self):
         rng = np.random.default_rng(3)
         data = random_dataset(rng, (3, 3), 4)
-        core = DenseTensor.from_array(np.eye(3))
+        core = DenseTensor((3, 3), np.eye(3))
         feats, root = block_features(data, [np.eye(3), np.eye(3)], core, 1)
         for i in range(4):
             np.testing.assert_allclose(feats[:, i], vec(unfold(data.sample(i), 1)),
@@ -255,6 +261,39 @@ class TestCoreFeatures:
         for i in range(4):
             np.testing.assert_allclose(feats[:, i], data.sample(i).data,
                                        rtol=1e-12, atol=1e-12)
+
+    def test_root_is_kron_of_factor_gram_roots(self):
+        # factors that are not orthonormal: the Kronecker root reproduces
+        # the dense core metric, highest mode leftmost, without forming it
+        rng = np.random.default_rng(31)
+        dims, ranks = (5, 4, 3), (3, 2, 2)
+        factors = [rng.standard_normal((d, r)) for d, r in zip(dims, ranks)]
+        data = random_dataset(rng, dims, 4)
+        _, root = block_features(data, factors, None, 0)
+        metric = kron_chain([v.T @ v for v in reversed(factors)])
+        np.testing.assert_allclose(root.half @ root.half.T, metric, rtol=0,
+                                   atol=1e-12 * np.abs(metric).max())
+        np.testing.assert_allclose(root.inv_half @ root.half, np.eye(12),
+                                   rtol=0, atol=1e-12)
+        assert root.clamped == 0
+
+    def test_rank_deficient_factor_drops_its_null_directions(self):
+        # a factor of rank 1 with 2 columns leaves 1 x 2 x 2 core directions
+        rng = np.random.default_rng(32)
+        v1 = np.outer(rng.standard_normal(3), [1.0, 2.0])
+        factors = [v1, rng.standard_normal((4, 2)), rng.standard_normal((2, 2))]
+        core = DenseTensor((2, 2, 2), rng.standard_normal(8))
+        w = tucker_reconstruct(core, factors)
+        data = random_dataset(rng, (3, 4, 2), 5)
+        feats, root = block_features(data, factors, core, 0)
+        assert feats.shape == (4, 5) and root.clamped == 4
+        np.testing.assert_allclose(root.inv_half @ root.half, np.eye(4),
+                                   rtol=0, atol=1e-12)
+        f = root.half.T @ core.data
+        wn = float(w.data @ w.data)
+        assert float(f @ f) == pytest.approx(wn, rel=1e-12)
+        np.testing.assert_allclose(feats.T @ f, data.samples @ w.data,
+                                   rtol=1e-12, atol=1e-12)
 
     def test_identities_random(self):
         rng = np.random.default_rng(9)
@@ -799,7 +838,7 @@ class TestBlockCoordinateScoring:
             model, report = train(data, cfg)
         if kind == "cp":
             assert report.clamp_events > 0  # the 2 x 3 mode metric is singular
-        tol = 1e-10 if report.clamp_events else 1e-12
+        tol = 1e-12
         scored = apply_bias(data) if bias else data
         w = model.reconstruct()
         assert report.final_objective == pytest.approx(
@@ -809,6 +848,38 @@ class TestBlockCoordinateScoring:
         assert report.gamma_m == pytest.approx(summ.mean, rel=tol)
         assert report.gamma_v == pytest.approx(summ.variance, rel=tol)
         assert report.weight_norms[-1] == pytest.approx(w.norm(), rel=tol)
+
+    def test_structurally_singular_tucker_reports_exact_objective(self):
+        # mode 1's rank 3 exceeds the other ranks' product 2, so its 3 x 3
+        # metric has rank 2; the root drops the null direction instead of
+        # raising it to a floor, and the reported J is J(returned W)
+        data = synth_blobs((4, 3, 2), 30, margin=1.5, noise=0.5, seed=5)
+        model, report = train(data, TrainConfig(kind="tucker", ranks=[3, 1, 2],
+                                                seed=5))
+        assert report.clamp_events > 0
+        w = model.reconstruct()
+        assert report.final_objective == pytest.approx(
+            primal_objective(w, data, model.hyper), rel=1e-12)
+        assert report.weight_norms[-1] == pytest.approx(w.norm(), rel=1e-12)
+
+    def test_no_metric_root_larger_than_a_mode_rank(self, monkeypatch):
+        # the core's root is built from its factors' Gram roots, so the
+        # headline Tucker shape takes no eigh above 4 x 4 (the dense core
+        # metric would be 256 x 256)
+        import spmd.trainer as trainer
+        real = trainer.psd_root
+        sizes = []
+
+        def spy(a, *args, **kwargs):
+            sizes.append(np.shape(a)[0])
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(trainer, "psd_root", spy)
+        data = synth_blobs((7, 4, 7, 4), 10, margin=1.0, noise=0.5, seed=33)
+        _, report = train(data, TrainConfig(kind="tucker", ranks=[4, 4, 4, 4],
+                                            lam=5.0))
+        assert report.converged and "core" in report.block_labels
+        assert max(sizes) == 4
 
     @pytest.mark.parametrize("kind,ranks,dims", [
         ("rank1", [], (4, 3)), ("cp", [2], (4, 3)), ("tucker", [2, 2], (4, 3))])
