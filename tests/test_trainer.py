@@ -295,6 +295,25 @@ class TestCoreFeatures:
         np.testing.assert_allclose(feats.T @ f, data.samples @ w.data,
                                    rtol=1e-12, atol=1e-12)
 
+    def test_no_metric_root_larger_than_a_mode_rank(self, monkeypatch):
+        # the core's root is built from its factors' Gram roots, so the
+        # headline Tucker shape takes no eigh above 4 x 4 (the dense core
+        # metric would be 256 x 256)
+        import spmd.trainer as trainer
+        real = trainer.psd_root
+        sizes = []
+
+        def spy(a, *args, **kwargs):
+            sizes.append(np.shape(a)[0])
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(trainer, "psd_root", spy)
+        data = synth_blobs((7, 4, 7, 4), 10, margin=1.0, noise=0.5, seed=33)
+        _, report = train(data, TrainConfig(kind="tucker", ranks=[4, 4, 4, 4],
+                                            lam=5.0))
+        assert report.converged and "core" in report.block_labels
+        assert max(sizes) == 4
+
     def test_identities_random(self):
         rng = np.random.default_rng(9)
         dims, ranks = (3, 4, 2), (2, 2, 2)
@@ -861,25 +880,6 @@ class TestBlockCoordinateScoring:
         assert report.final_objective == pytest.approx(
             primal_objective(w, data, model.hyper), rel=1e-12)
         assert report.weight_norms[-1] == pytest.approx(w.norm(), rel=1e-12)
-
-    def test_no_metric_root_larger_than_a_mode_rank(self, monkeypatch):
-        # the core's root is built from its factors' Gram roots, so the
-        # headline Tucker shape takes no eigh above 4 x 4 (the dense core
-        # metric would be 256 x 256)
-        import spmd.trainer as trainer
-        real = trainer.psd_root
-        sizes = []
-
-        def spy(a, *args, **kwargs):
-            sizes.append(np.shape(a)[0])
-            return real(a, *args, **kwargs)
-
-        monkeypatch.setattr(trainer, "psd_root", spy)
-        data = synth_blobs((7, 4, 7, 4), 10, margin=1.0, noise=0.5, seed=33)
-        _, report = train(data, TrainConfig(kind="tucker", ranks=[4, 4, 4, 4],
-                                            lam=5.0))
-        assert report.converged and "core" in report.block_labels
-        assert max(sizes) == 4
 
     @pytest.mark.parametrize("kind,ranks,dims", [
         ("rank1", [], (4, 3)), ("cp", [2], (4, 3)), ("tucker", [2, 2], (4, 3))])
