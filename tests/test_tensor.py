@@ -69,6 +69,21 @@ class TestDenseTensor:
         np.testing.assert_array_equal(t.to_array(), want)
 
     @pytest.mark.parametrize("layout", ["c", "f", "strided"])
+    def test_from_array_never_aliases_source(self, layout):
+        # an array taken out with to_array and built into a new tensor is
+        # copied again: neither tensor shares memory with the source or the other
+        src = source_arrays()[layout]
+        want = src.copy()
+        t = DenseTensor(src.shape, src)
+        out = t.to_array()
+        t2 = DenseTensor(out.shape, out)
+        assert not np.shares_memory(t2.data, t.data)
+        assert not np.shares_memory(t2.data, src)
+        src[...] = 0.0
+        np.testing.assert_array_equal(t.to_array(), want)
+        np.testing.assert_array_equal(t2.to_array(), want)
+
+    @pytest.mark.parametrize("layout", ["c", "f", "strided"])
     def test_direct_reads_array_of_shape_dims(self, layout):
         # an array of shape dims is read by index, whatever its memory layout
         src = source_arrays()[layout]
