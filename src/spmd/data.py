@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import DenseTensor, outer_product
+from .tensor import outer_product
 
 IDX_IMAGE_MAGIC = 2051
 IDX_LABEL_MAGIC = 2049
@@ -45,83 +45,67 @@ class IdxCountMismatchError(IdxFormatError):
 
 
 @dataclass(frozen=True)
-class LabeledDataset:
-    """Binary-labeled tensor samples.
+class _Rows:
+    """The row contract shared by both dataset types.
 
-    ``samples`` is ``(N, prod(dims))`` float64; row ``i`` is the flat
-    column-major buffer of sample ``i``. ``labels`` is ``(N,)`` in {-1, +1}.
+    ``samples`` is C-contiguous, read-only ``(N, prod(dims))`` float64; row
+    ``i`` is the flat column-major buffer of sample ``i``. ``labels`` is a
+    read-only vector of N labels of the subclass's ``_label_dtype``.
     """
 
     samples: np.ndarray
     dims: tuple[int, ...]
     labels: np.ndarray
 
+    _label_dtype = np.float64
+
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
         samples = np.ascontiguousarray(self.samples, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.float64).ravel()
-        if samples.ndim != 2:
-            raise ValueError("samples must be a 2-D (N, P) array")
-        if samples.shape[1] != int(np.prod(dims)):
-            raise ValueError(
-                f"sample length {samples.shape[1]} does not match dims {dims}"
-            )
+        labels = np.asarray(self.labels, dtype=self._label_dtype).ravel()
+        p = int(np.prod(dims))
+        if samples.ndim != 2 or samples.shape[1] != p:
+            raise ValueError(f"samples must be (N, {p}) for dims {dims}")
         if labels.size != samples.shape[0]:
-            raise ValueError(
-                f"{samples.shape[0]} samples but {labels.size} labels"
-            )
-        bad = np.setdiff1d(np.unique(labels), [-1.0, 1.0])
-        if bad.size:
-            raise ValueError(f"labels must be -1 or +1, found {bad}")
+            raise ValueError(f"{samples.shape[0]} samples but {labels.size} labels")
+        self._check_labels(labels)
         samples.setflags(write=False)
         labels.setflags(write=False)
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "labels", labels)
 
+    def _check_labels(self, labels: np.ndarray) -> None:
+        pass
+
     def __len__(self) -> int:
         return self.samples.shape[0]
 
-    def sample(self, i: int) -> DenseTensor:
-        return DenseTensor(self.dims, self.samples[i])
-
-    def subset(self, idx) -> "LabeledDataset":
+    def subset(self, idx):
+        """The rows ``idx``, as a dataset of the caller's own type."""
         idx = np.asarray(idx)
-        return LabeledDataset(self.samples[idx], self.dims, self.labels[idx])
+        return type(self)(self.samples[idx], self.dims, self.labels[idx])
 
 
 @dataclass(frozen=True)
-class MulticlassDataset:
-    """Integer-labeled tensor samples, same flat row layout as LabeledDataset."""
+class LabeledDataset(_Rows):
+    """Binary-labeled tensor samples: float64 labels in {-1, +1}."""
 
-    samples: np.ndarray
-    dims: tuple[int, ...]
-    labels: np.ndarray
+    def _check_labels(self, labels: np.ndarray) -> None:
+        bad = np.setdiff1d(np.unique(labels), [-1.0, 1.0])
+        if bad.size:
+            raise ValueError(f"labels must be -1 or +1, found {bad}")
 
-    def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        samples = np.ascontiguousarray(self.samples, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64).ravel()
-        if samples.ndim != 2 or samples.shape[1] != int(np.prod(dims)):
-            raise ValueError(f"samples must be (N, {int(np.prod(dims))}) for dims {dims}")
-        if labels.size != samples.shape[0]:
-            raise ValueError(f"{samples.shape[0]} samples but {labels.size} labels")
-        samples.setflags(write=False)
-        labels.setflags(write=False)
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "labels", labels)
 
-    def __len__(self) -> int:
-        return self.samples.shape[0]
+@dataclass(frozen=True)
+class MulticlassDataset(_Rows):
+    """Integer-labeled tensor samples: int64 class labels."""
+
+    _label_dtype = np.int64
 
     @property
     def classes(self) -> np.ndarray:
         return np.unique(self.labels)
-
-    def subset(self, idx) -> "MulticlassDataset":
-        idx = np.asarray(idx)
-        return MulticlassDataset(self.samples[idx], self.dims, self.labels[idx])
 
     def binary_view(self, a: int, b: int) -> LabeledDataset:
         """Samples of classes a (-> +1) and b (-> -1) as a binary dataset."""

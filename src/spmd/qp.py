@@ -29,14 +29,16 @@ and Q = (2*mu1/N^2)(N I - t t'), without its N x N factorization.
 
 The solver is dual coordinate descent in the factor form of Hsieh et al.
 (ICML 2008): it keeps u = B alpha, so the gradient of one coordinate,
-b_i'u + g_i, and the update of u after a step each cost O(D). Each pass
-visits, in index order, only the coordinates that violate the KKT
-conditions at its start (a working set, as in Fan, Chen & Lin, JMLR 2005),
-and then recomputes u = B alpha, so the gradient and the KKT residual that
-decide convergence are exact. H has rank at most D,
-often far below N, and coordinate descent alone crawls on such degenerate
-duals, so every pass that leaves the solve unconverged ends with one
-subspace step on the free set F = {i : 0 < alpha_i < lam/N}: a
+b_i'u + g_i, and the update of u after a step each cost O(D). The box's
+KKT conditions are one rule, the projected step
+s = clip(alpha - grad, 0, lam/N) - alpha, zero exactly at a solution. Each
+pass visits, in index order, the coordinates where s is non-zero at its
+start (a working set, as in Fan, Chen & Lin, JMLR 2005), and then
+recomputes u = B alpha and s, so the residual max|s| that decides
+convergence is exact. H has rank at most D, often far below N, and
+coordinate descent alone crawls on such degenerate duals, so every pass
+that leaves the solve unconverged ends with one subspace step on the free
+set F = {i : 0 < alpha_i < lam/N}: a
 least-squares Newton step on H_FF = B_F'B_F, or (when H_FF is singular)
 a step along the part of -grad_F that H_FF cannot reach, whichever lowers
 the objective more, cut at the box. Both directions come from the
@@ -77,8 +79,8 @@ class QpProblem:
             raise ValueError(f"g has {g.size} entries, B has {B.shape[1]} columns")
         if not np.isfinite(B).all() or not np.isfinite(g).all():
             raise ValueError("non-finite entries in QP data")
-        if not self.upper > 0:
-            raise ValueError(f"upper bound must be positive, got {self.upper}")
+        if not (np.isfinite(self.upper) and self.upper > 0):
+            raise ValueError(f"upper bound must be finite and positive, got {self.upper}")
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "g", g)
 
@@ -235,65 +237,69 @@ def solve_box_qp(problem: QpProblem, tol: float = 1e-8, max_passes: int = 4000,
     """Dual coordinate descent on u = B a with a subspace step on the free set.
 
     The solver works on the factor B of H = B'B and keeps u = B a, so H is
-    never formed. Each pass visits, in index order, only the coordinates
-    whose projected gradient is non-zero at the start of the pass (the KKT
-    violators). A visit computes g_i = b_i'u + g_i, minimizes the quadratic
-    exactly along that coordinate and clips to the box; a zero diagonal
-    falls back to the linear rule (move to whichever box end decreases the
-    objective). When a_i changes by d, u += d b_i.
+    never formed. The KKT conditions of the box are one rule, the projected
+    step s = clip(a - grad, 0, upper) - a, which is zero exactly at a
+    solution. Each pass visits, in index order, only the coordinates where
+    s is non-zero at the start of the pass (the KKT violators). A visit
+    computes g_i = b_i'u + g_i, minimizes the quadratic exactly along that
+    coordinate and clips to the box; a zero diagonal falls back to the
+    linear rule (move to whichever box end decreases the objective). When
+    a_i changes by d, u += d b_i.
 
-    After the sweep u = B a is recomputed, so the gradient B'u + g and the
-    residual that decides convergence are exact, free of the rounding the
-    updates of u carry. If the solve has not converged and the free set
-    F = {i : 0 < a_i < upper} is non-empty, the pass ends with one
-    subspace minimization step on F, as in gradient projection for
+    After the sweep u = B a is recomputed, so the gradient B'u + g, the
+    step s and the residual that decides convergence are exact, free of the
+    rounding the updates of u carry. If the solve has not converged and
+    the free set F = {i : 0 < a_i < upper} is non-empty, the pass ends with
+    one subspace minimization step on F, as in gradient projection for
     bound-constrained QPs (More & Toraldo, SIAM J. Optim. 1991): a
     least-squares Newton step on H_FF = B_F'B_F, or a zero-curvature step
     when grad_F leaves range(H_FF), both taken from the eigenpairs of the
     smaller Gram matrix of B_F, cut at the box and repeated on the part of
     F it leaves free (see ``_free_set_step``), after which u is recomputed
-    again.
-    Neither the coordinate visits nor this step raise the objective, so
+    again. Neither the coordinate visits nor this step raise the objective, so
     ``objective_trace`` is non-increasing. On the rank-D duals of small
     blocks, where coordinate descent alone crawls for thousands of passes,
     the step finishes the solve as soon as the active set settles.
 
-    Terminates when the maximum projected gradient residual
-    max_i |a_i - clip(a_i - grad_i)| drops to ``tol``, or warns after
-    ``max_passes`` passes.
+    Terminates when the residual max_i |s_i| drops to ``tol``, or warns
+    after ``max_passes`` passes.
 
     Parameters
     ----------
-    alpha0 : warm-start point (clipped into the box), zeros by default.
+    tol : KKT residual to stop at, finite and positive.
+    max_passes : pass cap, at least 1.
+    alpha0 : warm-start point (finite; clipped into the box), zeros by
+        default.
     """
     B, g, upper = problem.B, problem.g, problem.upper
     n = problem.n
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    if max_passes < 1:
+        raise ValueError(f"max_passes must be at least 1, got {max_passes}")
     rows = np.ascontiguousarray(B.T)  # rows[i] is the column b_i of B
     diag = np.einsum("ij,ij->i", rows, rows)
-    alpha = np.zeros(n) if alpha0 is None else np.clip(
-        np.asarray(alpha0, dtype=np.float64).ravel(), 0.0, upper)
+    alpha = np.zeros(n) if alpha0 is None else np.asarray(alpha0, dtype=np.float64).ravel()
     if alpha.size != n:
         raise ValueError(f"warm start has {alpha.size} entries, need {n}")
-
-    gs, hs = g.tolist(), diag.tolist()  # per-visit scalars as Python floats
+    if not np.isfinite(alpha).all():
+        raise ValueError("non-finite entries in warm start")
+    alpha = np.clip(alpha, 0.0, upper)
 
     def exact():
+        """u = B a, the gradient, the projected step and its largest entry."""
         u = B @ alpha
         grad = rows @ u + g
-        proj = np.minimum(np.maximum(alpha - grad, 0.0), upper)
-        return u, grad, float(np.abs(alpha - proj).max())
+        step = np.minimum(np.maximum(alpha - grad, 0.0), upper) - alpha
+        return u, grad, step, float(np.abs(step).max())
 
-    u, grad, residual = exact()
-    objective = float(0.5 * (u @ u) + g @ alpha)
+    u, grad, step, residual = exact()
     trace = []
-    converged = False
-    passes = 0
     for passes in range(1, max_passes + 1):
-        for i in np.flatnonzero(((grad < 0.0) & (alpha < upper))
-                                | ((grad > 0.0) & (alpha > 0.0))).tolist():
+        for i in np.flatnonzero(step).tolist():
             bi = rows[i]
-            gi = float(bi @ u) + gs[i]
-            hii = hs[i]
+            gi = float(bi @ u + g[i])
+            hii = float(diag[i])
             ai = float(alpha[i])
             if hii > 0.0:
                 new = ai - gi / hii
@@ -311,18 +317,18 @@ def solve_box_qp(problem: QpProblem, tol: float = 1e-8, max_passes: int = 4000,
             if delta != 0.0:
                 alpha[i] = new
                 u += delta * bi
-        u, grad, residual = exact()
+        u, grad, step, residual = exact()
         if residual > tol:
             free = np.flatnonzero((alpha > 0.0) & (alpha < upper))
             if free.size:
                 alpha[free] = _free_set_step(rows[free].T, grad[free],
                                              alpha[free], upper)
-                u, grad, residual = exact()
+                u, grad, step, residual = exact()
         objective = float(0.5 * (u @ u) + g @ alpha)
         trace.append(objective)
         if residual <= tol:
-            converged = True
             break
+    converged = residual <= tol
     if not converged:
         warnings.warn(
             f"coordinate descent stopped at residual {residual:g} after "

@@ -103,10 +103,10 @@ def unfold(t: DenseTensor, mode: int) -> np.ndarray:
     )
 
 
-def kron_chain(mats: list[np.ndarray], empty_dim: int = 1) -> np.ndarray:
-    """Left-to-right Kronecker chain; identity of size ``empty_dim`` for []."""
+def kron_chain(mats: list[np.ndarray]) -> np.ndarray:
+    """Left-to-right Kronecker chain; the 1 x 1 identity for []."""
     if len(mats) == 0:
-        return np.eye(empty_dim)
+        return np.eye(1)
     return reduce(np.kron, mats)
 
 

@@ -177,11 +177,9 @@ def lemma2_check(seed: int = 0, n: int = 64, dim: int = 9,
                 "mc_stderr": stderr, "raw_bound": bound})
 
 
-def _toy_model(seed: int, shape=(4, 4), n_per_class: int = 50,
-               kind: str = "rank1", lam: float = 5.0):
-    data = synth_blobs(shape, n_per_class, margin=1.5, noise=0.6, seed=seed)
-    cfg = TrainConfig(kind=kind, lam=lam, seed=seed)
-    model, report = train(data, cfg)
+def _toy_model(seed: int, n_per_class: int = 50):
+    data = synth_blobs((4, 4), n_per_class, margin=1.5, noise=0.6, seed=seed)
+    model, report = train(data, TrainConfig(kind="rank1", lam=5.0, seed=seed))
     return data, model, report
 
 

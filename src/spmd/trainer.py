@@ -116,7 +116,9 @@ class TrainConfig:
     relative weight-change stopping threshold checked after each full sweep,
     of which there are at most max_outer (at least 1). qp_tol is the KKT
     residual each block dual is solved to; the pass cap of those solves is
-    :func:`spmd.qp.solve_box_qp`'s default. Training starts from the
+    :func:`spmd.qp.solve_box_qp`'s default. lam, tol and qp_tol must be
+    finite and positive, mu1 and mu2 finite and nonnegative; :func:`train`
+    rejects any other value by its field name. Training starts from the
     truncated HOSVD of the class-mean difference (see :func:`train`); seed
     draws only what that start cannot give: the columns of a CP mode whose
     rank exceeds its size and a zero Tucker core.
@@ -444,6 +446,14 @@ def train(data: LabeledDataset, cfg: TrainConfig):
     pass cap, or after cfg.max_outer sweeps (with a warning).
     """
     t0 = time.perf_counter()
+    for name in ("mu1", "mu2", "lam", "tol", "qp_tol"):
+        value = getattr(cfg, name)
+        nonneg = name in ("mu1", "mu2")
+        if not (np.isfinite(value) and (value >= 0 if nonneg else value > 0)):
+            rule = "nonnegative" if nonneg else "positive"
+            raise ValueError(f"{name} must be finite and {rule}, got {value}")
+    if cfg.max_outer < 1:
+        raise ValueError(f"max_outer must be at least 1, got {cfg.max_outer}")
     if len(data) < 2:
         raise ValueError("training needs at least two samples")
     if np.unique(data.labels).size < 2:
@@ -456,12 +466,6 @@ def train(data: LabeledDataset, cfg: TrainConfig):
         if r > i:
             warnings.warn(f"rank {r} exceeds mode size {i}", stacklevel=2)
     hyper = Hyper(float(cfg.mu1), float(cfg.mu2), float(cfg.lam))
-    if not cfg.lam > 0:
-        raise ValueError("lambda must be positive")
-    if cfg.mu1 < 0 or cfg.mu2 < 0:
-        raise ValueError("mu1 and mu2 must be nonnegative")
-    if cfg.max_outer < 1:
-        raise ValueError(f"max_outer must be at least 1, got {cfg.max_outer}")
 
     factors, core = _start_state(data, mode_ranks, cfg.kind,
                                  np.random.default_rng(cfg.seed))

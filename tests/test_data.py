@@ -423,3 +423,40 @@ class TestLabeledDatasetValidation:
         assert len(sub) == 3
         np.testing.assert_array_equal(sub.samples, data.samples[[0, 5, 2]])
         np.testing.assert_array_equal(sub.labels, data.labels[[0, 5, 2]])
+
+
+class TestRowContract:
+    """LabeledDataset and MulticlassDataset share one row contract."""
+
+    @staticmethod
+    def make(cls):
+        rng = np.random.default_rng(24)
+        labels = [1.0, -1.0, 1.0, -1.0] if cls is LabeledDataset else [0, 2, 1, 2]
+        # column-major input rows: the contract stores them C-contiguous
+        samples = np.asfortranarray(rng.standard_normal((4, 6)))
+        return cls(samples, (np.int64(2), 3), np.array(labels))
+
+    @pytest.mark.parametrize("cls", [LabeledDataset, MulticlassDataset])
+    def test_arrays_come_back_read_only(self, cls):
+        data = self.make(cls)
+        label_dtype = np.float64 if cls is LabeledDataset else np.int64
+        for d in (data, data.subset([2, 0]), reshape_samples(data, (3, 2))):
+            assert d.samples.dtype == np.float64 and d.samples.flags.c_contiguous
+            assert d.labels.dtype == label_dtype
+            assert not d.samples.flags.writeable
+            assert not d.labels.flags.writeable
+            assert all(type(i) is int for i in d.dims)
+
+    @pytest.mark.parametrize("cls", [LabeledDataset, MulticlassDataset])
+    def test_subset_and_reshape_keep_the_callers_type(self, cls):
+        data = self.make(cls)
+        sub = data.subset([3, 1])
+        assert type(sub) is cls and len(sub) == 2
+        np.testing.assert_array_equal(sub.samples, data.samples[[3, 1]])
+        np.testing.assert_array_equal(sub.labels, data.labels[[3, 1]])
+        flat = reshape_samples(data, (6,))
+        assert type(flat) is cls and flat.dims == (6,)
+
+    def test_binary_view_is_the_multiclass_types_own(self):
+        # the benchmark tracer wraps MulticlassDataset.__dict__["binary_view"]
+        assert "binary_view" in MulticlassDataset.__dict__

@@ -50,7 +50,8 @@ class TestSignedMargins:
         w = DenseTensor((3, 2), rng.standard_normal(6))
         got = signed_margins(w, data)
         for i in range(5):
-            want = data.labels[i] * inner(w, data.sample(i))
+            x = DenseTensor(data.dims, data.samples[i])
+            want = data.labels[i] * inner(w, x)
             assert got[i] == pytest.approx(want, rel=1e-13)
 
     def test_shape_mismatch(self):

@@ -51,6 +51,11 @@ class TestQpProblem:
         with pytest.raises(ValueError, match=match):
             QpProblem(B, np.zeros(n), 1.0)
 
+    def test_infinite_upper_bound_rejected(self):
+        # an unbounded box has no minimum along a direction of zero curvature
+        with pytest.raises(ValueError, match="finite and positive"):
+            QpProblem(np.ones((1, 2)), -np.ones(2), np.inf)
+
 
 class TestVarianceCurvature:
     def test_matrix_form(self):
@@ -254,6 +259,25 @@ class TestSolveBoxQp:
         p = QpProblem(np.eye(2), -np.ones(2), 1.0)
         with pytest.raises(ValueError, match="warm start has 3 entries, need 2"):
             solve_box_qp(p, alpha0=np.zeros(3))
+
+    def test_non_finite_warm_start_rejected(self):
+        rng = np.random.default_rng(31)
+        p = QpProblem(rng.standard_normal((3, 20)), -np.ones(20), 1.0)
+        alpha0 = np.full(20, 0.5)
+        alpha0[7] = np.nan
+        with pytest.raises(ValueError, match="non-finite entries in warm start"):
+            solve_box_qp(p, alpha0=alpha0)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan], ids=["zero", "negative", "nan"])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        p = QpProblem(np.eye(2), -np.ones(2), 1.0)
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            solve_box_qp(p, tol=tol)
+
+    def test_pass_cap_below_one_rejected(self):
+        p = QpProblem(np.eye(2), -np.ones(2), 1.0)
+        with pytest.raises(ValueError, match="max_passes must be at least 1, got 0"):
+            solve_box_qp(p, max_passes=0)
 
     def test_grid_plus_projected_gradient_oracle(self):
         rng = np.random.default_rng(10)

@@ -295,7 +295,7 @@ class TestKron:
             rtol=1e-12)
 
     def test_empty_chain_is_identity(self):
-        np.testing.assert_array_equal(kron_chain([], empty_dim=3), np.eye(3))
+        np.testing.assert_array_equal(kron_chain([]), np.eye(1))
 
 
 class TestKhatriRao:

@@ -131,7 +131,7 @@ class TestModeContraction:
                 got = _mode_contract(data.samples, dims, m, c)
                 assert got.shape == (4, 3, dims[m - 1])
                 for i in range(4):
-                    want = unfold(data.sample(i), m) @ c
+                    want = unfold(DenseTensor(dims, data.samples[i]), m) @ c
                     np.testing.assert_allclose(got[i].T, want, rtol=1e-13, atol=1e-13)
 
     @pytest.mark.parametrize("dims", [(28, 28), (7, 4, 7, 4), (3,), (8, 4, 7, 4)],
@@ -145,7 +145,7 @@ class TestModeContraction:
         got = _mode_contract(data.samples, dims, m, c)
         assert got.shape == (5, 2, dims[-1])
         for i in range(5):
-            want = unfold(data.sample(i), m) @ c
+            want = unfold(DenseTensor(dims, data.samples[i]), m) @ c
             np.testing.assert_allclose(got[i].T, want, rtol=1e-13, atol=1e-13)
 
 
@@ -181,7 +181,8 @@ class TestModeFeatureIdentities:
         core = DenseTensor((3, 3), np.eye(3))
         feats, root = block_features(data, [np.eye(3), np.eye(3)], core, 1)
         for i in range(4):
-            np.testing.assert_allclose(feats[:, i], vec(unfold(data.sample(i), 1)),
+            x = DenseTensor(data.dims, data.samples[i])
+            np.testing.assert_allclose(feats[:, i], vec(unfold(x, 1)),
                                        rtol=1e-12, atol=1e-12)
 
     def test_cp_rank1_unit_factors_contract(self):
@@ -192,7 +193,8 @@ class TestModeFeatureIdentities:
         feats, root = block_features(data, [np.zeros((3, 1)), u[:, None]],
                                      None, 1)
         for i in range(5):
-            np.testing.assert_allclose(feats[:, i], unfold(data.sample(i), 1) @ u,
+            x = DenseTensor(data.dims, data.samples[i])
+            np.testing.assert_allclose(feats[:, i], unfold(x, 1) @ u,
                                        rtol=1e-10, atol=1e-12)
 
     def test_cp_rank1_bilinear_form(self):
@@ -204,9 +206,10 @@ class TestModeFeatureIdentities:
                                      None, 1)
         vv = vec(v1[:, None] @ root.half)
         for i in range(5):
-            z = data.sample(i).to_array()
+            x = DenseTensor(data.dims, data.samples[i])
+            z = x.to_array()
             assert feats[:, i] @ vv == pytest.approx(float(v1 @ z @ v2), rel=1e-10)
-            assert feats[:, i] @ vv == pytest.approx(inner(w, data.sample(i)), rel=1e-10)
+            assert feats[:, i] @ vv == pytest.approx(inner(w, x), rel=1e-10)
 
     @pytest.mark.parametrize("kind", ["cp", "tucker"])
     def test_identities_random_configs(self, kind):
@@ -232,7 +235,7 @@ class TestModeFeatureIdentities:
                 assert float(v @ v) == pytest.approx(wn, abs=1e-10 * (1 + wn))
                 ips = feats.T @ v
                 for i in range(4):
-                    want = inner(w, data.sample(i))
+                    want = inner(w, DenseTensor(data.dims, data.samples[i]))
                     assert ips[i] == pytest.approx(want, abs=1e-10 * (1 + abs(want)))
 
 
@@ -249,7 +252,7 @@ class TestCoreFeatures:
                                    rtol=0, atol=1e-12)
         np.testing.assert_allclose(root.inv_half @ root.inv_half.T, np.eye(4),
                                    rtol=0, atol=1e-12)
-        raw = np.stack([vec(q1.T @ data.sample(i).to_array() @ q2)
+        raw = np.stack([vec(q1.T @ DenseTensor(data.dims, data.samples[i]).to_array() @ q2)
                         for i in range(4)], axis=1)
         np.testing.assert_allclose(feats.T @ feats, raw.T @ raw,
                                    rtol=1e-10, atol=1e-12)
@@ -259,7 +262,7 @@ class TestCoreFeatures:
         data = random_dataset(rng, (2, 3), 4)
         feats, root = block_features(data, [np.eye(2), np.eye(3)], None, 0)
         for i in range(4):
-            np.testing.assert_allclose(feats[:, i], data.sample(i).data,
+            np.testing.assert_allclose(feats[:, i], data.samples[i],
                                        rtol=1e-12, atol=1e-12)
 
     def test_root_is_kron_of_factor_gram_roots(self):
@@ -326,7 +329,7 @@ class TestCoreFeatures:
         wn = float(w.data @ w.data)
         assert float(f @ f) == pytest.approx(wn, abs=1e-10 * (1 + wn))
         for i in range(5):
-            want = inner(w, data.sample(i))
+            want = inner(w, DenseTensor(data.dims, data.samples[i]))
             assert feats[:, i] @ f == pytest.approx(want, abs=1e-10 * (1 + abs(want)))
 
 
@@ -798,12 +801,32 @@ class TestTrain:
         with pytest.raises(ValueError, match="each class"):
             train(same, TrainConfig(kind="vector"))
         data = random_dataset(rng, (4,), 4)
-        with pytest.raises(ValueError, match="lambda"):
+        with pytest.raises(ValueError, match="lam must be finite and positive"):
             train(data, TrainConfig(kind="vector", lam=0.0))
         with pytest.raises(ValueError, match="nonnegative"):
             train(data, TrainConfig(kind="vector", mu1=-1.0))
         with pytest.raises(ValueError, match="max_outer"):
             train(data, TrainConfig(kind="vector", max_outer=0))
+
+    @pytest.mark.parametrize("field, value", [
+        ("qp_tol", np.nan), ("qp_tol", -1.0), ("tol", np.nan), ("tol", -1.0),
+        ("mu1", np.nan), ("lam", np.inf),
+    ], ids=["qp_tol-nan", "qp_tol-negative", "tol-nan", "tol-negative",
+            "mu1-nan", "lam-inf"])
+    def test_bad_setting_rejected_before_any_work(self, monkeypatch, field, value):
+        # each is rejected by its field name before the bias slab, the start
+        # state or any product with the samples
+        import spmd.trainer as trainer
+
+        def reached(*args, **kwargs):
+            raise AssertionError("reached before the settings were checked")
+
+        for name in ("apply_bias", "_start_state", "_scored_objective"):
+            monkeypatch.setattr(trainer, name, reached)
+        data = synth_blobs((4, 4), 30, seed=1)
+        cfg = TrainConfig(kind="rank1", bias_feature=True, **{field: value})
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            train(data, cfg)
 
     def test_over_rank_tucker_mode_is_rejected(self):
         data = synth_blobs((2, 5), 8, margin=1.0, noise=0.2, seed=17)
