@@ -23,8 +23,8 @@ import numpy as np
 
 from . import __version__
 from . import theory
-from .data import (data_dir, find_mnist, load_dataset, load_idx,
-                   reshape_samples, select_binary, select_multiclass,
+from .data import (_split_per_class, data_dir, find_mnist, load_dataset,
+                   load_idx, reshape_samples, select_binary, select_multiclass,
                    synth_blobs, synth_multiclass)
 from .margins import summarize_scores
 from .multiclass import ovo_train, pairwise_accuracy
@@ -244,19 +244,6 @@ def _idx_sets(ds: dict, select):
         return train_set, None
     return train_set, select(load_idx(paths["test_images"], paths["test_labels"]),
                              ds.get("test_per_class"), ds["seed"] + 1)
-
-
-def _split_per_class(n_classes: int, n_train: int, n_test: int):
-    """Train and test row indices of a draw laid out in per-class blocks.
-
-    Each class's block holds n_train + n_test rows; its first n_train rows
-    go to training. Train and test rows thus share the draw's class centres.
-    """
-    per = n_train + n_test
-    starts = np.arange(n_classes) * per
-    train = np.concatenate([np.arange(s, s + n_train) for s in starts])
-    test = np.concatenate([np.arange(s + n_train, s + per) for s in starts])
-    return train, test
 
 
 def build_binary_dataset(ds: dict):

@@ -16,7 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .data import MulticlassDataset
+from .data import MulticlassDataset, _pair_view
 from .trainer import TrainConfig, predict, train
 
 
@@ -81,19 +81,16 @@ def pairwise_accuracy(ensemble: OvoEnsemble, test: MulticlassDataset):
         raise ValueError(f"test labels {extra.tolist()} not in class list")
     rows = []
     for (a, b) in ensemble.pairs:
-        mask = (test.labels == a) | (test.labels == b)
-        n = int(mask.sum())
-        if n == 0:
+        view = _pair_view(test, a, b)
+        if len(view) == 0:
             warnings.warn(f"pair ({a},{b}) has no test samples; excluded",
                           stacklevel=2)
             continue
-        model = ensemble.models[(a, b)]
-        got, _ = predict(model, test.samples[mask], test.dims)
-        want = np.where(test.labels[mask] == a, 1.0, -1.0)
+        got, _ = predict(ensemble.models[(a, b)], view.samples, view.dims)
         rows.append({
             "pair": (a, b),
-            "n_test": n,
-            "accuracy": float(np.mean(got == want)),
+            "n_test": len(view),
+            "accuracy": float(np.mean(got == view.labels)),
         })
     if not rows:
         raise ValueError("no pair had test samples")

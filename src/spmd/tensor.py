@@ -78,17 +78,6 @@ def unvec(v: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return np.asarray(v, dtype=np.float64).reshape(shape, order="F")
 
 
-def outer_product(vectors: list[np.ndarray]) -> DenseTensor:
-    """Rank-1 tensor from per-mode vectors: entry = prod_m vectors[m][i_m]."""
-    if len(vectors) == 0:
-        raise ValueError("need at least one vector")
-    vs = [np.asarray(v, dtype=np.float64).ravel() for v in vectors]
-    if any(v.size == 0 for v in vs):
-        raise ValueError("empty vector in outer product")
-    t = reduce(np.multiply.outer, vs)
-    return DenseTensor(t.shape, t)
-
-
 def unfold(t: DenseTensor, mode: int) -> np.ndarray:
     """Mode-``mode`` unfolding (modes are 1-based).
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import synth_blobs
+from .data import _split_per_class, synth_blobs
 from .margins import _moments, signed_margins
 from .tensor import DenseTensor, tucker_reconstruct
 from .trainer import TrainConfig, TrainReport, train
@@ -186,10 +186,10 @@ def _toy_model(seed: int, n_per_class: int = 50):
 def theorem1_sweep(n_models: int = 100, seed: int = 0) -> list[BoundReport]:
     """Trained toy models: the margin bound must dominate held-out error."""
     out = []
+    train_rows, test_rows = _split_per_class(2, 40, 20)
     for k in range(n_models):
         data = synth_blobs((4, 4), 60, margin=1.5, noise=0.6, seed=seed + 7 * k)
-        train_set = data.subset(np.r_[0:40, 60:100])
-        test_set = data.subset(np.r_[40:60, 100:120])
+        train_set, test_set = data.subset(train_rows), data.subset(test_rows)
         model, _ = train(train_set, TrainConfig(kind="rank1", lam=5.0, seed=seed + k))
         w = model.reconstruct()
         m_train = signed_margins(w, train_set)

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import spmd.theory
+from idx_files import save_idx_images, save_idx_labels, write_digit_set
 from spmd.cli import (
     ConfigError,
     build_binary_dataset,
@@ -25,8 +26,7 @@ from spmd.cli import (
     resolve_config,
 )
 from spmd.data import (MNIST_FILES, MulticlassDataset, load_idx, reshape_samples,
-                       save_dataset, save_idx_images, save_idx_labels,
-                       select_binary, synth_blobs)
+                       save_dataset, select_binary, synth_blobs)
 from spmd.multiclass import ovo_train
 from spmd.margins import summarize_scores
 from spmd.theory import BoundReport
@@ -815,24 +815,22 @@ class TestDirSource:
 
 
 class TestMnistShapedPipeline:
-    """Criterion 8's pipeline on MNIST-shaped files written on the fly: the
-    standard IDX names found through "auto", the 45-pair bench and a
-    [7, 4, 7, 4] Tucker reshape. Accuracy stays tied to real MNIST."""
+    """Criterion 8's pipeline on 28x28 IDX files under the standard names,
+    found through "auto": the 45-pair bench, a [7, 4, 7, 4] Tucker reshape
+    and a held-out pair. The files hold the procedural seven-segment digit
+    set of ``idx_files``, a synthetic stand-in for handwritten digits, 60
+    per class in each split; criterion 8's floors stay tied to real MNIST."""
+
+    @pytest.fixture(scope="class")
+    def digit_files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("digits")
+        write_digit_set(root, per_class=60, seed=0)
+        return root
 
     @pytest.fixture
-    def mnist_dir(self, tmp_path, monkeypatch):
-        rng = np.random.default_rng(0)
-        root = tmp_path / "mnist"
-        root.mkdir()
-        for split in ("train", "test"):
-            labels = np.repeat(np.arange(10, dtype=np.uint8), 12)
-            images = rng.integers(0, 60, size=(labels.size, 28, 28)).astype(np.uint8)
-            for i, c in enumerate(labels):
-                images[i, 4 + 2 * c: 6 + 2 * c, 4:24] = 255  # one bar per class
-            save_idx_images(str(root / MNIST_FILES[f"{split}_images"]), images)
-            save_idx_labels(str(root / MNIST_FILES[f"{split}_labels"]), labels)
-        monkeypatch.setenv("SPMD_DATA_DIR", str(root))
-        return root
+    def mnist_dir(self, digit_files, monkeypatch):
+        monkeypatch.setenv("SPMD_DATA_DIR", str(digit_files))
+        return digit_files
 
     @staticmethod
     def auto_dataset(classes, **over):
@@ -859,6 +857,19 @@ class TestMnistShapedPipeline:
         out = tmp_path / "out"
         assert main(["train", "--config", cfg, "--out", str(out)]) == 0
         assert load_model(str(out / "model.spmd")).shape == (7, 4, 7, 4)
+
+    def test_held_out_pair_three_eight(self, tmp_path, mnist_dir):
+        # 3 and 8 differ in two strokes. Over generator seeds 0-7, rank-1
+        # at this size scored 0.91-0.96 held out and took 6-9 sweeps.
+        cfg = write_config(tmp_path, **{"lambda": 1.0},
+                           dataset=self.auto_dataset([3, 8], per_class=50,
+                                                     test_per_class=50))
+        out = tmp_path / "out"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+        summary = dict(line.split(None, 1)
+                       for line in (out / "summary.txt").read_text().splitlines())
+        assert float(summary["test_accuracy"]) >= 0.85
+        assert int(summary["iterations"]) > 2
 
 
 class TestReadmeConfigs:

@@ -13,16 +13,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from idx_files import save_idx_images, save_idx_labels
 from oracles import batch_view, flatten_batch
 from spmd.cli import main
 from spmd.data import (IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, IdxCountMismatchError,
                        IdxFormatError, IdxMagicError, IdxTruncatedError,
                        LabeledDataset, MulticlassDataset, data_dir,
                        find_mnist, load_dataset, load_idx, load_idx_labels,
-                       reshape_samples, save_dataset,
-                       save_idx_images, save_idx_labels, select_binary,
+                       reshape_samples, save_dataset, select_binary,
                        select_multiclass, synth_blobs, synth_multiclass,
-                       _unit_rank1)
+                       _split_per_class, _unit_rank1)
 from spmd.tensor import DenseTensor
 
 
@@ -272,6 +272,19 @@ class TestSynthBlobs:
         with pytest.raises(ValueError, match="two classes"):
             synth_multiclass((2, 2), 1, 4)
 
+    def test_per_class_split_takes_each_blocks_first_rows(self):
+        train, test = _split_per_class(2, 40, 20)
+        np.testing.assert_array_equal(train, np.r_[0:40, 60:100])
+        np.testing.assert_array_equal(test, np.r_[40:60, 100:120])
+        train, test = _split_per_class(3, 1, 2)
+        assert train.tolist() == [0, 3, 6] and test.tolist() == [1, 2, 4, 5, 7, 8]
+
+    @pytest.mark.parametrize("shape", [(), (0,), (2, -1)])
+    def test_shape_must_be_positive_integers(self, shape):
+        for build in (lambda: synth_blobs(shape, 2), lambda: synth_multiclass(shape, 2, 2)):
+            with pytest.raises(ValueError, match="dims must be one or more positive integers"):
+                build()
+
     def test_empty_class_rejected(self):
         with pytest.raises(ValueError, match="at least one sample per class"):
             synth_blobs((2, 2), 0)
@@ -460,3 +473,39 @@ class TestRowContract:
     def test_binary_view_is_the_multiclass_types_own(self):
         # the benchmark tracer wraps MulticlassDataset.__dict__["binary_view"]
         assert "binary_view" in MulticlassDataset.__dict__
+
+    @pytest.mark.parametrize("cls", [LabeledDataset, MulticlassDataset])
+    def test_callers_arrays_keep_their_flags(self, cls):
+        samples = np.zeros((2, 4))
+        labels = np.array([1.0, -1.0] if cls is LabeledDataset else [0, 1])
+        data = cls(samples, (4,), labels)
+        assert samples.flags.writeable and labels.flags.writeable
+        assert not data.samples.flags.writeable
+        assert np.shares_memory(data.samples, samples)  # still no copy
+
+    @pytest.mark.parametrize("cls", [LabeledDataset, MulticlassDataset])
+    @pytest.mark.parametrize("dims, p", [((-2, -3), 6), ((0,), 0), ((), 1),
+                                         ((2.5, 3), 6)],
+                             ids=["negative", "zero", "empty", "fractional"])
+    def test_dims_must_be_positive_integers(self, cls, dims, p):
+        with pytest.raises(ValueError, match="dims must be one or more positive integers"):
+            cls(np.zeros((2, p)), dims, np.array([1, -1]))
+
+    @pytest.mark.parametrize("labels, found", [
+        ([0.5, 1.7, 2.0], r"\[0.5 1.7\]"), ([0.0, np.nan, 1.0], r"\[nan\]"),
+    ], ids=["non-integral", "nan"])
+    def test_class_labels_must_be_whole_numbers(self, labels, found):
+        whole = MulticlassDataset(np.zeros((3, 2)), (2,), np.array([0.0, 2.0, 1.0]))
+        assert whole.labels.tolist() == [0, 2, 1]
+        with pytest.raises(ValueError, match="class labels must be whole numbers, "
+                                             "found " + found):
+            MulticlassDataset(np.zeros((3, 2)), (2,), np.array(labels))
+
+    @pytest.mark.parametrize("dims", [[-2, -3], [0], []],
+                             ids=["negative", "zero", "empty"])
+    def test_load_rejects_non_positive_dims(self, tmp_path, dims):
+        save_dataset(str(tmp_path), synth_blobs((2, 3), 2, seed=0))
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        (tmp_path / "meta.json").write_text(json.dumps(dict(meta, dims=dims)))
+        with pytest.raises(ValueError, match="dims must be one or more positive integers"):
+            load_dataset(str(tmp_path))

@@ -13,8 +13,9 @@ import pytest
 
 sklearn_datasets = pytest.importorskip("sklearn.datasets")
 
+from idx_files import save_idx_images, save_idx_labels
 from spmd.cli import main
-from spmd.data import load_idx, save_idx_images, save_idx_labels, select_binary
+from spmd.data import load_idx, select_binary
 from spmd.multiclass import ovo_train, pairwise_accuracy
 from spmd.trainer import TrainConfig, decision_scores, train
 

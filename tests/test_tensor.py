@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from oracles import inner, vec
-from spmd.data import LabeledDataset
+from spmd.data import LabeledDataset, _unit_rank1
 from spmd.margins import signed_margins
 from spmd.tensor import (DenseTensor, cp_reconstruct, khatri_rao, kron_chain,
-                         outer_product, tucker_reconstruct, unfold, unvec)
+                         tucker_reconstruct, unfold, unvec)
 
 
 def random_tensor(rng, dims):
@@ -133,29 +133,17 @@ class TestVec:
 
 
 class TestOuterProduct:
-    def test_two_vectors_hand_forced(self):
-        t = outer_product([np.array([1.0, 2.0]), np.array([3.0, 4.0])])
-        np.testing.assert_allclose(t.to_array(), [[3.0, 4.0], [6.0, 8.0]])
-
-    def test_all_singletons(self):
-        t = outer_product([np.ones(1)] * 3)
-        assert t.dims == (1, 1, 1)
-        assert t.data[0] == 1.0
-
     def test_triple_loop_oracle(self):
+        # the data generators' flat rank-1 direction, read column-major
+        flat = _unit_rank1(np.random.default_rng(3), (2, 3, 2))
+        t = DenseTensor((2, 3, 2), flat).to_array()
         rng = np.random.default_rng(3)
-        a, b, c = rng.standard_normal(2), rng.standard_normal(3), rng.standard_normal(2)
-        t = outer_product([a, b, c]).to_array()
+        a, b, c = (v / np.linalg.norm(v) for v in
+                   (rng.standard_normal(2), rng.standard_normal(3), rng.standard_normal(2)))
         for i in range(2):
             for j in range(3):
                 for k in range(2):
                     assert t[i, j, k] == pytest.approx(a[i] * b[j] * c[k], abs=1e-15)
-
-    def test_empty_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            outer_product([])
-        with pytest.raises(ValueError):
-            outer_product([np.zeros(0)])
 
 
 class TestUnfold:
@@ -321,8 +309,8 @@ class TestCpReconstruct:
         rng = np.random.default_rng(16)
         a, b = rng.standard_normal(3), rng.standard_normal(4)
         t = cp_reconstruct([a[:, None], b[:, None]])
-        ref = outer_product([a, b])
-        np.testing.assert_allclose(t.data, ref.data, rtol=1e-14)
+        ref = np.multiply.outer(a, b)
+        np.testing.assert_allclose(t.to_array(), ref, rtol=1e-14)
 
     def test_zero_second_component(self):
         rng = np.random.default_rng(17)
