@@ -96,6 +96,14 @@ def _is_number(x) -> bool:
     return isinstance(x, float) and math.isfinite(x)
 
 
+def _need_int(section: dict, key: str, low: int, prefix: str = "",
+              optional: bool = False) -> None:
+    """Field ``key`` is an integer >= ``low`` (or, if optional, absent or null)."""
+    value = section.get(key)
+    _need((optional and value is None) or (_is_int(value) and value >= low),
+          f"field '{prefix}{key}' must be an integer >= {low}")
+
+
 def _is_dims(x) -> bool:
     """A non-empty list of positive integers (a shape)."""
     return (isinstance(x, list) and len(x) >= 1
@@ -128,9 +136,8 @@ def resolve_config(raw: dict, need_method=True, need_methods=False) -> dict:
     _need(cfg["lambda"] > 0, "field 'lambda' must be > 0")
     _need(cfg["epsilon"] > 0, "field 'epsilon' must be > 0")
     _need(cfg["qp_tol"] > 0, "field 'qp_tol' must be > 0")
-    for key in ("max_outer", "seed"):
-        _need(_is_int(cfg[key]), f"field '{key}' must be an integer")
-    _need(cfg["max_outer"] >= 1, "field 'max_outer' must be >= 1")
+    _need_int(cfg, "max_outer", 1)
+    _need_int(cfg, "seed", 0)
     _need(isinstance(cfg["bias_feature"], bool), "field 'bias_feature' must be boolean")
     _need(isinstance(cfg["ranks"], list) and
           all(_is_int(r) and r >= 1 for r in cfg["ranks"]),
@@ -157,20 +164,15 @@ def resolve_config(raw: dict, need_method=True, need_methods=False) -> dict:
     if src == "synth":
         _need(_is_dims(ds.get("shape")),
               "field 'dataset.shape' must be a list of positive integers")
-        _need(_is_int(ds.get("n_per_class")) and ds["n_per_class"] >= 1,
-              "field 'dataset.n_per_class' must be a positive integer")
-        if ds.get("test_n_per_class") is not None:
-            _need(_is_int(ds["test_n_per_class"]) and ds["test_n_per_class"] >= 0,
-                  "field 'dataset.test_n_per_class' must be an integer >= 0")
+        _need_int(ds, "n_per_class", 1, "dataset.")
+        _need_int(ds, "test_n_per_class", 0, "dataset.", optional=True)
         ds.setdefault("margin", 1.5)
         ds.setdefault("noise", 0.5)
         _need(_is_number(ds["margin"]) and ds["margin"] > 0,
               "field 'dataset.margin' must be a number > 0")
         _need(_is_number(ds["noise"]) and ds["noise"] >= 0,
               "field 'dataset.noise' must be a number >= 0")
-        if ds.get("n_classes") is not None:
-            _need(_is_int(ds["n_classes"]) and ds["n_classes"] >= 2,
-                  "field 'dataset.n_classes' must be an integer >= 2")
+        _need_int(ds, "n_classes", 2, "dataset.", optional=True)
     elif src == "idx":
         for key in ("images", "labels"):
             _need(isinstance(ds.get(key), str),
@@ -185,19 +187,15 @@ def resolve_config(raw: dict, need_method=True, need_methods=False) -> dict:
         _need(isinstance(classes, list) and len(classes) >= 2 and
               all(_is_int(c) for c in classes) and len(set(classes)) == len(classes),
               "field 'dataset.classes' must be a list of >= 2 distinct integer labels")
-        if ds.get("per_class") is not None:
-            _need(_is_int(ds["per_class"]) and ds["per_class"] >= 1,
-                  "field 'dataset.per_class' must be a positive integer")
-        if ds.get("test_per_class") is not None:
-            _need(_is_int(ds["test_per_class"]) and ds["test_per_class"] >= 1,
-                  "field 'dataset.test_per_class' must be a positive integer")
+        _need_int(ds, "per_class", 1, "dataset.", optional=True)
+        _need_int(ds, "test_per_class", 1, "dataset.", optional=True)
     else:
         _need(isinstance(ds.get("path"), str), "field 'dataset.path' must be a path string")
         _need(ds.get("test_path") is None or isinstance(ds["test_path"], str),
               "field 'dataset.test_path' must be a path string")
 
     ds.setdefault("seed", 0)
-    _need(_is_int(ds["seed"]), "field 'dataset.seed' must be an integer")
+    _need_int(ds, "seed", 0, "dataset.")
     if ds.get("reshape") is not None:
         _need(_is_dims(ds["reshape"]),
               "field 'dataset.reshape' must be a list of positive integers")
@@ -600,7 +598,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "seed", None) is not None and args.seed < 0:
+        parser.error(f"argument --seed: must be an integer >= 0, got {args.seed}")
     try:
         return args.fn(args)
     except ConfigError as e:

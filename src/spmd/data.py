@@ -378,20 +378,33 @@ def save_dataset(path: str, data: LabeledDataset) -> None:
 
 
 def load_dataset(path: str) -> LabeledDataset:
-    """Read a dataset directory written by :func:`save_dataset`."""
+    """Read a dataset directory written by :func:`save_dataset`.
+
+    A malformed meta.json raises ValueError naming the file and the key.
+    """
     meta_path = os.path.join(path, "meta.json")
     bin_path = os.path.join(path, "data.bin")
     if not os.path.exists(meta_path):
         raise FileNotFoundError(f"{meta_path} not found")
     with open(meta_path) as f:
         meta = json.load(f)
-    dims = _dims(meta["dims"])
-    n = int(meta["n"])
+    if not isinstance(meta, dict):
+        raise ValueError(f"{meta_path}: the root must be a JSON object")
+    dims, n, labels = meta.get("dims"), meta.get("n"), meta.get("labels")
+    for key, ok, rule in (
+            ("dims", isinstance(dims, list)
+             and all(type(d) is int for d in dims), "a list of integers"),
+            ("n", type(n) is int and n >= 0, "an integer >= 0"),
+            ("labels", isinstance(labels, list)
+             and all(type(t) in (int, float) for t in labels), "a list of numbers")):
+        if not ok:
+            raise ValueError(f"{meta_path}: key {key!r} must be {rule}")
+    dims = _dims(dims)
     p = int(np.prod(dims))
     raw = np.fromfile(bin_path, dtype="<f8")
     if raw.size != n * p:
         raise ValueError(
             f"{bin_path} holds {raw.size} float64 values, expected {n * p}"
         )
-    labels = np.asarray(meta["labels"], dtype=np.float64)
-    return LabeledDataset(raw.reshape(n, p), dims, labels)
+    return LabeledDataset(raw.reshape(n, p), dims,
+                          np.asarray(labels, dtype=np.float64))

@@ -28,8 +28,9 @@ class DenseTensor:
 
     ``data[i1 + I1*i2 + I1*I2*i3 + ...]`` is the entry at ``(i1, i2, i3, ...)``.
     ``data`` may be that flat buffer or an array of shape ``dims``, which is
-    read column-major. The buffer is defensively copied and marked read-only so instances can be
-    shared across threads.
+    read column-major. The buffer is copied and marked read-only, so a
+    tensor never changes under its holder and never shares memory with the
+    array it was built from.
     """
 
     dims: tuple[int, ...]

@@ -12,9 +12,10 @@ objective restricted to that block:
              L = kron of the Grams' roots L_m,  f~ = L' vec(F),
              z_i = vec(X_i x_1 (V_1 L_1^+')' ... x_M (V_M L_M^+')')
 
-L is the range root of the block metric (see MetricRoot): R x r, with
-left inverse L^+, for a metric of rank r. With symmetric full-rank roots
-these are the usual A^{1/2} whitenings.
+L is the range root of the block metric, R x r for a metric of rank r;
+only its left inverse L^+ (see psd_root) is formed, and for the core only
+per factor. With symmetric full-rank roots these are the usual A^{1/2}
+whitenings.
 
 Both satisfy <W, Z_i> = v'z_i and ||W||_F^2 = v'v, so every block update
 minimizes the full objective over that block. An update that does not
@@ -24,6 +25,7 @@ so the objective sequence is non-increasing exactly.
 
 from __future__ import annotations
 
+import math
 import struct
 import time
 import warnings
@@ -33,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import qp as qpmod
-from .data import LabeledDataset
+from .data import LabeledDataset, _dims
 from .margins import MarginSummary, summarize_scores
 from .tensor import (DenseTensor, cp_reconstruct, khatri_rao, kron_chain,
                      tucker_reconstruct, unfold, unvec)
@@ -42,7 +44,6 @@ KINDS = ("vector", "rank1", "cp", "tucker")
 
 MODEL_MAGIC = b"SPMD"
 MODEL_VERSION = 1
-_KIND_TAGS = {k: i for i, k in enumerate(KINDS)}
 
 EIG_CLAMP_REL = 1e-14
 
@@ -61,30 +62,18 @@ class Hyper(NamedTuple):
     lam: float
 
 
-@dataclass(frozen=True)
-class MetricRoot:
-    """Square-root factor of a block metric A on its range.
+def psd_root(a: np.ndarray, context: str = "block") -> np.ndarray:
+    """Left inverse L^+ = diag(1/sqrt(w_r)) U_r' (r x R) of A's range root.
 
-    ``half = U_r diag(sqrt(w_r))`` (R x r) over the eigenpairs of A at or
-    above ``EIG_CLAMP_REL * trace(A)/R``, and ``inv_half = diag(1/sqrt(w_r))
-    U_r'`` (r x R) is its exact left inverse, so ``half @ half.T`` is A
-    with only the dropped round-off directions missing. A block whitened by
-    it has r columns and reaches exactly the range of W that the other
-    blocks allow: a metric is singular only structurally (a mode whose rank
-    exceeds the product of the other ranks), and its null directions do not
-    move W. The eigenbasis (rather than symmetric) factor keeps the
-    whitening identities exact to machine precision even for
-    ill-conditioned A: the diagonal scalings cancel exactly wherever the
-    root meets its inverse. ``clamped`` counts the dropped directions.
+    The eigenpairs kept are those of A at or above ``EIG_CLAMP_REL *
+    trace(A)/R``, so ``L^+ A L^+' = I_r``, and the root ``L = U_r
+    diag(sqrt(w_r))`` gives A but for the R - r dropped round-off
+    directions. A metric is singular only structurally (a mode whose rank
+    exceeds the product of the other ranks), and its null directions do
+    not move W, so a block whitened by L^+ reaches exactly the W the other
+    blocks allow. The eigenbasis (not symmetric) factor keeps the whitening
+    identities exact to machine precision even for ill-conditioned A.
     """
-
-    half: np.ndarray
-    inv_half: np.ndarray
-    clamped: int
-
-
-def psd_root(a: np.ndarray, context: str = "block") -> MetricRoot:
-    """Range root (half @ half.T = A, inv_half @ half = I) of a symmetric PSD matrix."""
     a = np.asarray(a, dtype=np.float64)
     a = 0.5 * (a + a.T)
     tr = float(np.trace(a))
@@ -100,8 +89,7 @@ def psd_root(a: np.ndarray, context: str = "block") -> MetricRoot:
     # one drops keeps u's layout, and with it the BLAS rounding, otherwise
     if clamped:
         w, u = w[clamped:], u[:, clamped:]
-    s = np.sqrt(w)
-    return MetricRoot(u * s, (u / s).T, clamped)
+    return (u / np.sqrt(w)).T
 
 
 @dataclass
@@ -173,6 +161,14 @@ class TrainReport:
     clamp_events: int
     cap_hits: int               # block solves that stopped at the pass cap
     wall_time: float
+
+
+def _check_setting(name: str, value) -> None:
+    """A setting must be finite; mu1 and mu2 nonnegative, any other positive."""
+    nonneg = name in ("mu1", "mu2")
+    if not (np.isfinite(value) and (value >= 0 if nonneg else value > 0)):
+        rule = "nonnegative" if nonneg else "positive"
+        raise ValueError(f"{name} must be finite and {rule}, got {value}")
 
 
 def _mode_ranks(kind: str, ranks, dims) -> tuple[int, ...]:
@@ -281,45 +277,43 @@ def _core_design(samples: np.ndarray, dims: tuple[int, ...], factors) -> np.ndar
 
 
 def core_features(data: LabeledDataset, factors):
-    """Whitened core features and the root of the core metric.
+    """Whitened core features and the inverse roots of the core metric.
 
     The core metric is kron of the factor Grams V_m'V_m, highest mode
-    leftmost (Kolda & Bader, SIAM Review 2009), so the Kronecker products
-    of their range roots are its root and that root's left inverse. Each
-    factor is whitened on its own, V_m L_m^+', so no eigendecomposition is
-    larger than one mode's Gram and no product with a prod(R) x prod(R)
-    matrix whitens the features.
+    leftmost (Kolda & Bader, SIAM Review 2009), so the Kronecker product of
+    their inverse range roots L_m^+ (mode order, one per factor) is its
+    inverse root. Each factor is whitened on its own, V_m L_m^+', so no
+    eigendecomposition is larger than one mode's Gram and no matrix with
+    prod(R) rows is formed.
     """
     factors = [np.asarray(v, dtype=np.float64) for v in factors]
     roots = [psd_root(v.T @ v, context=f"core metric, mode {m} Gram")
              for m, v in enumerate(factors, start=1)]
     design = _core_design(data.samples, data.dims,
-                          [v @ r.inv_half.T for v, r in zip(factors, roots)])
-    half = kron_chain([r.half for r in reversed(roots)])
-    inv_half = kron_chain([r.inv_half for r in reversed(roots)])
-    return design.T, MetricRoot(half, inv_half, half.shape[0] - half.shape[1])
+                          [v @ r.T for v, r in zip(factors, roots)])
+    return design.T, roots
 
 
 def block_features(data: LabeledDataset, factors, core, block: int):
-    """Whitened D x N features of one block and the root that unwhitens it.
+    """Whitened D x N features of one block and its inverse roots.
 
     ``block`` is a mode 1..M, or 0 for the Tucker core (``core`` is None for
-    CP and rank-1 weights). A block solution v maps back as
-    ``V_m = unvec(v) @ root.inv_half`` for a mode (unvec to the root's r
-    columns) and ``vec(F) = root.inv_half.T @ v`` for the core. When the
-    block is the identity map (order-1 data, one column, no core) the
-    features are the raw samples, a view, with a 1 x 1 identity root. No block copies the
-    N x P samples; only its D x N features are new arrays.
+    CP and rank-1 weights). The Kronecker product of the inverse roots,
+    highest mode leftmost, is the block's L^+: ``[L^+]`` for a mode, one
+    L_m^+ per factor for the core. A solution v maps back as ``V_m =
+    unvec(v) @ L^+`` (unvec to L^+'s r rows) or ``F = v x_1 L_1^+' ... x_M
+    L_M^+'``. The identity block (order-1 data, one column, no core) has
+    the raw samples, a view, as features and a 1 x 1 identity root. No
+    block copies the N x P samples; only its D x N features are new arrays.
     """
     if block == 0:
         return core_features(data, factors)
     if core is None and len(data.dims) == 1 and factors[0].shape[1] == 1:
-        one = np.eye(1)
-        return data.samples.T, MetricRoot(one, one, 0)
+        return data.samples.T, [np.eye(1)]
     p = _mode_coefficient(factors, core, block)
     root = psd_root(p @ p.T, context=f"mode {block} metric")
-    feats = _mode_contract(data.samples, data.dims, block, p.T @ root.inv_half.T)
-    return feats.reshape(len(data), -1).T, root
+    feats = _mode_contract(data.samples, data.dims, block, p.T @ root.T)
+    return feats.reshape(len(data), -1).T, [root]
 
 
 def block_update(features: np.ndarray, labels: np.ndarray, hyper: Hyper,
@@ -447,11 +441,7 @@ def train(data: LabeledDataset, cfg: TrainConfig):
     """
     t0 = time.perf_counter()
     for name in ("mu1", "mu2", "lam", "tol", "qp_tol"):
-        value = getattr(cfg, name)
-        nonneg = name in ("mu1", "mu2")
-        if not (np.isfinite(value) and (value >= 0 if nonneg else value > 0)):
-            rule = "nonnegative" if nonneg else "positive"
-            raise ValueError(f"{name} must be finite and {rule}, got {value}")
+        _check_setting(name, getattr(cfg, name))
     if cfg.max_outer < 1:
         raise ValueError(f"max_outer must be at least 1, got {cfg.max_outer}")
     if len(data) < 2:
@@ -491,12 +481,13 @@ def train(data: LabeledDataset, cfg: TrainConfig):
     for outer in range(1, cfg.max_outer + 1):
         sweep_caps = 0
         for i, b in enumerate(blocks):
-            feats, root = block_features(data, factors, core, b)
+            feats, roots = block_features(data, factors, core, b)
             v, sol = block_update(
                 feats, data.labels, hyper, cfg.qp_tol,
                 warm_alpha=latest if warm[i] is None else warm[i])
             label = "core" if b == 0 else f"mode{b}"
-            clamp_events += root.clamped
+            clamp_events += (math.prod(r.shape[1] for r in roots)
+                             - math.prod(r.shape[0] for r in roots))
             warm[i] = latest = sol.alpha
             qp_passes += sol.iterations
             sweep_caps += not sol.converged
@@ -512,10 +503,12 @@ def train(data: LabeledDataset, cfg: TrainConfig):
             if j_new < j:  # a block that does not lower J is not kept
                 j, summ = j_new, summ_new
                 if b == 0:
-                    core = DenseTensor(mode_ranks, root.inv_half.T @ v)
+                    core = tucker_reconstruct(
+                        DenseTensor([r.shape[0] for r in roots], v),
+                        [r.T for r in roots])
                 else:
-                    factors[b - 1] = (unvec(v, (dims[b - 1], root.inv_half.shape[0]))
-                                      @ root.inv_half)
+                    factors[b - 1] = (unvec(v, (dims[b - 1], roots[0].shape[0]))
+                                      @ roots[0])
                 weight_norms.append(float(np.sqrt(sq_norm)))
             else:
                 weight_norms.append(weight_norms[-1])
@@ -548,33 +541,16 @@ def train(data: LabeledDataset, cfg: TrainConfig):
             stacklevel=2,
         )
 
-    model = WeightModel(
-        kind=cfg.kind,
-        shape=dims,
-        ranks=mode_ranks,
-        factors=tuple(factors),
-        core=core,
-        hyper=hyper,
-        bias_feature=cfg.bias_feature,
-    )
+    model = WeightModel(kind=cfg.kind, shape=dims, ranks=mode_ranks,
+                        factors=tuple(factors), core=core, hyper=hyper,
+                        bias_feature=cfg.bias_feature)
     report = TrainReport(
-        kind=cfg.kind,
-        n_train=n,
-        seed=cfg.seed,
-        converged=converged,
-        iterations=outer,
-        objectives=objectives,
-        block_labels=block_labels,
-        weight_norms=weight_norms,
-        history=history,
-        final_objective=j,
-        gamma_m=summ.mean,
-        gamma_v=summ.variance,
-        qp_passes=qp_passes,
-        clamp_events=clamp_events,
-        cap_hits=cap_hits,
-        wall_time=time.perf_counter() - t0,
-    )
+        kind=cfg.kind, n_train=n, seed=cfg.seed, converged=converged,
+        iterations=outer, objectives=objectives, block_labels=block_labels,
+        weight_norms=weight_norms, history=history, final_objective=j,
+        gamma_m=summ.mean, gamma_v=summ.variance, qp_passes=qp_passes,
+        clamp_events=clamp_events, cap_hits=cap_hits,
+        wall_time=time.perf_counter() - t0)
     return model, report
 
 
@@ -624,7 +600,7 @@ def save_model(path: str, model: WeightModel) -> None:
     m = len(model.shape)
     with open(path, "wb") as f:
         f.write(MODEL_MAGIC)
-        f.write(struct.pack("<IBBB", MODEL_VERSION, _KIND_TAGS[model.kind],
+        f.write(struct.pack("<IBBB", MODEL_VERSION, KINDS.index(model.kind),
                             int(model.bias_feature), m))
         f.write(struct.pack(f"<{m}I", *model.shape))
         f.write(struct.pack(f"<{m}I", *model.ranks))
@@ -636,45 +612,52 @@ def save_model(path: str, model: WeightModel) -> None:
 
 
 def load_model(path: str) -> WeightModel:
-    """Read a model file written by :func:`save_model`."""
+    """Read a model file written by :func:`save_model`.
+
+    A header that breaks the rules :func:`train` builds by (dims, the
+    kind's ranks, the hyperparameters) or a non-finite factor or core value
+    raises ValueError.
+    """
     with open(path, "rb") as f:
         blob = f.read()
     if blob[:4] != MODEL_MAGIC:
         raise ValueError(f"{path}: not a model file (bad magic {blob[:4]!r})")
     off = 4
-    version, tag, bias, m = struct.unpack_from("<IBBB", blob, off)
-    off += 7
+
+    def take(size):
+        nonlocal off
+        off += size
+        if off > len(blob):
+            raise ValueError(f"{path}: truncated model file")
+        return blob[off - size:off]
+
+    def floats(count):
+        return np.frombuffer(take(8 * count), dtype="<f8").copy()
+
+    version, tag, bias, m = struct.unpack("<IBBB", take(7))
     if version != MODEL_VERSION:
         raise ValueError(f"{path}: unsupported model version {version}")
-    kinds = {v: k for k, v in _KIND_TAGS.items()}
-    if tag not in kinds:
+    if tag >= len(KINDS):
         raise ValueError(f"{path}: unknown kind tag {tag}")
-    kind = kinds[tag]
-    shape = struct.unpack_from(f"<{m}I", blob, off)
-    off += 4 * m
-    ranks = struct.unpack_from(f"<{m}I", blob, off)
-    off += 4 * m
-    hyper = Hyper(*struct.unpack_from("<3d", blob, off))
-    off += 24
-
-    def take(count):
-        nonlocal off
-        end = off + 8 * count
-        if end > len(blob):
-            raise ValueError(f"{path}: truncated model file")
-        out = np.frombuffer(blob[off:end], dtype="<f8").copy()
-        off = end
-        return out
-
-    factors = []
-    for i, r in zip(shape, ranks):
-        factors.append(unvec(take(i * r), (i, r)))
-    core = None
-    if kind == "tucker":
-        core = DenseTensor(ranks, take(int(np.prod(ranks))))
+    kind = KINDS[tag]
+    shape = struct.unpack(f"<{m}I", take(4 * m))
+    ranks = struct.unpack(f"<{m}I", take(4 * m))
+    hyper = Hyper(*struct.unpack("<3d", take(24)))
+    try:
+        shape = _dims(shape)
+        if _mode_ranks(kind, ranks[:1] if kind == "cp" else ranks, shape) != ranks:
+            raise ValueError(f"ranks {list(ranks)} do not fit a {kind} model")
+        for name, value in hyper._asdict().items():
+            _check_setting(name, value)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+    factors = [unvec(floats(i * r), (i, r)) for i, r in zip(shape, ranks)]
+    core = DenseTensor(ranks, floats(math.prod(ranks))) if kind == "tucker" else None
     if off != len(blob):
         raise ValueError(f"{path}: {len(blob) - off} trailing bytes")
-    return WeightModel(kind=kind, shape=tuple(int(d) for d in shape),
-                       ranks=tuple(int(r) for r in ranks),
+    if not all(np.isfinite(v).all()
+               for v in factors + ([] if core is None else [core.data])):
+        raise ValueError(f"{path}: non-finite factor or core value")
+    return WeightModel(kind=kind, shape=shape, ranks=ranks,
                        factors=tuple(factors), core=core, hyper=hyper,
                        bias_feature=bool(bias))

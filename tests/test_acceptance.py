@@ -17,7 +17,7 @@ import pytest
 
 from conftest import criterion_lines
 from oracles import (box_qp_reference, hinge_objective, max_margin_reference,
-                     vec)
+                     metric_root, vec)
 
 from spmd.cli import main
 from spmd.data import (LabeledDataset, find_mnist, load_idx, reshape_samples,
@@ -75,11 +75,11 @@ def test_criterion_1_reparameterization_identities():
 
         blocks = []
         for mode in range(1, order + 1):
-            feats, root = block_features(data, factors, core, mode)
-            blocks.append((feats, vec(factors[mode - 1] @ root.half)))
+            feats, roots = block_features(data, factors, core, mode)
+            blocks.append((feats, vec(factors[mode - 1] @ metric_root(roots))))
         if kind == "tucker":
-            feats, root = block_features(data, factors, core, 0)
-            blocks.append((feats, root.half.T @ core.data))
+            feats, roots = block_features(data, factors, core, 0)
+            blocks.append((feats, metric_root(roots).T @ core.data))
 
         for feats, v in blocks:
             ips = feats.T @ v

@@ -8,6 +8,7 @@ rounds to 4 decimals.
 
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -92,6 +93,28 @@ class TestResolveConfig:
     def test_bool_is_not_a_number(self):
         with pytest.raises(ConfigError, match="'mu1' must be a number"):
             resolve_config(minimal(mu1=True))
+
+    @pytest.mark.parametrize("over,field", [
+        ({"seed": -1}, "'seed'"),
+        ({"dataset": dict(SYNTH, seed=-3)}, "'dataset.seed'")],
+        ids=["seed", "dataset-seed"])
+    def test_negative_seed_exits_2_naming_its_field(self, tmp_path, capsys,
+                                                    over, field):
+        cfg = write_config(tmp_path, **over)
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f"field {field} must be" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["train", "bench", "check"])
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys, command):
+        argv = [command, "--seed", "-2", "--out", str(tmp_path / "o")]
+        if command != "check":
+            argv += ["--config", write_config(tmp_path)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--seed: must be an integer >= 0, got -2" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_negative_mu_rejected(self):
         with pytest.raises(ConfigError, match="'mu1'/'mu2' must be >= 0"):
@@ -452,6 +475,14 @@ class TestEvalCommand:
         assert main(["eval", "--config", cfg, "--model", str(bad)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_order_0_model_exits_2(self, tmp_path, capsys):
+        # a header with no modes used to load with shape () and fail in eval
+        bad = tmp_path / "order0.spmd"
+        bad.write_bytes(b"SPMD" + struct.pack("<IBBB3d", 1, 1, 0, 0, 1.0, 1.0, 1.0))
+        cfg = write_config(tmp_path)
+        assert main(["eval", "--config", cfg, "--model", str(bad)]) == 2
+        assert "dims must be one or more positive integers" in capsys.readouterr().err
+
     def test_seed_flag_exits_2(self, tmp_path, capsys):
         # eval trains nothing, so a training seed has nothing to override
         cfg, model = self.train_once(tmp_path)
@@ -805,6 +836,19 @@ class TestDirSource:
         assert main(["train", "--config", self.config(tmp_path),
                      "--out", str(out)]) == 0
         assert "test_accuracy" in (out / "summary.txt").read_text()
+
+    @pytest.mark.parametrize("key", ["dims", "n", "root"])
+    def test_corrupt_meta_exits_3_naming_its_key(self, tmp_path, capsys, key):
+        cfg = self.config(tmp_path)
+        meta_path = tmp_path / "train" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta_path.write_text(json.dumps([meta] if key == "root"
+                                        else {k: v for k, v in meta.items() if k != key}))
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert str(meta_path) in err and "Traceback" not in err
+        assert ("root must be a JSON object" if key == "root"
+                else f"key {key!r} must be") in err
 
     @pytest.mark.parametrize("field", ["path", "test_path"])
     def test_missing_directory_exits_2_naming_its_field(self, tmp_path, capsys,

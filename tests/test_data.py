@@ -404,6 +404,30 @@ class TestDatasetDirectory:
         with pytest.raises(ValueError, match="expected"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("change,found", [
+        (lambda m: m.pop("dims"), "key 'dims' must be a list of integers"),
+        (lambda m: m.pop("n"), "key 'n' must be an integer >= 0"),
+        (lambda m: m.update(n=-1), "key 'n' must be an integer >= 0"),
+        (lambda m: m.update(n=6.0), "key 'n' must be an integer >= 0"),
+        (lambda m: m.pop("labels"), "key 'labels' must be a list of numbers"),
+        (lambda m: m.update(labels=[{}] * 6), "key 'labels' must be a list of numbers"),
+        (lambda m: m.update(dims=[None, 2]), "key 'dims' must be a list of integers"),
+    ], ids=["no-dims", "no-n", "negative-n", "float-n", "no-labels",
+            "object-labels", "null-dim"])
+    def test_corrupt_meta_names_file_and_key(self, tmp_path, change, found):
+        save_dataset(str(tmp_path), synth_blobs((2, 2), 3, seed=20))
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        change(meta)
+        (tmp_path / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=found):
+            load_dataset(str(tmp_path))
+
+    def test_meta_root_must_be_an_object(self, tmp_path):
+        save_dataset(str(tmp_path), synth_blobs((2, 2), 3, seed=20))
+        (tmp_path / "meta.json").write_text("[]")
+        with pytest.raises(ValueError, match="meta.json: the root must be a JSON object"):
+            load_dataset(str(tmp_path))
+
     def test_missing_meta(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_dataset(str(tmp_path / "nope"))

@@ -6,6 +6,7 @@ checked against analytic optima; the zero-mu path is checked against the
 KKT-verified max-margin reference.
 """
 
+import math
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -14,12 +15,13 @@ import numpy as np
 import pytest
 
 from oracles import (batch_view, flatten_batch, hinge_objective, inner,
-                     max_margin_reference, vec)
+                     max_margin_reference, metric_root, vec)
 from spmd.data import LabeledDataset, synth_blobs
 from spmd.margins import summarize_scores
 from spmd.tensor import DenseTensor, unvec
 from spmd.trainer import (Hyper, MetricCollapseError, TrainConfig, WeightModel,
-                          apply_bias, block_features, block_update, load_model,
+                          apply_bias, block_features, block_update,
+                          core_features, load_model,
                           predict, primal_objective, psd_root, decision_scores,
                           save_model, train, _class_mean_difference,
                           _mode_contract, _mode_ranks, _start_state)
@@ -82,16 +84,21 @@ class TestModeRanks:
             _mode_ranks(kind, [0] if kind == "cp" else [2, 0], (2, 3))
 
 
+def dropped(roots):
+    """Directions a block's inverse roots drop: prod of columns minus rows."""
+    return (math.prod(r.shape[1] for r in roots)
+            - math.prod(r.shape[0] for r in roots))
+
+
 class TestPsdRoot:
     def test_reproduces_healthy_metric(self):
         rng = np.random.default_rng(0)
         M = rng.standard_normal((4, 4))
         A = M @ M.T + np.eye(4)
-        root = psd_root(A)
-        np.testing.assert_allclose(root.half @ root.half.T, A, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(root.inv_half @ root.half, np.eye(4),
-                                   rtol=0, atol=1e-12)
-        assert root.clamped == 0
+        inv = psd_root(A)
+        assert inv.shape == (4, 4)
+        np.testing.assert_allclose(inv @ A @ inv.T, np.eye(4), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(A @ inv.T @ inv @ A, A, rtol=1e-12, atol=1e-12)
 
     def test_structurally_singular_metric(self):
         # a rank-2 metric of size 4, as a mode whose rank exceeds the product
@@ -99,16 +106,15 @@ class TestPsdRoot:
         rng = np.random.default_rng(1)
         p = rng.standard_normal((4, 2)) * 3.0
         A = p @ p.T
-        root = psd_root(A)
-        assert root.half.shape == (4, 2) and root.inv_half.shape == (2, 4)
-        assert root.clamped == 2
-        np.testing.assert_allclose(root.half @ root.half.T, A, rtol=0,
+        inv = psd_root(A)
+        assert inv.shape == (2, 4)
+        np.testing.assert_allclose(inv @ A @ inv.T, np.eye(2), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(A @ inv.T @ inv @ A, A, rtol=0,
                                    atol=1e-12 * np.abs(A).max())
-        np.testing.assert_allclose(root.inv_half @ root.half, np.eye(2),
-                                   rtol=0, atol=1e-12)
-        # norms built through the root are exact: V P and (V half) agree
+        # norms built through the root are exact: V P and (V L) agree
+        half = metric_root([inv])
         V = rng.standard_normal((5, 4))
-        lhs = float(vec(V @ root.half) @ vec(V @ root.half))
+        lhs = float(vec(V @ half) @ vec(V @ half))
         rhs = float(np.sum((V @ p) ** 2))
         assert abs(lhs - rhs) <= 1e-12 * (1 + rhs)
 
@@ -202,9 +208,9 @@ class TestModeFeatureIdentities:
         data = random_dataset(rng, (3, 4), 5)
         v1, v2 = rng.standard_normal(3), rng.standard_normal(4)
         w = cp_reconstruct([v1[:, None], v2[:, None]])
-        feats, root = block_features(data, [v1[:, None], v2[:, None]],
-                                     None, 1)
-        vv = vec(v1[:, None] @ root.half)
+        feats, roots = block_features(data, [v1[:, None], v2[:, None]],
+                                      None, 1)
+        vv = vec(v1[:, None] @ metric_root(roots))
         for i in range(5):
             x = DenseTensor(data.dims, data.samples[i])
             z = x.to_array()
@@ -230,8 +236,8 @@ class TestModeFeatureIdentities:
             data = random_dataset(rng, dims, 4)
             wn = float(w.data @ w.data)
             for m in range(1, order + 1):
-                feats, root = block_features(data, factors, core, m)
-                v = vec(factors[m - 1] @ root.half)
+                feats, roots = block_features(data, factors, core, m)
+                v = vec(factors[m - 1] @ metric_root(roots))
                 assert float(v @ v) == pytest.approx(wn, abs=1e-10 * (1 + wn))
                 ips = feats.T @ v
                 for i in range(4):
@@ -247,10 +253,11 @@ class TestCoreFeatures:
         data = random_dataset(rng, (4, 3), 4)
         q1, _ = np.linalg.qr(rng.standard_normal((4, 2)))
         q2, _ = np.linalg.qr(rng.standard_normal((3, 2)))
-        feats, root = block_features(data, [q1, q2], None, 0)
-        np.testing.assert_allclose(root.half @ root.half.T, np.eye(4),
+        feats, roots = block_features(data, [q1, q2], None, 0)
+        half, inv = metric_root(roots), kron_chain(roots[::-1])
+        np.testing.assert_allclose(half @ half.T, np.eye(4),
                                    rtol=0, atol=1e-12)
-        np.testing.assert_allclose(root.inv_half @ root.inv_half.T, np.eye(4),
+        np.testing.assert_allclose(inv @ inv.T, np.eye(4),
                                    rtol=0, atol=1e-12)
         raw = np.stack([vec(q1.T @ DenseTensor(data.dims, data.samples[i]).to_array() @ q2)
                         for i in range(4)], axis=1)
@@ -272,13 +279,15 @@ class TestCoreFeatures:
         dims, ranks = (5, 4, 3), (3, 2, 2)
         factors = [rng.standard_normal((d, r)) for d, r in zip(dims, ranks)]
         data = random_dataset(rng, dims, 4)
-        _, root = block_features(data, factors, None, 0)
+        _, roots = block_features(data, factors, None, 0)
+        assert [r.shape for r in roots] == [(3, 3), (2, 2), (2, 2)]
+        half, inv = metric_root(roots), kron_chain(roots[::-1])
         metric = kron_chain([v.T @ v for v in reversed(factors)])
-        np.testing.assert_allclose(root.half @ root.half.T, metric, rtol=0,
+        np.testing.assert_allclose(half @ half.T, metric, rtol=0,
                                    atol=1e-12 * np.abs(metric).max())
-        np.testing.assert_allclose(root.inv_half @ root.half, np.eye(12),
+        np.testing.assert_allclose(inv @ half, np.eye(12),
                                    rtol=0, atol=1e-12)
-        assert root.clamped == 0
+        assert dropped(roots) == 0
 
     def test_rank_deficient_factor_drops_its_null_directions(self):
         # a factor of rank 1 with 2 columns leaves 1 x 2 x 2 core directions
@@ -288,15 +297,67 @@ class TestCoreFeatures:
         core = DenseTensor((2, 2, 2), rng.standard_normal(8))
         w = tucker_reconstruct(core, factors)
         data = random_dataset(rng, (3, 4, 2), 5)
-        feats, root = block_features(data, factors, core, 0)
-        assert feats.shape == (4, 5) and root.clamped == 4
-        np.testing.assert_allclose(root.inv_half @ root.half, np.eye(4),
+        feats, roots = block_features(data, factors, core, 0)
+        assert feats.shape == (4, 5) and dropped(roots) == 4
+        half = metric_root(roots)
+        np.testing.assert_allclose(kron_chain(roots[::-1]) @ half, np.eye(4),
                                    rtol=0, atol=1e-12)
-        f = root.half.T @ core.data
+        f = half.T @ core.data
         wn = float(w.data @ w.data)
         assert float(f @ f) == pytest.approx(wn, rel=1e-12)
         np.testing.assert_allclose(feats.T @ f, data.samples @ w.data,
                                    rtol=1e-12, atol=1e-12)
+
+    def test_peak_memory_has_no_dense_kronecker_root(self):
+        # a dense prod(R) x prod(R) root at ranks (12, 12, 12) takes 23.9 MB
+        # and its left inverse as much again; the features take 0.3 MB
+        data = synth_blobs((16, 16, 16), 10, seed=1)
+        rng = np.random.default_rng(34)
+        factors = [rng.standard_normal((16, 12)) for _ in range(3)]
+        tracemalloc.start()
+        try:
+            feats, roots = core_features(data, factors)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert feats.shape == (12 ** 3, len(data))
+        assert [r.shape for r in roots] == [(12, 12)] * 3
+        assert peak < 8e6, peak
+
+    @pytest.mark.parametrize("dims,ranks,seed", [
+        ((5, 4), [2, 2], 0), ((4, 3, 2), [3, 1, 2], 5)],
+        ids=["5x4", "rank-deficient-4x3x2"])
+    def test_core_maps_back_through_its_inverse_roots(self, monkeypatch, dims,
+                                                       ranks, seed):
+        # one sweep ends with the core, so the returned core is the last core
+        # solution mapped back: kron(L_M^+, ..., L_1^+)' v, formed densely here
+        import spmd.trainer as trainer
+        real_features, real_update = trainer.block_features, trainer.block_update
+        solved = []
+
+        def features(data, factors, core, block):
+            feats, roots = real_features(data, factors, core, block)
+            solved.append([block, roots])
+            return feats, roots
+
+        def update(*args, **kwargs):
+            v, sol = real_update(*args, **kwargs)
+            solved[-1].append(v)
+            return v, sol
+
+        monkeypatch.setattr(trainer, "block_features", features)
+        monkeypatch.setattr(trainer, "block_update", update)
+        data = synth_blobs(dims, 15, margin=1.5, noise=0.5, seed=seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            model, report = train(data, TrainConfig(kind="tucker", ranks=ranks,
+                                                    max_outer=1, seed=seed))
+        block, roots, v = solved[-1]
+        assert block == 0 and report.objectives[-1] < report.objectives[-2]
+        want = kron_chain(roots[::-1]).T @ v
+        np.testing.assert_allclose(model.core.data, want, rtol=0,
+                                   atol=1e-12 * np.abs(want).max())
+        assert report.clamp_events == sum(dropped(r) for _, r, _ in solved)
 
     def test_no_metric_root_larger_than_a_mode_rank(self, monkeypatch):
         # the core's root is built from its factors' Gram roots, so the
@@ -324,8 +385,8 @@ class TestCoreFeatures:
         core = DenseTensor(ranks, rng.standard_normal(8))
         w = tucker_reconstruct(core, factors)
         data = random_dataset(rng, dims, 5)
-        feats, root = block_features(data, factors, core, 0)
-        f = root.half.T @ core.data
+        feats, roots = block_features(data, factors, core, 0)
+        f = metric_root(roots).T @ core.data
         wn = float(w.data @ w.data)
         assert float(f @ f) == pytest.approx(wn, abs=1e-10 * (1 + wn))
         for i in range(5):
@@ -635,11 +696,11 @@ class TestTrain:
         assert report.converged
         w_before = model.reconstruct()
         factors = [f.copy() for f in model.factors]
-        feats, root = block_features(
+        feats, roots = block_features(
             LabeledDataset(data.samples, data.dims, data.labels), factors,
             None, 1)
         v, _ = block_update(feats, data.labels, model.hyper, qp_tol=1e-10)
-        factors[0] = unvec(v, (3, 1)) @ root.inv_half
+        factors[0] = unvec(v, (3, 1)) @ roots[0]
         w_after = cp_reconstruct(factors)
         drift = float(np.linalg.norm(w_after.data - w_before.data))
         assert drift <= 1e-2 * (1 + w_before.norm())
@@ -1094,6 +1155,53 @@ class TestPersistence:
         Path(path).write_bytes(blob[:-8])
         with pytest.raises(ValueError, match="truncated"):
             load_model(path)
+
+    @staticmethod
+    def header(tag, dims, ranks, hyper=(1.0, 1.0, 1.0)):
+        import struct
+        m = len(dims)
+        return (b"SPMD" + struct.pack("<IBBB", 1, tag, 0, m)
+                + struct.pack(f"<{m}I{m}I3d", *dims, *ranks, *hyper))
+
+    @pytest.mark.parametrize("dims,ranks,hyper,values,found", [
+        ((), (), (1.0, 1.0, 1.0), [], "dims must be one or more positive"),
+        ((6,), (3,), (1.0, 1.0, 1.0), [0.0] * 18, "rank1 kind takes no ranks"),
+        ((0, 2), (1, 1), (1.0, 1.0, 1.0), [0.0] * 2, "dims must be one or more positive"),
+        ((6,), (1,), (np.nan, 1.0, 1.0), [0.0] * 6, "mu1 must be finite"),
+        ((6,), (1,), (1.0, 1.0, 1.0), [0.0] * 5 + [np.inf], "non-finite factor"),
+    ], ids=["order-0", "rank1-rank-3", "zero-dim", "nan-mu1", "inf-factor"])
+    def test_malformed_header_rejected(self, tmp_path, dims, ranks, hyper,
+                                       values, found):
+        path = tmp_path / "bad.spmd"
+        path.write_bytes(self.header(1, dims, ranks, hyper)
+                         + np.asarray(values, dtype="<f8").tobytes())
+        with pytest.raises(ValueError, match=found):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("tag,dims,ranks,found", [
+        (2, (3, 4), (2, 3), r"ranks \[2, 3\] do not fit a cp model"),
+        (3, (3, 4), (4, 2), "tucker rank 4 of mode 1 exceeds its size 3"),
+        (3, (3, 4), (0, 2), "ranks must be positive"),
+        (0, (3, 4), (1, 1), "vector kind needs order-1 samples"),
+    ], ids=["cp-unequal", "tucker-over-size", "zero-rank", "vector-order-2"])
+    def test_ranks_follow_the_kind_rules(self, tmp_path, tag, dims, ranks, found):
+        path = tmp_path / "bad.spmd"
+        path.write_bytes(self.header(tag, dims, ranks))
+        with pytest.raises(ValueError, match=found):
+            load_model(str(path))
+
+    def test_truncated_header(self, tmp_path):
+        path = tmp_path / "short.spmd"
+        path.write_bytes(self.header(1, (6,), (1,))[:9])
+        with pytest.raises(ValueError, match="truncated"):
+            load_model(str(path))
+
+    def test_header_sizes_beyond_the_file(self, tmp_path):
+        # the largest dims a header holds promise far more than any file
+        path = tmp_path / "huge.spmd"
+        path.write_bytes(self.header(3, (2**32 - 1,) * 2, (2**32 - 1,) * 2))
+        with pytest.raises(ValueError, match="truncated"):
+            load_model(str(path))
 
     def test_trailing_bytes(self, tmp_path):
         data = synth_blobs((4,), 6, margin=1.0, noise=0.2, seed=33)
