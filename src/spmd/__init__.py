@@ -21,8 +21,7 @@ from .tensor import (DenseTensor, cp_reconstruct, khatri_rao, tucker_reconstruct
 from .theory import (BoundReport, cantelli_margin_tail, descent_certificate,
                      generalization_bound, rademacher_bound, spectral_norm,
                      tucker_norm_inequality)
-from .trainer import (Hyper, TrainConfig, TrainReport, WeightModel,
-                      block_features, block_update, core_features, load_model,
-                      predict, primal_objective, save_model, train)
+from .trainer import (Hyper, TrainConfig, TrainReport, WeightModel, load_model,
+                      predict, save_model, train)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -28,6 +27,7 @@ from .data import (_split_per_class, data_dir, find_mnist, load_dataset,
                    synth_blobs, synth_multiclass)
 from .margins import summarize_scores
 from .multiclass import ovo_train, pairwise_accuracy
+from .tensor import _dims, _integer
 from .trainer import (TrainConfig, TrainingError, _mode_ranks, load_model,
                       predict, save_model, train)
 
@@ -84,30 +84,27 @@ def _need(cond, msg):
         raise ConfigError(msg)
 
 
-def _is_int(x) -> bool:
-    """A JSON integer; ``true``/``false`` are not integers."""
-    return isinstance(x, int) and not isinstance(x, bool)
+def _follows(rule, *args) -> bool:
+    """Whether the package rule ``rule(*args)`` passes (it raises ValueError)."""
+    try:
+        rule(*args)
+    except ValueError:
+        return False
+    return True
 
 
 def _is_number(x) -> bool:
     """A JSON number that is a finite float; ``true``/``false`` are not numbers."""
-    if _is_int(x):
-        return abs(x) <= sys.float_info.max
-    return isinstance(x, float) and math.isfinite(x)
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max)
 
 
 def _need_int(section: dict, key: str, low: int, prefix: str = "",
               optional: bool = False) -> None:
     """Field ``key`` is an integer >= ``low`` (or, if optional, absent or null)."""
     value = section.get(key)
-    _need((optional and value is None) or (_is_int(value) and value >= low),
+    _need((optional and value is None) or _follows(_integer, value, low),
           f"field '{prefix}{key}' must be an integer >= {low}")
-
-
-def _is_dims(x) -> bool:
-    """A non-empty list of positive integers (a shape)."""
-    return (isinstance(x, list) and len(x) >= 1
-            and all(_is_int(d) and d >= 1 for d in x))
 
 
 def load_config(path: str) -> dict:
@@ -140,7 +137,7 @@ def resolve_config(raw: dict, need_method=True, need_methods=False) -> dict:
     _need_int(cfg, "seed", 0)
     _need(isinstance(cfg["bias_feature"], bool), "field 'bias_feature' must be boolean")
     _need(isinstance(cfg["ranks"], list) and
-          all(_is_int(r) and r >= 1 for r in cfg["ranks"]),
+          all(_follows(_integer, r) for r in cfg["ranks"]),
           "field 'ranks' must be a list of integers >= 1")
 
     if need_method:
@@ -162,7 +159,7 @@ def resolve_config(raw: dict, need_method=True, need_methods=False) -> dict:
     _need(not unknown, f"unknown dataset field(s) for source {src!r}: {sorted(unknown)}")
 
     if src == "synth":
-        _need(_is_dims(ds.get("shape")),
+        _need(_follows(_dims, ds.get("shape")),
               "field 'dataset.shape' must be a list of positive integers")
         _need_int(ds, "n_per_class", 1, "dataset.")
         _need_int(ds, "test_n_per_class", 0, "dataset.", optional=True)
@@ -185,8 +182,10 @@ def resolve_config(raw: dict, need_method=True, need_methods=False) -> dict:
               "given together")
         classes = ds.get("classes")
         _need(isinstance(classes, list) and len(classes) >= 2 and
-              all(_is_int(c) for c in classes) and len(set(classes)) == len(classes),
-              "field 'dataset.classes' must be a list of >= 2 distinct integer labels")
+              all(_follows(_integer, c, 0) for c in classes)
+              and len(set(classes)) == len(classes),
+              "field 'dataset.classes' must be a list of >= 2 distinct integer "
+              "labels >= 0")
         _need_int(ds, "per_class", 1, "dataset.", optional=True)
         _need_int(ds, "test_per_class", 1, "dataset.", optional=True)
     else:
@@ -197,7 +196,7 @@ def resolve_config(raw: dict, need_method=True, need_methods=False) -> dict:
     ds.setdefault("seed", 0)
     _need_int(ds, "seed", 0, "dataset.")
     if ds.get("reshape") is not None:
-        _need(_is_dims(ds["reshape"]),
+        _need(_follows(_dims, ds["reshape"]),
               "field 'dataset.reshape' must be a list of positive integers")
     cfg["dataset"] = ds
     return cfg

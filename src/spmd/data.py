@@ -16,6 +16,8 @@ from functools import reduce
 
 import numpy as np
 
+from .tensor import _dims
+
 IDX_IMAGE_MAGIC = 2051
 IDX_LABEL_MAGIC = 2049
 
@@ -43,26 +45,18 @@ class IdxCountMismatchError(IdxFormatError):
     """Image and label files disagree on the number of records."""
 
 
-def _dims(dims) -> tuple[int, ...]:
-    """``dims`` as a tuple of ints; it must hold one or more positive integers."""
-    dims = tuple(dims)
-    ints = tuple(int(d) for d in dims)
-    if not ints or min(ints) < 1 or ints != dims:
-        raise ValueError(f"dims must be one or more positive integers, got {dims}")
-    return ints
-
-
 @dataclass(frozen=True)
 class _Rows:
     """The row contract shared by both dataset types.
 
-    ``samples`` is C-contiguous, read-only ``(N, prod(dims))`` float64; row
-    ``i`` is the flat column-major buffer of sample ``i``. ``dims`` holds
-    one or more positive integers. ``labels`` is a read-only vector of N
-    labels of the subclass's ``_label_dtype``, checked before the cast to
-    it. The read-only flags go on the dataset's own array objects (views
-    where no copy is needed): a dataset never changes the flags of an
-    array its caller holds.
+    ``samples`` is C-contiguous, read-only, finite ``(N, prod(dims))``
+    float64; row ``i`` is the flat column-major buffer of sample ``i``.
+    ``dims`` holds one or more positive integers. Every dataset passes
+    here, so no later stage checks a sample again. ``labels`` is a
+    read-only vector of N labels of the subclass's ``_label_dtype``,
+    checked before the cast to it. The read-only flags go on the dataset's
+    own array objects (views where no copy is needed): a dataset never
+    changes the flags of an array its caller holds.
     """
 
     samples: np.ndarray
@@ -78,6 +72,10 @@ class _Rows:
         p = int(np.prod(dims))
         if samples.ndim != 2 or samples.shape[1] != p:
             raise ValueError(f"samples must be (N, {p}) for dims {dims}")
+        # min and max make no temporary the size of the samples
+        if samples.size and not (np.isfinite(samples.min())
+                                 and np.isfinite(samples.max())):
+            raise ValueError("samples must be finite, found NaN or inf")
         if labels.size != samples.shape[0]:
             raise ValueError(f"{samples.shape[0]} samples but {labels.size} labels")
         self._check_labels(labels)
@@ -87,9 +85,6 @@ class _Rows:
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "labels", labels)
-
-    def _check_labels(self, labels: np.ndarray) -> None:
-        pass
 
     def __len__(self) -> int:
         return self.samples.shape[0]
@@ -276,7 +271,7 @@ def reshape_samples(data, new_dims):
 
     Works on a LabeledDataset or a MulticlassDataset and returns the same type.
     """
-    new_dims = tuple(int(d) for d in new_dims)
+    new_dims = _dims(new_dims)
     old_dims = data.dims
     if int(np.prod(new_dims)) != int(np.prod(old_dims)):
         raise ValueError(
@@ -380,7 +375,8 @@ def save_dataset(path: str, data: LabeledDataset) -> None:
 def load_dataset(path: str) -> LabeledDataset:
     """Read a dataset directory written by :func:`save_dataset`.
 
-    A malformed meta.json raises ValueError naming the file and the key.
+    A malformed meta.json raises ValueError naming the file and the key;
+    rows the dataset refuses (a NaN in data.bin, say) name both files.
     """
     meta_path = os.path.join(path, "meta.json")
     bin_path = os.path.join(path, "data.bin")
@@ -390,21 +386,22 @@ def load_dataset(path: str) -> LabeledDataset:
         meta = json.load(f)
     if not isinstance(meta, dict):
         raise ValueError(f"{meta_path}: the root must be a JSON object")
-    dims, n, labels = meta.get("dims"), meta.get("n"), meta.get("labels")
+    dims = _dims(meta.get("dims"), f"{meta_path}: key 'dims'")
+    n, labels = meta.get("n"), meta.get("labels")
     for key, ok, rule in (
-            ("dims", isinstance(dims, list)
-             and all(type(d) is int for d in dims), "a list of integers"),
             ("n", type(n) is int and n >= 0, "an integer >= 0"),
             ("labels", isinstance(labels, list)
              and all(type(t) in (int, float) for t in labels), "a list of numbers")):
         if not ok:
             raise ValueError(f"{meta_path}: key {key!r} must be {rule}")
-    dims = _dims(dims)
     p = int(np.prod(dims))
     raw = np.fromfile(bin_path, dtype="<f8")
     if raw.size != n * p:
         raise ValueError(
             f"{bin_path} holds {raw.size} float64 values, expected {n * p}"
         )
-    return LabeledDataset(raw.reshape(n, p), dims,
-                          np.asarray(labels, dtype=np.float64))
+    try:
+        return LabeledDataset(raw.reshape(n, p), dims,
+                              np.asarray(labels, dtype=np.float64))
+    except ValueError as e:
+        raise ValueError(f"{bin_path} with {meta_path}: {e}") from None

@@ -22,33 +22,17 @@ one inverse of its triangular factor, L^{-1}, and one product with it for
 the D x N matrix B. The same L^{-1} recovers v, so no system is solved per
 block. S is at least I, so the factorization cannot fail, and L is well
 conditioned; at mu1 = 0 both are I itself. H is never formed: the problem
-keeps the factor B, so assembly memory is O(N D), not O(N^2).
+keeps the factor B, so assembly memory is O(N D), not O(N^2). A block
+with D > N reaches here as the N x N factor R of its thin QR (see
+trainer.block_update), so S is at most min(D, N) x min(D, N).
 By the push-through identity G (I + QG)^{-1} = Z' S^{-1} Z, this is the
 same dual as the sample-space form H = T G (I + QG)^{-1} T with G = Z'Z
 and Q = (2*mu1/N^2)(N I - t t'), without its N x N factorization.
 
-The solver is dual coordinate descent in the factor form of Hsieh et al.
-(ICML 2008): it keeps u = B alpha, so the gradient of one coordinate,
-b_i'u + g_i, and the update of u after a step each cost O(D). The box's
-KKT conditions are one rule, the projected step
-s = clip(alpha - grad, 0, lam/N) - alpha, zero exactly at a solution. Each
-pass visits, in index order, the coordinates where s is non-zero at its
-start (a working set, as in Fan, Chen & Lin, JMLR 2005), and then
-recomputes u = B alpha and s, so the residual max|s| that decides
-convergence is exact. H has rank at most D, often far below N, and
-coordinate descent alone crawls on such degenerate duals, so every pass
-that leaves the solve unconverged ends with one subspace step on the free
-set F = {i : 0 < alpha_i < lam/N}: a
-least-squares Newton step on H_FF = B_F'B_F, or (when H_FF is singular)
-a step along the part of -grad_F that H_FF cannot reach, whichever lowers
-the objective more, cut at the box. Both directions come from the
-eigenpairs of the smaller Gram matrix of the D x |F| factor B_F: B_F'B_F
-when |F| <= D, else B_F B_F' (D x D), whose eigenvectors B_F' maps to
-those of H_FF. The step costs O(min(D, |F|)^2 max(D, |F|)), and no
-square array larger than min(D, |F|) is built. A zero-curvature step
-that the box cuts is repeated on the part of F it left free. Each
-coordinate visit and each such step is an exact or box-capped line
-minimization along a descent direction, so the objective never rises.
+The solver, :func:`solve_box_qp`, is dual coordinate descent in the factor
+form of Hsieh et al. (ICML 2008) on a working set (Fan, Chen & Lin, JMLR
+2005), with a subspace step on the free set (``_free_set_step``); their
+docstrings state the rules. No visit and no step raises the objective.
 """
 
 from __future__ import annotations
@@ -99,32 +83,23 @@ class QpSolution:
     objective_trace: tuple = field(default=())
 
 
-def _validate(features, labels, mu1, mu2, lam):
-    Z = np.asarray(features, dtype=np.float64)
-    t = np.asarray(labels, dtype=np.float64).ravel()
-    if Z.ndim != 2:
-        raise ValueError("features must be a D x N matrix")
-    if t.size != Z.shape[1]:
-        raise ValueError(f"{Z.shape[1]} feature columns but {t.size} labels")
-    if not np.isfinite(Z).all():
-        raise ValueError("non-finite feature values")
-    if np.any(np.abs(t) != 1.0):
-        raise ValueError("labels must be -1 or +1")
-    if mu1 < 0 or mu2 < 0:
-        raise ValueError("mu1 and mu2 must be nonnegative")
-    if not lam > 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    return Z, t
-
-
 def assemble_dual(features, labels, mu1, mu2, lam):
     """Build the dual QP and a recovery closure sharing one Cholesky factor.
 
     Returns (problem, recover, info) where recover(alpha) gives the primal
     block vector v. info["ridge_added"] is always False: S is positive
     definite by construction, so no regularization is ever added.
+
+    Only the shapes are checked: the samples, labels and settings are
+    checked where they enter (the dataset row contract and
+    :func:`spmd.trainer.train`), and ``QpProblem`` checks B and g.
     """
-    Z, t = _validate(features, labels, mu1, mu2, lam)
+    Z = np.asarray(features, dtype=np.float64)
+    t = np.asarray(labels, dtype=np.float64).ravel()
+    if Z.ndim != 2:
+        raise ValueError("features must be a D x N matrix")
+    if t.size != Z.shape[1]:
+        raise ValueError(f"{Z.shape[1]} feature columns but {t.size} labels")
     n = t.size
     Y = Z * t
     Yc = Y - Y.mean(axis=1, keepdims=True)
@@ -138,7 +113,6 @@ def assemble_dual(features, labels, mu1, mu2, lam):
     problem = QpProblem(B, g, lam / n)
 
     def recover(alpha: np.ndarray) -> np.ndarray:
-        alpha = np.asarray(alpha, dtype=np.float64).ravel()
         return Linv.T @ (B @ (alpha + mu2 / n))
 
     return problem, recover, {"ridge_added": False}
@@ -237,7 +211,8 @@ def solve_box_qp(problem: QpProblem, tol: float = 1e-8, max_passes: int = 4000,
     """Dual coordinate descent on u = B a with a subspace step on the free set.
 
     The solver works on the factor B of H = B'B and keeps u = B a, so H is
-    never formed. The KKT conditions of the box are one rule, the projected
+    never formed, and a coordinate's gradient and the update of u each
+    cost O(D). The KKT conditions of the box are one rule, the projected
     step s = clip(a - grad, 0, upper) - a, which is zero exactly at a
     solution. Each pass visits, in index order, only the coordinates where
     s is non-zero at the start of the pass (the KKT violators). A visit
@@ -251,12 +226,9 @@ def solve_box_qp(problem: QpProblem, tol: float = 1e-8, max_passes: int = 4000,
     rounding the updates of u carry. If the solve has not converged and
     the free set F = {i : 0 < a_i < upper} is non-empty, the pass ends with
     one subspace minimization step on F, as in gradient projection for
-    bound-constrained QPs (More & Toraldo, SIAM J. Optim. 1991): a
-    least-squares Newton step on H_FF = B_F'B_F, or a zero-curvature step
-    when grad_F leaves range(H_FF), both taken from the eigenpairs of the
-    smaller Gram matrix of B_F, cut at the box and repeated on the part of
-    F it leaves free (see ``_free_set_step``), after which u is recomputed
-    again. Neither the coordinate visits nor this step raise the objective, so
+    bound-constrained QPs (More & Toraldo, SIAM J. Optim. 1991; see
+    ``_free_set_step``), after which u is recomputed again. Neither the
+    coordinate visits nor this step raise the objective, so
     ``objective_trace`` is non-increasing. On the rank-D duals of small
     blocks, where coordinate descent alone crawls for thousands of passes,
     the step finishes the solve as soon as the active set settles.

@@ -22,6 +22,28 @@ from functools import reduce
 import numpy as np
 
 
+def _integer(value, low: int = 1) -> int:
+    """The one integer rule: a Python or numpy integer >= ``low``, not a bool.
+
+    Anything else (a whole float, a string, None) raises ValueError.
+    """
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < low):
+        raise ValueError(f"must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
+def _dims(dims, name: str = "dims") -> tuple[int, ...]:
+    """``dims`` as a tuple of one or more positive ints; else a ValueError on ``name``."""
+    try:
+        ints = tuple(_integer(d) for d in dims)
+    except (TypeError, ValueError):
+        ints = ()
+    if not ints:
+        raise ValueError(f"{name} must be one or more positive integers, got {dims!r}")
+    return ints
+
+
 @dataclass(frozen=True)
 class DenseTensor:
     """Immutable dense tensor: a shape plus a flat column-major buffer.
@@ -37,11 +59,7 @@ class DenseTensor:
     data: np.ndarray
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        if len(dims) == 0:
-            raise ValueError("tensor must have at least one mode")
-        if any(d < 1 for d in dims):
-            raise ValueError(f"all dims must be positive, got {dims}")
+        dims = _dims(self.dims)
         # The one copy: a fresh Fortran-ordered array, so the column-major
         # ravel below is a view and the tensor never shares memory with the
         # caller's array.

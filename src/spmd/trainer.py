@@ -26,7 +26,9 @@ so the objective sequence is non-increasing exactly.
 from __future__ import annotations
 
 import math
+import numbers
 import struct
+import sys
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -35,10 +37,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import qp as qpmod
-from .data import LabeledDataset, _dims
+from .data import LabeledDataset
 from .margins import MarginSummary, summarize_scores
-from .tensor import (DenseTensor, cp_reconstruct, khatri_rao, kron_chain,
-                     tucker_reconstruct, unfold, unvec)
+from .tensor import (DenseTensor, _dims, _integer, cp_reconstruct, khatri_rao,
+                     kron_chain, tucker_reconstruct, unfold, unvec)
 
 KINDS = ("vector", "rank1", "cp", "tucker")
 
@@ -74,7 +76,6 @@ def psd_root(a: np.ndarray, context: str = "block") -> np.ndarray:
     blocks allow. The eigenbasis (not symmetric) factor keeps the whitening
     identities exact to machine precision even for ill-conditioned A.
     """
-    a = np.asarray(a, dtype=np.float64)
     a = 0.5 * (a + a.T)
     tr = float(np.trace(a))
     if not np.isfinite(a).all():
@@ -102,14 +103,13 @@ class TrainConfig:
     mode whose rank equals its size is left to the core, see :func:`train`).
     lam is the hinge weight; mu1/mu2 weigh margin variance/mean. tol is the
     relative weight-change stopping threshold checked after each full sweep,
-    of which there are at most max_outer (at least 1). qp_tol is the KKT
-    residual each block dual is solved to; the pass cap of those solves is
+    of which there are at most max_outer. qp_tol is the KKT residual each
+    block dual is solved to; the pass cap of those solves is
     :func:`spmd.qp.solve_box_qp`'s default. lam, tol and qp_tol must be
-    finite and positive, mu1 and mu2 finite and nonnegative; :func:`train`
-    rejects any other value by its field name. Training starts from the
-    truncated HOSVD of the class-mean difference (see :func:`train`); seed
-    draws only what that start cannot give: the columns of a CP mode whose
-    rank exceeds its size and a zero Tucker core.
+    finite and positive, mu1 and mu2 finite and nonnegative, max_outer an
+    integer >= 1 and seed one >= 0 (no bools); :func:`train` rejects any
+    other value by its field name. seed draws only what the HOSVD start
+    (``_start_state``) cannot give.
     """
 
     kind: str = "rank1"
@@ -164,11 +164,18 @@ class TrainReport:
 
 
 def _check_setting(name: str, value) -> None:
-    """A setting must be finite; mu1 and mu2 nonnegative, any other positive."""
-    nonneg = name in ("mu1", "mu2")
-    if not (np.isfinite(value) and (value >= 0 if nonneg else value > 0)):
-        rule = "nonnegative" if nonneg else "positive"
-        raise ValueError(f"{name} must be finite and {rule}, got {value}")
+    """One setting by its rule (see TrainConfig); ValueError names it."""
+    if name in ("max_outer", "seed"):
+        try:
+            _integer(value, int(name == "max_outer"))
+        except ValueError as e:
+            raise ValueError(f"{name} {e}") from None
+        return
+    rule = "nonnegative" if name in ("mu1", "mu2") else "positive"
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max
+            and (value >= 0 if rule == "nonnegative" else value > 0)):
+        raise ValueError(f"{name} must be finite and {rule}, got {value!r}")
 
 
 def _mode_ranks(kind: str, ranks, dims) -> tuple[int, ...]:
@@ -182,9 +189,10 @@ def _mode_ranks(kind: str, ranks, dims) -> tuple[int, ...]:
     order = len(dims)
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
-    ranks = [int(r) for r in (ranks or [])]
-    if any(r < 1 for r in ranks):
-        raise ValueError(f"ranks must be positive, got {ranks}")
+    try:
+        ranks = [_integer(r) for r in ([] if ranks is None else ranks)]
+    except (TypeError, ValueError):
+        raise ValueError(f"ranks must be positive integers, got {ranks!r}") from None
     if kind in ("vector", "rank1"):
         if kind != "rank1" and order != 1:
             raise ValueError("vector kind needs order-1 samples; reshape first")
@@ -286,7 +294,6 @@ def core_features(data: LabeledDataset, factors):
     eigendecomposition is larger than one mode's Gram and no matrix with
     prod(R) rows is formed.
     """
-    factors = [np.asarray(v, dtype=np.float64) for v in factors]
     roots = [psd_root(v.T @ v, context=f"core metric, mode {m} Gram")
              for m, v in enumerate(factors, start=1)]
     design = _core_design(data.samples, data.dims,
@@ -318,11 +325,21 @@ def block_features(data: LabeledDataset, factors, core, block: int):
 
 def block_update(features: np.ndarray, labels: np.ndarray, hyper: Hyper,
                  qp_tol: float = 1e-8, warm_alpha: np.ndarray | None = None):
-    """Solve one whitened block: returns (v, QpSolution)."""
+    """Solve one whitened block: returns (v, QpSolution).
+
+    With D > N the block is solved on its features' range: the objective
+    reads v only through v'v and v'z_i, so with the thin QR Z = Q R and
+    v = Q v_R it is the same block on the N x N features R, at O(N^2 D)
+    time and O(N D) memory instead of O(D^3) and O(D^2).
+    """
+    q = None
+    if features.shape[0] > features.shape[1]:
+        q, features = np.linalg.qr(features)
     problem, recover, _ = qpmod.assemble_dual(
         features, labels, hyper.mu1, hyper.mu2, hyper.lam)
     sol = qpmod.solve_box_qp(problem, tol=qp_tol, alpha0=warm_alpha)
-    return recover(sol.alpha), sol
+    v = recover(sol.alpha)
+    return (v if q is None else q @ v), sol
 
 
 def _objective(sq_norm: float, scores: np.ndarray, labels: np.ndarray,
@@ -409,11 +426,8 @@ def _reconstruct(factors, core) -> DenseTensor:
 def train(data: LabeledDataset, cfg: TrainConfig):
     """Alternating block optimization; returns (WeightModel, TrainReport).
 
-    The initial weight W0 is the truncated HOSVD of the class-mean
-    difference M = mean(X | +1) - mean(X | -1) (see ``_start_state``):
-    factor V_m holds the leading R_m left singular vectors of unfold(M, m),
-    the Tucker core is M projected onto them, and ||W0|| is 1 (sqrt(R) for
-    CP). cfg.seed draws the columns and the core that M cannot give.
+    The settings are checked first, each by its field name. Training starts
+    from the truncated HOSVD of the class-mean difference (``_start_state``).
     Blocks sweep modes 1..M (plus the Tucker core, last) each outer
     iteration, except a Tucker mode whose rank equals its size: that factor
     is square and invertible, so C x_m V_m is just another core and the
@@ -440,12 +454,8 @@ def train(data: LabeledDataset, cfg: TrainConfig):
     pass cap, or after cfg.max_outer sweeps (with a warning).
     """
     t0 = time.perf_counter()
-    for name in ("mu1", "mu2", "lam", "tol", "qp_tol"):
+    for name in ("mu1", "mu2", "lam", "tol", "qp_tol", "max_outer", "seed"):
         _check_setting(name, getattr(cfg, name))
-    if cfg.max_outer < 1:
-        raise ValueError(f"max_outer must be at least 1, got {cfg.max_outer}")
-    if len(data) < 2:
-        raise ValueError("training needs at least two samples")
     if np.unique(data.labels).size < 2:
         raise ValueError("training needs at least one sample of each class")
     if cfg.bias_feature:

@@ -166,6 +166,22 @@ class TestResolveConfig:
         with pytest.raises(ConfigError, match="'dataset.shape'"):
             resolve_config(minimal(dataset=ds))
 
+    @pytest.mark.parametrize("key", ["shape", "reshape"])
+    @pytest.mark.parametrize("dims", [[True, 2], [2.0, 2], [None, 2], "22"],
+                             ids=["bool", "whole-float", "null", "string"])
+    def test_dims_fields_follow_the_dims_rule(self, tmp_path, capsys, key, dims):
+        cfg = write_config(tmp_path, dataset=dict(SYNTH, **{key: dims}))
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert (f"field 'dataset.{key}' must be a list of positive integers"
+                in capsys.readouterr().err)
+
+    def test_idx_classes_follow_the_integer_rule(self):
+        for classes in ([0, True], [0, 1.0], [-1, 2]):
+            ds = {"source": "idx", "images": "im", "labels": "lb",
+                  "classes": classes}
+            with pytest.raises(ConfigError, match="'dataset.classes' must be"):
+                resolve_config(minimal(dataset=ds))
+
     def test_synth_margin_validated(self):
         ds = dict(SYNTH, margin=-1.0)
         with pytest.raises(ConfigError, match="'dataset.margin'"):
@@ -836,6 +852,19 @@ class TestDirSource:
         assert main(["train", "--config", self.config(tmp_path),
                      "--out", str(out)]) == 0
         assert "test_accuracy" in (out / "summary.txt").read_text()
+
+    def test_non_finite_sample_exits_3_before_training(self, tmp_path, capsys):
+        # the dataset refuses the NaN as it loads, naming data.bin; unchecked,
+        # it reaches the HOSVD start and fails there as "SVD did not converge"
+        cfg = self.config(tmp_path)
+        bin_path = tmp_path / "train" / "data.bin"
+        raw = np.fromfile(bin_path, dtype="<f8")
+        raw[3] = np.nan
+        raw.tofile(bin_path)
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert str(bin_path) in err and "samples must be finite" in err
+        assert "SVD" not in err and "Traceback" not in err
 
     @pytest.mark.parametrize("key", ["dims", "n", "root"])
     def test_corrupt_meta_exits_3_naming_its_key(self, tmp_path, capsys, key):

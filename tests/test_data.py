@@ -23,7 +23,7 @@ from spmd.data import (IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, IdxCountMismatchError,
                        reshape_samples, save_dataset, select_binary,
                        select_multiclass, synth_blobs, synth_multiclass,
                        _split_per_class, _unit_rank1)
-from spmd.tensor import DenseTensor
+from spmd.tensor import DenseTensor, _dims
 
 
 @pytest.fixture
@@ -405,13 +405,13 @@ class TestDatasetDirectory:
             load_dataset(path)
 
     @pytest.mark.parametrize("change,found", [
-        (lambda m: m.pop("dims"), "key 'dims' must be a list of integers"),
+        (lambda m: m.pop("dims"), "key 'dims' must be one or more positive integers"),
         (lambda m: m.pop("n"), "key 'n' must be an integer >= 0"),
         (lambda m: m.update(n=-1), "key 'n' must be an integer >= 0"),
         (lambda m: m.update(n=6.0), "key 'n' must be an integer >= 0"),
         (lambda m: m.pop("labels"), "key 'labels' must be a list of numbers"),
         (lambda m: m.update(labels=[{}] * 6), "key 'labels' must be a list of numbers"),
-        (lambda m: m.update(dims=[None, 2]), "key 'dims' must be a list of integers"),
+        (lambda m: m.update(dims=[None, 2]), "key 'dims' must be one or more positive integers"),
     ], ids=["no-dims", "no-n", "negative-n", "float-n", "no-labels",
             "object-labels", "null-dim"])
     def test_corrupt_meta_names_file_and_key(self, tmp_path, change, found):
@@ -531,5 +531,60 @@ class TestRowContract:
         save_dataset(str(tmp_path), synth_blobs((2, 3), 2, seed=0))
         meta = json.loads((tmp_path / "meta.json").read_text())
         (tmp_path / "meta.json").write_text(json.dumps(dict(meta, dims=dims)))
-        with pytest.raises(ValueError, match="dims must be one or more positive integers"):
+        with pytest.raises(ValueError, match="key 'dims' must be one or more positive integers"):
             load_dataset(str(tmp_path))
+
+    @pytest.mark.parametrize("cls", [LabeledDataset, MulticlassDataset])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_samples_rejected(self, cls, bad):
+        # every dataset is finite, so no later stage checks a sample again
+        samples = np.zeros((4, 6))
+        samples[2, 5] = bad
+        labels = np.array([1.0, -1.0, 1.0, -1.0] if cls is LabeledDataset
+                          else [0, 2, 1, 2])
+        with pytest.raises(ValueError, match="samples must be finite"):
+            cls(samples, (2, 3), labels)
+
+    def test_extreme_finite_samples_accepted(self):
+        big = np.finfo(np.float64).max
+        data = LabeledDataset(np.array([[big, big], [-big, 0.0]]), (2,),
+                              np.array([1.0, -1.0]))
+        assert np.isfinite(data.samples).all()
+
+    def test_load_rejects_non_finite_samples_naming_data_bin(self, tmp_path):
+        save_dataset(str(tmp_path), synth_blobs((2, 3), 2, seed=0))
+        raw = np.fromfile(tmp_path / "data.bin", dtype="<f8")
+        raw[7] = np.nan
+        raw.tofile(tmp_path / "data.bin")
+        with pytest.raises(ValueError, match=r"data\.bin.*samples must be finite"):
+            load_dataset(str(tmp_path))
+
+
+class TestDimsRule:
+    """One rule for dims: one or more Python or numpy integers, never a bool."""
+
+    @pytest.mark.parametrize("dims", [(True, 2.0), (None, 2), ("a", 2), (2.0,),
+                                      (2, False), "22", None, 3],
+                             ids=["bool-float", "none", "string-entry", "float",
+                                  "false", "string", "none-dims", "scalar"])
+    def test_anything_else_is_a_value_error(self, dims):
+        with pytest.raises(ValueError, match="dims must be one or more positive integers"):
+            _dims(dims)
+
+    def test_numpy_integers_become_ints(self):
+        got = _dims(np.array([2, 3], dtype=np.int32))
+        assert got == (2, 3) and all(type(d) is int for d in got)
+
+    @pytest.mark.parametrize("build", [
+        lambda: synth_blobs((True, 2.0), 2),
+        lambda: synth_multiclass((2, 2.0), 2, 2),
+        lambda: LabeledDataset(np.zeros((2, 2)), (True, 2.0), np.array([1, -1])),
+        lambda: DenseTensor((True, 2.0), np.zeros(2)),
+        lambda: reshape_samples(synth_blobs((4, 4), 2), [16.0]),
+        lambda: reshape_samples(synth_blobs((4, 4), 2), [2.5, 6.4]),
+    ], ids=["synth_blobs", "synth_multiclass", "dataset", "dense-tensor",
+            "reshape-whole-float", "reshape-fractional"])
+    def test_every_entry_point_applies_it(self, build):
+        with pytest.raises(ValueError, match="dims must be one or more positive integers"):
+            build()

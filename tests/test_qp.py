@@ -128,20 +128,17 @@ class TestBuildDual:
             assert np.linalg.eigvalsh(H).min() >= -1e-10
 
     def test_validation_errors(self):
+        # assemble_dual checks only the shapes its callers can break; the
+        # samples, labels and settings are checked where they enter (the
+        # dataset row contract and train)
         Z = np.ones((2, 3))
         t = np.array([1.0, -1.0, 1.0])
-        with pytest.raises(ValueError, match="labels"):
-            assemble_dual(Z, np.array([1.0, 2.0, -1.0]), 1, 1, 1)
-        with pytest.raises(ValueError, match="columns"):
+        with pytest.raises(ValueError, match="3 feature columns but 2 labels"):
             assemble_dual(Z, np.array([1.0, -1.0]), 1, 1, 1)
-        with pytest.raises(ValueError, match="lambda"):
-            assemble_dual(Z, t, 1, 1, 0.0)
-        with pytest.raises(ValueError, match="nonnegative"):
-            assemble_dual(Z, t, -1, 1, 1)
-        with pytest.raises(ValueError, match="finite"):
-            assemble_dual(np.full((2, 3), np.inf), t, 1, 1, 1)
         with pytest.raises(ValueError, match="D x N"):
             assemble_dual(np.ones(3), t, 1, 1, 1)
+        with pytest.raises(ValueError, match="D x N"):
+            assemble_dual(np.ones((1, 2, 3)), t, 1, 1, 1)
 
     def test_assembly_and_solve_memory_linear_in_n(self):
         # at D = 28, N = 12000 an N x N H alone would be 1.15 GB; the factor

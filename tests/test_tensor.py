@@ -115,7 +115,7 @@ class TestDenseTensor:
 
     def test_scalar_rejected(self):
         scalar = np.float64(3.0)
-        with pytest.raises(ValueError, match="at least one mode"):
+        with pytest.raises(ValueError, match="dims must be one or more positive integers"):
             DenseTensor(np.shape(scalar), scalar)
 
 

@@ -7,6 +7,7 @@ KKT-verified max-margin reference.
 """
 
 import math
+import re
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -18,6 +19,7 @@ from oracles import (batch_view, flatten_batch, hinge_objective, inner,
                      max_margin_reference, metric_root, vec)
 from spmd.data import LabeledDataset, synth_blobs
 from spmd.margins import summarize_scores
+from spmd.qp import assemble_dual, solve_box_qp
 from spmd.tensor import DenseTensor, unvec
 from spmd.trainer import (Hyper, MetricCollapseError, TrainConfig, WeightModel,
                           apply_bias, block_features, block_update,
@@ -82,6 +84,19 @@ class TestModeRanks:
     def test_zero_rank_rejected(self, kind):
         with pytest.raises(ValueError, match="ranks must be positive"):
             _mode_ranks(kind, [0] if kind == "cp" else [2, 0], (2, 3))
+
+    @pytest.mark.parametrize("ranks", [[2.0], [True], ["2"], [None]],
+                             ids=["float", "bool", "string", "none"])
+    def test_ranks_follow_the_integer_rule(self, ranks):
+        with pytest.raises(ValueError, match="ranks must be positive integers"):
+            _mode_ranks("cp", ranks, (3, 4))
+        data = synth_blobs((3, 4), 6, seed=3)
+        with pytest.raises(ValueError, match="ranks must be positive integers"):
+            train(data, TrainConfig(kind="cp", ranks=ranks))
+
+    def test_numpy_integer_ranks_become_ints(self):
+        got = _mode_ranks("tucker", [np.int64(2), np.uint8(3)], (3, 4))
+        assert got == (2, 3) and all(type(r) is int for r in got)
 
 
 def dropped(roots):
@@ -416,6 +431,41 @@ class TestBlockUpdate:
         assert v[0] == pytest.approx(1.0, abs=1e-10)
         v, _ = block_update(feats, labels, Hyper(0.0, 0.0, 0.5))
         assert v[0] == pytest.approx(0.5, abs=1e-10)
+
+
+class TestWideBlock:
+    """A block with more features than samples (D > N) is solved on its range."""
+
+    def test_matches_the_feature_space_dual(self):
+        # the dual reads the features only through Z'Z, so the block solved
+        # on R of Z = QR and mapped back by Q is the feature-space solution;
+        # a repeated column makes Z rank-deficient
+        rng = np.random.default_rng(71)
+        Z = rng.standard_normal((40, 12))
+        Z[:, 5] = Z[:, 4]
+        t = np.where(rng.random(12) < 0.5, 1.0, -1.0)
+        t[:2], t[5] = (1.0, -1.0), t[4]
+        hyper = Hyper(1.0, 1.0, 2.0)
+        v, sol = block_update(Z, t, hyper)
+        problem, recover, _ = assemble_dual(Z, t, *hyper)
+        full = solve_box_qp(problem)
+        assert sol.converged and full.converged
+        assert sol.objective == pytest.approx(full.objective, rel=1e-9)
+        np.testing.assert_allclose(v, recover(full.alpha), rtol=1e-6, atol=1e-9)
+
+    def test_vector_training_peak_linear_in_the_samples(self):
+        # P = 2048 features, N = 100 samples: a D x D dual holds 33.5 MB per
+        # matrix, about 60x the samples at peak; on the features' range the
+        # largest new arrays are Q (the size of the samples) and N x N ones
+        data = synth_blobs((2048,), 50, noise=1.0, seed=0)
+        tracemalloc.start()
+        try:
+            _, report = train(data, TrainConfig(kind="vector", seed=0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.converged
+        assert peak < 3 * data.samples.nbytes, peak
 
 
 class TestWarmStart:
@@ -856,7 +906,7 @@ class TestTrain:
     def test_validation(self):
         rng = np.random.default_rng(16)
         one = LabeledDataset(rng.standard_normal((1, 4)), (4,), np.array([1.0]))
-        with pytest.raises(ValueError, match="two samples"):
+        with pytest.raises(ValueError, match="each class"):
             train(one, TrainConfig(kind="vector"))
         same = LabeledDataset(rng.standard_normal((3, 4)), (4,), np.ones(3))
         with pytest.raises(ValueError, match="each class"):
@@ -888,6 +938,44 @@ class TestTrain:
         cfg = TrainConfig(kind="rank1", bias_feature=True, **{field: value})
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             train(data, cfg)
+
+    @pytest.mark.parametrize("field, value, found", [
+        ("max_outer", 2.5, "max_outer must be an integer >= 1, got 2.5"),
+        ("max_outer", True, "max_outer must be an integer >= 1, got True"),
+        ("max_outer", None, "max_outer must be an integer >= 1, got None"),
+        ("seed", 1.5, "seed must be an integer >= 0, got 1.5"),
+        ("seed", -1, "seed must be an integer >= 0, got -1"),
+        ("seed", False, "seed must be an integer >= 0, got False"),
+        ("lam", "1", "lam must be finite and positive, got '1'"),
+        ("mu2", True, "mu2 must be finite and nonnegative, got True"),
+    ], ids=["max_outer-float", "max_outer-bool", "max_outer-none",
+            "seed-float", "seed-negative", "seed-bool", "lam-string",
+            "mu2-bool"])
+    def test_setting_of_a_wrong_type_rejected_by_name_before_any_work(
+            self, monkeypatch, field, value, found):
+        # one integer rule for max_outer and seed, and numbers that are not
+        # bools for the rest; unchecked, a float max_outer fails in range()
+        # after the start state and a negative seed inside numpy's seeding,
+        # neither naming its field
+        import spmd.trainer as trainer
+
+        def reached(*args, **kwargs):
+            raise AssertionError("reached before the settings were checked")
+
+        for name in ("apply_bias", "_start_state", "_scored_objective"):
+            monkeypatch.setattr(trainer, name, reached)
+        data = synth_blobs((4, 4), 30, seed=1)
+        cfg = TrainConfig(kind="rank1", **{field: value})
+        with pytest.raises(ValueError, match=f"^{re.escape(found)}$"):
+            train(data, cfg)
+
+    def test_numpy_integer_settings_accepted(self):
+        data = synth_blobs((3, 3), 10, seed=2)
+        ref, _ = train(data, TrainConfig(kind="rank1", max_outer=3, seed=5))
+        got, _ = train(data, TrainConfig(kind="rank1", max_outer=np.int64(3),
+                                         seed=np.uint32(5)))
+        np.testing.assert_array_equal(got.reconstruct().data,
+                                      ref.reconstruct().data)
 
     def test_over_rank_tucker_mode_is_rejected(self):
         data = synth_blobs((2, 5), 8, margin=1.0, noise=0.2, seed=17)
