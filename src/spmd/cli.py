@@ -28,8 +28,8 @@ from .data import (_split_per_class, data_dir, find_mnist, load_dataset,
 from .margins import summarize_scores
 from .multiclass import ovo_train, pairwise_accuracy
 from .tensor import _dims, _integer
-from .trainer import (TrainConfig, TrainingError, _mode_ranks, load_model,
-                      predict, save_model, train)
+from .trainer import (TrainConfig, TrainingError, _biased_dims, _check_setting,
+                      _mode_ranks, load_model, predict, save_model, train)
 
 METHODS = ("svm", "lmdm", "stm", "spmd-r1", "spmd-cp", "spmd-tucker")
 
@@ -69,6 +69,10 @@ _TOP_DEFAULTS = {
     "out_dir": None,
     "dataset": None,
 }
+
+# config field -> the TrainConfig setting whose rule it follows
+_SETTING_FIELDS = {"mu1": "mu1", "mu2": "mu2", "lambda": "lam", "epsilon": "tol",
+                   "qp_tol": "qp_tol", "max_outer": "max_outer", "seed": "seed"}
 
 _DATASET_KEYS = {
     "synth": {"source", "shape", "n_per_class", "margin", "noise", "seed",
@@ -126,15 +130,12 @@ def resolve_config(raw: dict, need_method=True, need_methods=False) -> dict:
     cfg = dict(_TOP_DEFAULTS)
     cfg.update(raw)
 
-    for key in ("mu1", "mu2", "lambda", "epsilon", "qp_tol"):
-        _need(_is_number(cfg[key]), f"field '{key}' must be a number")
-        cfg[key] = float(cfg[key])
-    _need(cfg["mu1"] >= 0 and cfg["mu2"] >= 0, "fields 'mu1'/'mu2' must be >= 0")
-    _need(cfg["lambda"] > 0, "field 'lambda' must be > 0")
-    _need(cfg["epsilon"] > 0, "field 'epsilon' must be > 0")
-    _need(cfg["qp_tol"] > 0, "field 'qp_tol' must be > 0")
-    _need_int(cfg, "max_outer", 1)
-    _need_int(cfg, "seed", 0)
+    for key, setting in _SETTING_FIELDS.items():
+        try:
+            _check_setting(setting, cfg[key], f"field '{key}'")
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
+        cfg[key] = type(_TOP_DEFAULTS[key])(cfg[key])  # as its default: float or int
     _need(isinstance(cfg["bias_feature"], bool), "field 'bias_feature' must be boolean")
     _need(isinstance(cfg["ranks"], list) and
           all(_follows(_integer, r) for r in cfg["ranks"]),
@@ -305,24 +306,16 @@ def build_multiclass_dataset(ds: dict):
 def make_train_config(cfg: dict, method: str, dims: tuple) -> TrainConfig:
     kind, ranks = _METHOD_KIND[method], list(cfg["ranks"])
     if cfg["bias_feature"]:  # train checks the ranks on the biased shape
-        dims = (dims[0] + 1,) + tuple(dims[1:])
+        dims = _biased_dims(dims)
     try:
         _mode_ranks(kind, ranks, dims)
     except ValueError as e:
         raise ConfigError(f"field 'ranks' for method {method!r}: {e}")
-    zero = method in _ZERO_MU
-    return TrainConfig(
-        kind=kind,
-        ranks=ranks,
-        mu1=0.0 if zero else cfg["mu1"],
-        mu2=0.0 if zero else cfg["mu2"],
-        lam=cfg["lambda"],
-        tol=cfg["epsilon"],
-        max_outer=cfg["max_outer"],
-        qp_tol=cfg["qp_tol"],
-        seed=cfg["seed"],
-        bias_feature=cfg["bias_feature"],
-    )
+    settings = {setting: cfg[key] for key, setting in _SETTING_FIELDS.items()}
+    if method in _ZERO_MU:
+        settings.update(mu1=0.0, mu2=0.0)
+    return TrainConfig(kind=kind, ranks=ranks,
+                       bias_feature=cfg["bias_feature"], **settings)
 
 
 def _flatten_for(flat: bool, data):
@@ -516,46 +509,36 @@ def cmd_check(args) -> int:
     seed = args.seed if args.seed is not None else 0
     out = _out_dir(args, None, "check")
 
-    reports = []  # (scope, BoundReport, hard)
+    reports = []  # (scope, BoundReport); each sweep runs at its default size
     if scope in ("all", "lemma1"):
-        for rep in theory.lemma1_sweep(1000, seed=seed):
-            reports.append(("lemma1", rep, True))
+        reports += [("lemma1", rep) for rep in theory.lemma1_sweep(seed=seed)]
     if scope in ("all", "lemma2"):
-        reports.append(("lemma2", theory.lemma2_check(seed=seed), True))
+        reports.append(("lemma2", theory.lemma2_check(seed=seed)))
     if scope in ("all", "theorem1"):
-        for rep in theory.theorem1_sweep(20, seed=seed):
-            reports.append(("theorem1", rep, True))
-        for rep in theory.cantelli_sweep(50, seed=seed):
-            reports.append(("theorem1", rep, theory.cantelli_is_hard(rep)))
+        reports += [("theorem1", rep) for rep in theory.theorem1_sweep(seed=seed)]
+        reports += [("theorem1", rep) for rep in theory.cantelli_sweep(seed=seed)]
     if scope in ("all", "theorem2"):
-        for rep in theory.theorem2_sweep(12, seed=seed):
-            reports.append(("theorem2", rep, True))
+        reports += [("theorem2", rep) for rep in theory.theorem2_sweep(seed=seed)]
 
-    rows = []
-    failures = 0
-    for scope_name, rep, hard in reports:
-        status = "PASS" if rep.holds else ("FAIL" if hard else "WARN")
-        if status == "FAIL":
-            failures += 1
-        rows.append([scope_name, rep.name, rep.bound_value,
-                     "" if rep.empirical_value is None else rep.empirical_value,
-                     status])
+    rows = [[scope_name, rep.name, rep.bound_value,
+             "" if rep.empirical_value is None else rep.empirical_value,
+             "PASS" if rep.holds else "FAIL"] for scope_name, rep in reports]
     write_csv(os.path.join(out, "bound_report.csv"),
               ["scope", "name", "bound", "empirical", "status"], rows)
 
     by_scope = {}
-    for scope_name, rep, hard in reports:
+    for scope_name, rep in reports:
         s = by_scope.setdefault(scope_name, [0, 0])
         s[0] += 1
         s[1] += int(rep.holds)
     for scope_name, (total, held) in sorted(by_scope.items()):
         print(f"{scope_name:<10} {held}/{total} checks passed")
-    worst = [r for r in rows if r[4] == "FAIL"][:5]
-    for r in worst:
+    failed = [r for r in rows if r[4] == "FAIL"]
+    for r in failed[:5]:
         print(f"FAIL {r[1]}: empirical {r[3]} > bound {r[2]}")
     print(f"bound report written to {os.path.join(out, 'bound_report.csv')}")
-    if failures:
-        raise CheckFailure(f"{failures} hard check(s) failed")
+    if failed:
+        raise CheckFailure(f"{len(failed)} check(s) failed")
     return 0
 
 

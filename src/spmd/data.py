@@ -16,7 +16,7 @@ from functools import reduce
 
 import numpy as np
 
-from .tensor import _dims
+from .tensor import _dims, _integer
 
 IDX_IMAGE_MAGIC = 2051
 IDX_LABEL_MAGIC = 2049
@@ -251,6 +251,8 @@ def select_binary(data: MulticlassDataset, a: int, b: int,
 def select_multiclass(data: MulticlassDataset, classes, per_class: int | None = None,
                       seed: int = 0) -> MulticlassDataset:
     """Subset to the given classes, optionally per_class samples of each."""
+    if per_class is not None:
+        per_class = _integer(per_class, 1, "per_class")
     rng = np.random.default_rng(seed)
     keep = []
     for cls in classes:
@@ -302,8 +304,7 @@ def synth_blobs(shape, n_per_class: int, margin: float = 1.0,
     per-mode vectors (so ||D||_F = 1) and G is i.i.d. standard normal.
     """
     shape = _dims(shape)
-    if n_per_class < 1:
-        raise ValueError("need at least one sample per class")
+    n_per_class = _integer(n_per_class, 1, "n_per_class")
     rng = np.random.default_rng(seed)
     direction = _unit_rank1(rng, shape)
     p = direction.size
@@ -320,10 +321,8 @@ def synth_multiclass(shape, n_classes: int, n_per_class: int, margin: float = 1.
                      noise: float = 0.5, seed: int = 0) -> MulticlassDataset:
     """K-class blobs: class c sits at margin * D_c plus noise, D_c rank-1 unit."""
     shape = _dims(shape)
-    if n_classes < 2:
-        raise ValueError("need at least two classes")
-    if n_per_class < 1:
-        raise ValueError("need at least one sample per class")
+    n_classes = _integer(n_classes, 2, "n_classes")
+    n_per_class = _integer(n_per_class, 1, "n_per_class")
     rng = np.random.default_rng(seed)
     p = int(np.prod(shape))
     samples = np.empty((n_classes * n_per_class, p))

@@ -22,14 +22,15 @@ from functools import reduce
 import numpy as np
 
 
-def _integer(value, low: int = 1) -> int:
+def _integer(value, low: int = 1, name: str = "value") -> int:
     """The one integer rule: a Python or numpy integer >= ``low``, not a bool.
 
-    Anything else (a whole float, a string, None) raises ValueError.
+    Anything else (a whole float, a string, None) raises a ValueError
+    naming ``name``.
     """
     if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
             or value < low):
-        raise ValueError(f"must be an integer >= {low}, got {value!r}")
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
     return int(value)
 
 

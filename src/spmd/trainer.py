@@ -163,19 +163,18 @@ class TrainReport:
     wall_time: float
 
 
-def _check_setting(name: str, value) -> None:
-    """One setting by its rule (see TrainConfig); ValueError names it."""
+def _check_setting(name: str, value, label: str | None = None) -> None:
+    """TrainConfig field ``name`` by its rule; the ValueError names ``label``
+    (default: ``name``)."""
+    label = label or name
     if name in ("max_outer", "seed"):
-        try:
-            _integer(value, int(name == "max_outer"))
-        except ValueError as e:
-            raise ValueError(f"{name} {e}") from None
+        _integer(value, int(name == "max_outer"), label)
         return
     rule = "nonnegative" if name in ("mu1", "mu2") else "positive"
     if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
             and abs(value) <= sys.float_info.max
             and (value >= 0 if rule == "nonnegative" else value > 0)):
-        raise ValueError(f"{name} must be finite and {rule}, got {value!r}")
+        raise ValueError(f"{label} must be finite and {rule}, got {value!r}")
 
 
 def _mode_ranks(kind: str, ranks, dims) -> tuple[int, ...]:
@@ -226,10 +225,15 @@ def _with_ones_slab(samples: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
     return out.reshape(n, out.shape[1] * out.shape[2])
 
 
+def _biased_dims(dims) -> tuple[int, ...]:
+    """The sample shape after :func:`apply_bias`: mode 1 one entry longer."""
+    return (dims[0] + 1,) + tuple(dims[1:])
+
+
 def apply_bias(data: LabeledDataset) -> LabeledDataset:
     """Append a constant-1 slab along mode 1, absorbing a bias into the weight."""
     return LabeledDataset(_with_ones_slab(data.samples, data.dims),
-                          (data.dims[0] + 1,) + data.dims[1:], data.labels)
+                          _biased_dims(data.dims), data.labels)
 
 
 def _mode_coefficient(factors, core, mode: int) -> np.ndarray:
@@ -575,11 +579,11 @@ def decision_scores(model: WeightModel, samples: np.ndarray,
     constant-1 slab that :func:`apply_bias` appends in training.
     """
     dims = tuple(dims)
-    pre_bias = (model.shape[0] - 1,) + model.shape[1:]
-    if model.bias_feature and dims == pre_bias:
+    if model.bias_feature and dims and _biased_dims(dims) == model.shape:
         samples, dims = _with_ones_slab(samples, dims), model.shape
     if dims != model.shape:
-        also = f" or its pre-bias shape {pre_bias}" if model.bias_feature else ""
+        also = (f" or its pre-bias shape {(model.shape[0] - 1,) + model.shape[1:]}"
+                if model.bias_feature else "")
         raise ValueError(
             f"sample dims {dims}: the sample shape does not match model shape "
             f"{model.shape}{also}")

@@ -215,7 +215,7 @@ def test_criterion_6_norm_inequality_sweep():
 def test_criterion_7_margin_tail_bound():
     """50 trained toy models with N >= 100: the empirical fraction of
     margins <= gamma_m/2 never exceeds the moment bound."""
-    reports = cantelli_sweep(n_models=50, seed=0, n_per_class=50)
+    reports = cantelli_sweep(n_models=50, seed=0)
     small = [r for r in reports if r.inputs["N"] < 100]
     violations = sum(not r.holds for r in reports)
     ok = len(reports) == 50 and not small and violations == 0

@@ -87,11 +87,13 @@ class TestResolveConfig:
 
     @pytest.mark.parametrize("key", ["mu1", "mu2", "lambda", "epsilon", "qp_tol"])
     def test_numeric_fields_checked(self, key):
-        with pytest.raises(ConfigError, match=f"'{key}' must be a number"):
+        # the settings follow train's rule, named by their config field
+        with pytest.raises(ConfigError, match=f"field '{key}' must be finite and"):
             resolve_config(minimal(**{key: "big"}))
 
     def test_bool_is_not_a_number(self):
-        with pytest.raises(ConfigError, match="'mu1' must be a number"):
+        with pytest.raises(ConfigError,
+                           match="field 'mu1' must be finite and nonnegative, got True"):
             resolve_config(minimal(mu1=True))
 
     @pytest.mark.parametrize("over,field", [
@@ -117,11 +119,13 @@ class TestResolveConfig:
         assert not (tmp_path / "o").exists()
 
     def test_negative_mu_rejected(self):
-        with pytest.raises(ConfigError, match="'mu1'/'mu2' must be >= 0"):
+        with pytest.raises(ConfigError,
+                           match="field 'mu2' must be finite and nonnegative, got -0.5"):
             resolve_config(minimal(mu2=-0.5))
 
     def test_nonpositive_lambda_rejected(self):
-        with pytest.raises(ConfigError, match="'lambda' must be > 0"):
+        with pytest.raises(ConfigError,
+                           match="field 'lambda' must be finite and positive, got 0"):
             resolve_config(minimal(**{"lambda": 0}))
 
     def test_integer_fields_checked(self):
@@ -679,16 +683,33 @@ class TestCheckCommand:
     def test_injected_fault_exits_1(self, tmp_path, capsys, monkeypatch):
         failing = BoundReport.make("descent_certificate[injected]", 0.0, 1e-3)
         monkeypatch.setattr(spmd.theory, "theorem2_sweep",
-                            lambda n_runs, seed: [failing])
+                            lambda seed: [failing])
         out = tmp_path / "out"
         code = main(["check", "--scope", "theorem2", "--out", str(out)])
         assert code == 1
         captured = capsys.readouterr()
-        assert "check failure: 1 hard check(s) failed" in captured.err
+        assert "check failure: 1 check(s) failed" in captured.err
         assert "FAIL descent_certificate[injected]" in captured.out
         report = (out / "bound_report.csv").read_text()
         assert "descent_certificate[injected]" in report
         assert ",FAIL" in report
+
+    def test_small_sample_margin_tail_violation_fails(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # a margin-tail report that does not hold fails whatever its N
+        failing = BoundReport.make("cantelli_margin_tail", 0.1, 0.9, {"N": 10})
+        monkeypatch.setattr(spmd.theory, "theorem1_sweep", lambda *_, seed: [])
+        monkeypatch.setattr(spmd.theory, "cantelli_sweep",
+                            lambda *_, seed: [failing])
+        out = tmp_path / "out"
+        code = main(["check", "--scope", "theorem1", "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "theorem1   0/1 checks passed" in captured.out
+        assert "FAIL cantelli_margin_tail: empirical 0.9 > bound 0.1" in captured.out
+        assert "check failure: 1 check(s) failed" in captured.err
+        lines = (out / "bound_report.csv").read_text().strip().split("\n")
+        assert lines[1:] == ["theorem1,cantelli_margin_tail,0.1,0.9,FAIL"]
 
     def test_unknown_scope_exits_2(self, tmp_path, capsys):
         assert main(["check", "--scope", "lemma9"]) == 2

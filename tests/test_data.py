@@ -171,6 +171,19 @@ class TestSelectBinary:
         with pytest.raises(ValueError, match="differ"):
             select_binary(data, 1, 1)
 
+    @pytest.mark.parametrize("per_class", [2.0, True, "2", 0])
+    def test_per_class_follows_the_integer_rule(self, idx_pair, per_class):
+        data = load_idx(*idx_pair[:2])
+        with pytest.raises(ValueError, match="per_class must be an integer >= 1"):
+            select_binary(data, 0, 1, per_class=per_class)
+
+    @pytest.mark.parametrize("per_class", [2.0, True, "2", 0])
+    def test_multiclass_per_class_follows_the_integer_rule(self, idx_pair,
+                                                            per_class):
+        data = load_idx(*idx_pair[:2])
+        with pytest.raises(ValueError, match="per_class must be an integer >= 1"):
+            select_multiclass(data, [0, 2], per_class=per_class)
+
     def test_select_multiclass_subset(self, idx_pair):
         data = load_idx(*idx_pair[:2])
         sub = select_multiclass(data, [0, 2], per_class=2, seed=3)
@@ -269,7 +282,7 @@ class TestSynthBlobs:
         data = synth_multiclass((2, 3), 3, 4, seed=12)
         assert len(data) == 12
         assert sorted(np.unique(data.labels).tolist()) == [0, 1, 2]
-        with pytest.raises(ValueError, match="two classes"):
+        with pytest.raises(ValueError, match="n_classes must be an integer >= 2, got 1"):
             synth_multiclass((2, 2), 1, 4)
 
     def test_per_class_split_takes_each_blocks_first_rows(self):
@@ -286,10 +299,22 @@ class TestSynthBlobs:
                 build()
 
     def test_empty_class_rejected(self):
-        with pytest.raises(ValueError, match="at least one sample per class"):
+        with pytest.raises(ValueError, match="n_per_class must be an integer >= 1, got 0"):
             synth_blobs((2, 2), 0)
-        with pytest.raises(ValueError, match="at least one sample per class"):
+        with pytest.raises(ValueError, match="n_per_class must be an integer >= 1, got 0"):
             synth_multiclass((2, 2), 3, 0)
+
+    @pytest.mark.parametrize("count", [2.0, True, "2"])
+    def test_blobs_count_follows_the_integer_rule(self, count):
+        with pytest.raises(ValueError, match="n_per_class must be an integer >= 1"):
+            synth_blobs((2, 2), count)
+
+    @pytest.mark.parametrize("arg", ["n_classes", "n_per_class"])
+    @pytest.mark.parametrize("count", [3.0, True, "3"])
+    def test_multiclass_counts_follow_the_integer_rule(self, arg, count):
+        counts = {"n_classes": 3, "n_per_class": 2, arg: count}
+        with pytest.raises(ValueError, match=f"{arg} must be an integer"):
+            synth_multiclass((2, 2), **counts)
 
 
 class TestOneAllocation:

@@ -418,15 +418,6 @@ class TestMarginTailSweep:
             assert rep.inputs["N"] == 100
             assert rep.holds
 
-    def test_small_sample_violation_downgraded_to_warning(self, monkeypatch):
-        failing = BoundReport.make("cantelli_margin_tail", 0.1, 0.9,
-                                   {"N": 10})
-        monkeypatch.setattr(theory, "cantelli_check",
-                            lambda margins, rho: failing)
-        with pytest.warns(UserWarning, match="small-sample"):
-            out = cantelli_sweep(n_models=1, seed=0, n_per_class=5)
-        assert out == [failing]  # reported, not suppressed
-
     def test_large_sample_violation_reported_without_warning(self, monkeypatch):
         failing = BoundReport.make("cantelli_margin_tail", 0.1, 0.9,
                                    {"N": 80})
@@ -434,15 +425,15 @@ class TestMarginTailSweep:
                             lambda margins, rho: failing)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            out = cantelli_sweep(n_models=1, seed=0, n_per_class=40)
-        assert out == [failing]
-        assert not any("small-sample" in str(w.message) for w in caught)
+            out = cantelli_sweep(n_models=1, seed=0)
+        assert out == [failing]  # reported as it is, with no warning
+        assert caught == []
 
     def test_nonpositive_margin_mean_skipped_with_warning(self, monkeypatch):
         monkeypatch.setattr(theory, "signed_margins",
                             lambda w, data: np.full(20, -1.0))
         with pytest.warns(UserWarning, match="nonpositive margin mean"):
-            out = cantelli_sweep(n_models=1, seed=0, n_per_class=10)
+            out = cantelli_sweep(n_models=1, seed=0)
         assert out == []
 
 
