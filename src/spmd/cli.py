@@ -27,7 +27,7 @@ from .data import (_split_per_class, data_dir, find_mnist, load_dataset,
                    synth_blobs, synth_multiclass)
 from .margins import summarize_scores
 from .multiclass import ovo_train, pairwise_accuracy
-from .tensor import _dims, _integer
+from .tensor import _dims, _integer, _real
 from .trainer import (TrainConfig, TrainingError, _biased_dims, _check_setting,
                       _mode_ranks, load_model, predict, save_model, train)
 
@@ -88,6 +88,14 @@ def _need(cond, msg):
         raise ConfigError(msg)
 
 
+def _check(rule, *args) -> None:
+    """Run the package rule ``rule(*args)``; its ValueError becomes a ConfigError."""
+    try:
+        rule(*args)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
+
+
 def _follows(rule, *args) -> bool:
     """Whether the package rule ``rule(*args)`` passes (it raises ValueError)."""
     try:
@@ -95,12 +103,6 @@ def _follows(rule, *args) -> bool:
     except ValueError:
         return False
     return True
-
-
-def _is_number(x) -> bool:
-    """A JSON number that is a finite float; ``true``/``false`` are not numbers."""
-    return (isinstance(x, (int, float)) and not isinstance(x, bool)
-            and abs(x) <= sys.float_info.max)
 
 
 def _need_int(section: dict, key: str, low: int, prefix: str = "",
@@ -131,10 +133,7 @@ def resolve_config(raw: dict, need_method=True, need_methods=False) -> dict:
     cfg.update(raw)
 
     for key, setting in _SETTING_FIELDS.items():
-        try:
-            _check_setting(setting, cfg[key], f"field '{key}'")
-        except ValueError as e:
-            raise ConfigError(str(e)) from None
+        _check(_check_setting, setting, cfg[key], f"field '{key}'")
         cfg[key] = type(_TOP_DEFAULTS[key])(cfg[key])  # as its default: float or int
     _need(isinstance(cfg["bias_feature"], bool), "field 'bias_feature' must be boolean")
     _need(isinstance(cfg["ranks"], list) and
@@ -166,10 +165,8 @@ def resolve_config(raw: dict, need_method=True, need_methods=False) -> dict:
         _need_int(ds, "test_n_per_class", 0, "dataset.", optional=True)
         ds.setdefault("margin", 1.5)
         ds.setdefault("noise", 0.5)
-        _need(_is_number(ds["margin"]) and ds["margin"] > 0,
-              "field 'dataset.margin' must be a number > 0")
-        _need(_is_number(ds["noise"]) and ds["noise"] >= 0,
-              "field 'dataset.noise' must be a number >= 0")
+        for key, rule in (("margin", "positive"), ("noise", "nonnegative")):
+            _check(_real, ds[key], rule, f"field 'dataset.{key}'")
         _need_int(ds, "n_classes", 2, "dataset.", optional=True)
     elif src == "idx":
         for key in ("images", "labels"):

@@ -16,7 +16,7 @@ from functools import reduce
 
 import numpy as np
 
-from .tensor import _dims, _integer
+from .tensor import _dims, _integer, _real
 
 IDX_IMAGE_MAGIC = 2051
 IDX_LABEL_MAGIC = 2049
@@ -203,14 +203,12 @@ def load_idx(images_path: str, labels_path: str) -> MulticlassDataset:
     return MulticlassDataset(samples.reshape(n, rows * cols), (rows, cols), labels)
 
 
-def data_dir(override: str | None = None) -> str:
-    """Dataset root: explicit override, else $SPMD_DATA_DIR, else ./data."""
-    if override:
-        return override
+def data_dir() -> str:
+    """Dataset root: $SPMD_DATA_DIR, else ./data."""
     return os.environ.get("SPMD_DATA_DIR", os.path.join(os.getcwd(), "data"))
 
 
-def find_mnist(root: str | None = None) -> dict:
+def find_mnist() -> dict:
     """Locate the standard MNIST IDX files under the data root, each on its own.
 
     Accepts both the dotted ("train-images.idx3-ubyte") and dashed
@@ -218,7 +216,7 @@ def find_mnist(root: str | None = None) -> dict:
     not found; decompress them first. Returns a dict of the paths found,
     keyed like ``MNIST_FILES``; a missing file has no key.
     """
-    root = data_dir(root)
+    root = data_dir()
     found = {}
     for key, name in MNIST_FILES.items():
         for cand in (name, name.replace("-idx", ".idx")):
@@ -302,9 +300,13 @@ def synth_blobs(shape, n_per_class: int, margin: float = 1.0,
     Class +1 samples are ``+margin * D + noise * G`` and class -1 samples
     ``-margin * D + noise * G``, where D is the outer product of unit-norm
     per-mode vectors (so ||D||_F = 1) and G is i.i.d. standard normal.
+    ``margin`` must be finite and positive, ``noise`` finite and
+    nonnegative.
     """
     shape = _dims(shape)
     n_per_class = _integer(n_per_class, 1, "n_per_class")
+    margin = _real(margin, "positive", "margin")
+    noise = _real(noise, "nonnegative", "noise")
     rng = np.random.default_rng(seed)
     direction = _unit_rank1(rng, shape)
     p = direction.size
@@ -319,10 +321,15 @@ def synth_blobs(shape, n_per_class: int, margin: float = 1.0,
 
 def synth_multiclass(shape, n_classes: int, n_per_class: int, margin: float = 1.5,
                      noise: float = 0.5, seed: int = 0) -> MulticlassDataset:
-    """K-class blobs: class c sits at margin * D_c plus noise, D_c rank-1 unit."""
+    """K-class blobs: class c sits at margin * D_c plus noise, D_c rank-1 unit.
+
+    ``margin`` and ``noise`` follow :func:`synth_blobs`' rules.
+    """
     shape = _dims(shape)
     n_classes = _integer(n_classes, 2, "n_classes")
     n_per_class = _integer(n_per_class, 1, "n_per_class")
+    margin = _real(margin, "positive", "margin")
+    noise = _real(noise, "nonnegative", "noise")
     rng = np.random.default_rng(seed)
     p = int(np.prod(shape))
     samples = np.empty((n_classes * n_per_class, p))

@@ -22,9 +22,10 @@ one inverse of its triangular factor, L^{-1}, and one product with it for
 the D x N matrix B. The same L^{-1} recovers v, so no system is solved per
 block. S is at least I, so the factorization cannot fail, and L is well
 conditioned; at mu1 = 0 both are I itself. H is never formed: the problem
-keeps the factor B, so assembly memory is O(N D), not O(N^2). A block
-with D > N reaches here as the N x N factor R of its thin QR (see
-trainer.block_update), so S is at most min(D, N) x min(D, N).
+keeps the factor B, so assembly memory is O(N D), not O(N^2), and at
+most one D x N array besides the features is alive at a time. A block
+with D > N reaches here as r x N features on the range root of its N x N
+Gram (see trainer.block_update), so S is at most min(D, N) x min(D, N).
 By the push-through identity G (I + QG)^{-1} = Z' S^{-1} Z, this is the
 same dual as the sample-space form H = T G (I + QG)^{-1} T with G = Z'Z
 and Q = (2*mu1/N^2)(N I - t t'), without its N x N factorization.
@@ -101,14 +102,21 @@ def assemble_dual(features, labels, mu1, mu2, lam):
     if t.size != Z.shape[1]:
         raise ValueError(f"{Z.shape[1]} feature columns but {t.size} labels")
     n = t.size
-    Y = Z * t
-    Yc = Y - Y.mean(axis=1, keepdims=True)
-    S = np.eye(Z.shape[0]) + (2.0 * mu1 / n) * (Yc @ Yc.T)
+    # one D x N array at a time: the centred Y = Z T goes before B is built
+    Yc = Z * t
+    Yc -= Yc.mean(axis=1, keepdims=True)
+    S = Yc @ Yc.T
+    del Yc
+    S *= 2.0 * mu1 / n
+    S += np.eye(Z.shape[0])
     Linv = np.linalg.inv(np.linalg.cholesky(S))
-    # B = Linv Y, built as (Y' Linv')' so that it is column-major without a
+    del S
+    # B = Linv Y, built as (Z' Linv')' T so that it is column-major without a
     # copy: solve_box_qp's B.T is then a row-contiguous view. The layout
-    # also sets how B.sum and the BLAS products round.
-    B = (Y.T @ Linv.T).T
+    # also sets how B.sum and the BLAS products round; t is +-1, so scaling
+    # the columns afterwards flips signs exactly.
+    B = (Z.T @ Linv.T).T
+    B *= t
     g = (mu2 / n) * (B.sum(axis=1) @ B) - 1.0
     problem = QpProblem(B, g, lam / n)
 

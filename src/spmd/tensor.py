@@ -16,6 +16,8 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from functools import reduce
 
@@ -32,6 +34,19 @@ def _integer(value, low: int = 1, name: str = "value") -> int:
             or value < low):
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
     return int(value)
+
+
+def _real(value, rule: str, name: str) -> float:
+    """The one real-number rule: a finite real, not a bool, that is ``rule``.
+
+    ``rule`` is "positive" or "nonnegative". Anything else (NaN, inf, a
+    string, None) raises a ValueError naming ``name``.
+    """
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max
+            and (value >= 0 if rule == "nonnegative" else value > 0)):
+        raise ValueError(f"{name} must be finite and {rule}, got {value!r}")
+    return float(value)
 
 
 def _dims(dims, name: str = "dims") -> tuple[int, ...]:

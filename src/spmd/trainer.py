@@ -26,9 +26,7 @@ so the objective sequence is non-increasing exactly.
 from __future__ import annotations
 
 import math
-import numbers
 import struct
-import sys
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -39,8 +37,8 @@ import numpy as np
 from . import qp as qpmod
 from .data import LabeledDataset
 from .margins import MarginSummary, summarize_scores
-from .tensor import (DenseTensor, _dims, _integer, cp_reconstruct, khatri_rao,
-                     kron_chain, tucker_reconstruct, unfold, unvec)
+from .tensor import (DenseTensor, _dims, _integer, _real, cp_reconstruct,
+                     khatri_rao, kron_chain, tucker_reconstruct, unfold, unvec)
 
 KINDS = ("vector", "rank1", "cp", "tucker")
 
@@ -70,11 +68,13 @@ def psd_root(a: np.ndarray, context: str = "block") -> np.ndarray:
     The eigenpairs kept are those of A at or above ``EIG_CLAMP_REL *
     trace(A)/R``, so ``L^+ A L^+' = I_r``, and the root ``L = U_r
     diag(sqrt(w_r))`` gives A but for the R - r dropped round-off
-    directions. A metric is singular only structurally (a mode whose rank
-    exceeds the product of the other ranks), and its null directions do
-    not move W, so a block whitened by L^+ reaches exactly the W the other
-    blocks allow. The eigenbasis (not symmetric) factor keeps the whitening
-    identities exact to machine precision even for ill-conditioned A.
+    directions. A block metric is singular only structurally (a mode whose
+    rank exceeds the product of the other ranks); the N x N Gram of a wide
+    block (see :func:`block_update`) is singular also when samples repeat.
+    Either way the null directions do not move W, so a block whitened by
+    L^+ reaches exactly the W the other blocks allow. The eigenbasis (not
+    symmetric) factor keeps the whitening identities exact to machine
+    precision even for ill-conditioned A.
     """
     a = 0.5 * (a + a.T)
     tr = float(np.trace(a))
@@ -169,12 +169,8 @@ def _check_setting(name: str, value, label: str | None = None) -> None:
     label = label or name
     if name in ("max_outer", "seed"):
         _integer(value, int(name == "max_outer"), label)
-        return
-    rule = "nonnegative" if name in ("mu1", "mu2") else "positive"
-    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max
-            and (value >= 0 if rule == "nonnegative" else value > 0)):
-        raise ValueError(f"{label} must be finite and {rule}, got {value!r}")
+    else:
+        _real(value, "nonnegative" if name in ("mu1", "mu2") else "positive", label)
 
 
 def _mode_ranks(kind: str, ranks, dims) -> tuple[int, ...]:
@@ -331,19 +327,26 @@ def block_update(features: np.ndarray, labels: np.ndarray, hyper: Hyper,
                  qp_tol: float = 1e-8, warm_alpha: np.ndarray | None = None):
     """Solve one whitened block: returns (v, QpSolution).
 
-    With D > N the block is solved on its features' range: the objective
-    reads v only through v'v and v'z_i, so with the thin QR Z = Q R and
-    v = Q v_R it is the same block on the N x N features R, at O(N^2 D)
-    time and O(N D) memory instead of O(D^3) and O(D^2).
+    With D > N the block is solved on its features' range, by the root rule
+    of every block metric: the objective reads v only through v'v and
+    v'z_i, so with G = Z'Z, its range root's left inverse L^+ (r x N, see
+    :func:`psd_root`) and v = Z L^+' v_F, it is the same block on the r x N
+    features F = L^+ G, for F'F = G. That takes O(N^2 D) time and no new
+    D x N array, instead of O(D^3) time and O(D^2) memory. A rank-deficient
+    G (repeated samples) drops directions like any metric, and they are not
+    counted in ``clamp_events``; an all-zero block raises
+    MetricCollapseError.
     """
-    q = None
-    if features.shape[0] > features.shape[1]:
-        q, features = np.linalg.qr(features)
+    z, root = features, None
+    if z.shape[0] > z.shape[1]:
+        gram = z.T @ z
+        root = psd_root(gram, context="wide block Gram")
+        features = root @ gram
     problem, recover, _ = qpmod.assemble_dual(
         features, labels, hyper.mu1, hyper.mu2, hyper.lam)
     sol = qpmod.solve_box_qp(problem, tol=qp_tol, alpha0=warm_alpha)
     v = recover(sol.alpha)
-    return (v if q is None else q @ v), sol
+    return (v if root is None else z @ (root.T @ v)), sol
 
 
 def _objective(sq_norm: float, scores: np.ndarray, labels: np.ndarray,

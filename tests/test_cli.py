@@ -188,7 +188,8 @@ class TestResolveConfig:
 
     def test_synth_margin_validated(self):
         ds = dict(SYNTH, margin=-1.0)
-        with pytest.raises(ConfigError, match="'dataset.margin'"):
+        with pytest.raises(ConfigError, match="field 'dataset.margin' must be "
+                                              "finite and positive, got -1.0"):
             resolve_config(minimal(dataset=ds))
 
     @pytest.mark.parametrize("field,value", [
@@ -198,7 +199,7 @@ class TestResolveConfig:
         ("margin", 10 ** 400),
         ("noise", [1]), ("noise", None), ("noise", "x"), ("noise", "0.5"),
         ("n_per_class", True), ("shape", [2, True]), ("reshape", [4, True]),
-        ("seed", True),
+        ("seed", True), ("noise", -0.5),
     ])
     def test_synth_field_errors_exit_2(self, tmp_path, capsys, field, value):
         # every synth field is checked before any compute; a bool is

@@ -114,17 +114,15 @@ class TestIdxErrors:
 
 
 class TestDataDir:
-    def test_override_wins(self):
-        assert data_dir("/x/y") == "/x/y"
-
     def test_env_fallback(self, monkeypatch):
         monkeypatch.setenv("SPMD_DATA_DIR", "/from/env")
         assert data_dir() == "/from/env"
         monkeypatch.delenv("SPMD_DATA_DIR")
         assert data_dir() == os.path.join(os.getcwd(), "data")
 
-    def test_find_mnist_both_name_styles(self, tmp_path):
-        assert find_mnist(str(tmp_path)) == {}
+    def test_find_mnist_both_name_styles(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SPMD_DATA_DIR", str(tmp_path))
+        assert find_mnist() == {}
         names = ["train-images-idx3-ubyte", "train-labels-idx1-ubyte",
                  "t10k-images.idx3-ubyte", "t10k-labels.idx1-ubyte"]
         rng = np.random.default_rng(1)
@@ -135,7 +133,7 @@ class TestDataDir:
             else:
                 save_idx_labels(str(tmp_path / name),
                                 np.array([0, 1], dtype=np.uint8))
-        found = find_mnist(str(tmp_path))
+        found = find_mnist()
         assert set(found) == {"train_images", "train_labels",
                               "test_images", "test_labels"}
         assert found["test_labels"] == str(tmp_path / "t10k-labels.idx1-ubyte")
@@ -297,6 +295,28 @@ class TestSynthBlobs:
         for build in (lambda: synth_blobs(shape, 2), lambda: synth_multiclass(shape, 2, 2)):
             with pytest.raises(ValueError, match="dims must be one or more positive integers"):
                 build()
+
+    GENERATORS = {"blobs": lambda **kw: synth_blobs((2, 2), 3, **kw),
+                  "multiclass": lambda **kw: synth_multiclass((2, 2), 2, 3, **kw)}
+
+    @pytest.mark.parametrize("generator", GENERATORS)
+    @pytest.mark.parametrize("margin", [float("nan"), float("inf"), "1", None,
+                                        True, 0.0, -1.0])
+    def test_margin_must_be_finite_and_positive(self, generator, margin):
+        # the CLI's rule for dataset.margin; a NaN once reached the samples
+        with pytest.raises(ValueError,
+                           match=f"margin must be finite and positive, got {margin!r}"):
+            self.GENERATORS[generator](margin=margin)
+
+    @pytest.mark.parametrize("generator", GENERATORS)
+    @pytest.mark.parametrize("noise", [float("nan"), -float("inf"), "0.5", None,
+                                       False, -1.0])
+    def test_noise_must_be_finite_and_nonnegative(self, generator, noise):
+        with pytest.raises(ValueError,
+                           match=f"noise must be finite and nonnegative, got {noise!r}"):
+            self.GENERATORS[generator](noise=noise)
+        clean = self.GENERATORS[generator](noise=0)
+        assert np.isfinite(clean.samples).all()
 
     def test_empty_class_rejected(self):
         with pytest.raises(ValueError, match="n_per_class must be an integer >= 1, got 0"):

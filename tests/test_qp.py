@@ -161,6 +161,44 @@ class TestBuildDual:
         assert assemble_peak < 16e6
         assert solve_peak < 16e6
 
+    def test_assembly_holds_one_d_by_n_array_at_a_time(self):
+        # Y = Z T, its centred copy and B alive together peaked at about
+        # 3.9x the features here; one at a time, besides D x D factors
+        rng = np.random.default_rng(19)
+        Z, t, *_ = random_instance(rng, 784, 2000)
+        tracemalloc.start()
+        try:
+            assemble_dual(Z, t, 1.0, 1.0, 5.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * Z.nbytes, peak / Z.nbytes
+
+    @staticmethod
+    def three_array_dual(Z, t, mu1, mu2):
+        # the assembly as first written, with Y, Yc and B alive at once
+        n = t.size
+        Y = Z * t
+        Yc = Y - Y.mean(axis=1, keepdims=True)
+        S = np.eye(Z.shape[0]) + (2.0 * mu1 / n) * (Yc @ Yc.T)
+        Linv = np.linalg.inv(np.linalg.cholesky(S))
+        B = (Y.T @ Linv.T).T
+        return B, (mu2 / n) * (B.sum(axis=1) @ B) - 1.0
+
+    @pytest.mark.parametrize("d,n,mu1,order", [
+        (7, 40, 1.3, "C"), (28, 100, 0.7, "F"), (12, 5, 2.0, "F"),
+        (60, 300, 0.0, "C"), (1, 9, 1.0, "F")])
+    def test_bit_identical_to_the_three_array_form(self, d, n, mu1, order):
+        # t is +-1, so scaling B's columns after the product flips signs
+        # exactly; the trainer's features are column-major ("F")
+        rng = np.random.default_rng(d * n)
+        Z, t, *_ = random_instance(rng, d, n)
+        Z = np.asarray(Z, order=order)
+        p = assemble_dual(Z, t, mu1, 1.1, 2.0)[0]
+        B, g = self.three_array_dual(Z, t, mu1, 1.1)
+        assert np.array_equal(p.B, B) and np.array_equal(p.g, g)
+        assert p.B.flags.f_contiguous
+
     def test_wide_box_solve_memory_linear_in_n(self):
         # lam = 1000 widens the box, and the free set passes 3000
         # coordinates; a step that builds the |F| x |F| block H_FF held

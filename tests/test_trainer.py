@@ -376,22 +376,26 @@ class TestCoreFeatures:
 
     def test_no_metric_root_larger_than_a_mode_rank(self, monkeypatch):
         # the core's root is built from its factors' Gram roots, so the
-        # headline Tucker shape takes no eigh above 4 x 4 (the dense core
-        # metric would be 256 x 256)
+        # headline Tucker shape takes no metric eigh above 4 x 4 (the dense
+        # core metric would be 256 x 256); the wide core block (256 features,
+        # 20 samples) takes the root of its 20 x 20 Gram
         import spmd.trainer as trainer
         real = trainer.psd_root
-        sizes = []
+        sizes = {"metric": [], "wide": []}
 
-        def spy(a, *args, **kwargs):
-            sizes.append(np.shape(a)[0])
-            return real(a, *args, **kwargs)
+        def spy(a, context="block"):
+            wide = context == "wide block Gram"
+            assert wide or context.startswith(("mode ", "core metric")), context
+            sizes["wide" if wide else "metric"].append(np.shape(a))
+            return real(a, context)
 
         monkeypatch.setattr(trainer, "psd_root", spy)
         data = synth_blobs((7, 4, 7, 4), 10, margin=1.0, noise=0.5, seed=33)
         _, report = train(data, TrainConfig(kind="tucker", ranks=[4, 4, 4, 4],
                                             lam=5.0))
         assert report.converged and "core" in report.block_labels
-        assert max(sizes) == 4
+        assert max(shape[0] for shape in sizes["metric"]) == 4
+        assert sizes["wide"] and set(sizes["wide"]) == {(20, 20)}
 
     def test_identities_random(self):
         rng = np.random.default_rng(9)
@@ -437,9 +441,9 @@ class TestWideBlock:
     """A block with more features than samples (D > N) is solved on its range."""
 
     def test_matches_the_feature_space_dual(self):
-        # the dual reads the features only through Z'Z, so the block solved
-        # on R of Z = QR and mapped back by Q is the feature-space solution;
-        # a repeated column makes Z rank-deficient
+        # the dual reads the features only through G = Z'Z, so the block
+        # solved on L^+ G and mapped back by Z L^+' is the feature-space
+        # solution; a repeated column makes G singular
         rng = np.random.default_rng(71)
         Z = rng.standard_normal((40, 12))
         Z[:, 5] = Z[:, 4]
@@ -456,7 +460,7 @@ class TestWideBlock:
     def test_vector_training_peak_linear_in_the_samples(self):
         # P = 2048 features, N = 100 samples: a D x D dual holds 33.5 MB per
         # matrix, about 60x the samples at peak; on the features' range the
-        # largest new arrays are Q (the size of the samples) and N x N ones
+        # samples are the only D x N array and the rest are N x N
         data = synth_blobs((2048,), 50, noise=1.0, seed=0)
         tracemalloc.start()
         try:
@@ -465,7 +469,15 @@ class TestWideBlock:
         finally:
             tracemalloc.stop()
         assert report.converged
-        assert peak < 3 * data.samples.nbytes, peak
+        assert peak < 1.5 * data.samples.nbytes, peak
+
+    def test_all_zero_block_collapses(self):
+        # a zero Gram has no range: the wide block raises like any metric
+        samples = np.zeros((20, 64))
+        labels = np.repeat([1.0, -1.0], 10)
+        with pytest.raises(MetricCollapseError, match="wide block Gram"):
+            train(LabeledDataset(samples, (64,), labels),
+                  TrainConfig(kind="vector"))
 
 
 class TestWarmStart:
