@@ -82,6 +82,10 @@ _DATASET_KEYS = {
     "dir": {"source", "path", "test_path", "reshape"},
 }
 
+# optional dataset integer field (absent or null: its default) -> least value
+_DATASET_INTS = {"test_n_per_class": 0, "n_classes": 2, "per_class": 1,
+                 "test_per_class": 1}
+
 
 def _need(cond, msg):
     if not cond:
@@ -94,23 +98,6 @@ def _check(rule, *args) -> None:
         rule(*args)
     except ValueError as e:
         raise ConfigError(str(e)) from None
-
-
-def _follows(rule, *args) -> bool:
-    """Whether the package rule ``rule(*args)`` passes (it raises ValueError)."""
-    try:
-        rule(*args)
-    except ValueError:
-        return False
-    return True
-
-
-def _need_int(section: dict, key: str, low: int, prefix: str = "",
-              optional: bool = False) -> None:
-    """Field ``key`` is an integer >= ``low`` (or, if optional, absent or null)."""
-    value = section.get(key)
-    _need((optional and value is None) or _follows(_integer, value, low),
-          f"field '{prefix}{key}' must be an integer >= {low}")
 
 
 def load_config(path: str) -> dict:
@@ -136,9 +123,9 @@ def resolve_config(raw: dict, need_method=True, need_methods=False) -> dict:
         _check(_check_setting, setting, cfg[key], f"field '{key}'")
         cfg[key] = type(_TOP_DEFAULTS[key])(cfg[key])  # as its default: float or int
     _need(isinstance(cfg["bias_feature"], bool), "field 'bias_feature' must be boolean")
-    _need(isinstance(cfg["ranks"], list) and
-          all(_follows(_integer, r) for r in cfg["ranks"]),
-          "field 'ranks' must be a list of integers >= 1")
+    _need(isinstance(cfg["ranks"], list), "field 'ranks' must be a list")
+    for i, r in enumerate(cfg["ranks"]):
+        _check(_integer, r, 1, f"field 'ranks[{i}]'")
 
     if need_method:
         _need(cfg["method"] in METHODS,
@@ -159,15 +146,12 @@ def resolve_config(raw: dict, need_method=True, need_methods=False) -> dict:
     _need(not unknown, f"unknown dataset field(s) for source {src!r}: {sorted(unknown)}")
 
     if src == "synth":
-        _need(_follows(_dims, ds.get("shape")),
-              "field 'dataset.shape' must be a list of positive integers")
-        _need_int(ds, "n_per_class", 1, "dataset.")
-        _need_int(ds, "test_n_per_class", 0, "dataset.", optional=True)
+        _check(_dims, ds.get("shape"), "field 'dataset.shape'")
+        _check(_integer, ds.get("n_per_class"), 1, "field 'dataset.n_per_class'")
         ds.setdefault("margin", 1.5)
         ds.setdefault("noise", 0.5)
         for key, rule in (("margin", "positive"), ("noise", "nonnegative")):
             _check(_real, ds[key], rule, f"field 'dataset.{key}'")
-        _need_int(ds, "n_classes", 2, "dataset.", optional=True)
     elif src == "idx":
         for key in ("images", "labels"):
             _need(isinstance(ds.get(key), str),
@@ -179,23 +163,23 @@ def resolve_config(raw: dict, need_method=True, need_methods=False) -> dict:
               "fields 'dataset.test_images' and 'dataset.test_labels' must be "
               "given together")
         classes = ds.get("classes")
-        _need(isinstance(classes, list) and len(classes) >= 2 and
-              all(_follows(_integer, c, 0) for c in classes)
-              and len(set(classes)) == len(classes),
-              "field 'dataset.classes' must be a list of >= 2 distinct integer "
-              "labels >= 0")
-        _need_int(ds, "per_class", 1, "dataset.", optional=True)
-        _need_int(ds, "test_per_class", 1, "dataset.", optional=True)
+        need = "field 'dataset.classes' must be a list of >= 2 distinct labels"
+        _need(isinstance(classes, list), need)
+        for i, c in enumerate(classes):
+            _check(_integer, c, 0, f"field 'dataset.classes[{i}]'")
+        _need(len(classes) >= 2 and len(set(classes)) == len(classes), need)
     else:
         _need(isinstance(ds.get("path"), str), "field 'dataset.path' must be a path string")
         _need(ds.get("test_path") is None or isinstance(ds["test_path"], str),
               "field 'dataset.test_path' must be a path string")
 
+    for key, low in _DATASET_INTS.items():
+        if ds.get(key) is not None:
+            _check(_integer, ds[key], low, f"field 'dataset.{key}'")
     ds.setdefault("seed", 0)
-    _need_int(ds, "seed", 0, "dataset.")
+    _check(_integer, ds["seed"], 0, "field 'dataset.seed'")
     if ds.get("reshape") is not None:
-        _need(_follows(_dims, ds["reshape"]),
-              "field 'dataset.reshape' must be a list of positive integers")
+        _check(_dims, ds["reshape"], "field 'dataset.reshape'")
     cfg["dataset"] = ds
     return cfg
 
@@ -579,8 +563,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is not None and args.seed < 0:
-        parser.error(f"argument --seed: must be an integer >= 0, got {args.seed}")
+    if getattr(args, "seed", None) is not None:
+        try:
+            _integer(args.seed, 0, "argument --seed")
+        except ValueError as e:
+            parser.error(str(e))
     try:
         return args.fn(args)
     except ConfigError as e:

@@ -248,10 +248,13 @@ def select_binary(data: MulticlassDataset, a: int, b: int,
 
 def select_multiclass(data: MulticlassDataset, classes, per_class: int | None = None,
                       seed: int = 0) -> MulticlassDataset:
-    """Subset to the given classes, optionally per_class samples of each."""
+    """Subset to the given classes, optionally per_class samples of each.
+
+    The draw is seeded by ``seed``, an integer >= 0.
+    """
     if per_class is not None:
         per_class = _integer(per_class, 1, "per_class")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer(seed, 0, "seed"))
     keep = []
     for cls in classes:
         idx = np.flatnonzero(data.labels == cls)
@@ -301,13 +304,13 @@ def synth_blobs(shape, n_per_class: int, margin: float = 1.0,
     ``-margin * D + noise * G``, where D is the outer product of unit-norm
     per-mode vectors (so ||D||_F = 1) and G is i.i.d. standard normal.
     ``margin`` must be finite and positive, ``noise`` finite and
-    nonnegative.
+    nonnegative, and ``seed`` an integer >= 0.
     """
     shape = _dims(shape)
     n_per_class = _integer(n_per_class, 1, "n_per_class")
     margin = _real(margin, "positive", "margin")
     noise = _real(noise, "nonnegative", "noise")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer(seed, 0, "seed"))
     direction = _unit_rank1(rng, shape)
     p = direction.size
     n = 2 * n_per_class
@@ -323,14 +326,14 @@ def synth_multiclass(shape, n_classes: int, n_per_class: int, margin: float = 1.
                      noise: float = 0.5, seed: int = 0) -> MulticlassDataset:
     """K-class blobs: class c sits at margin * D_c plus noise, D_c rank-1 unit.
 
-    ``margin`` and ``noise`` follow :func:`synth_blobs`' rules.
+    ``margin``, ``noise`` and ``seed`` follow :func:`synth_blobs`' rules.
     """
     shape = _dims(shape)
     n_classes = _integer(n_classes, 2, "n_classes")
     n_per_class = _integer(n_per_class, 1, "n_per_class")
     margin = _real(margin, "positive", "margin")
     noise = _real(noise, "nonnegative", "noise")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer(seed, 0, "seed"))
     p = int(np.prod(shape))
     samples = np.empty((n_classes * n_per_class, p))
     labels = np.repeat(np.arange(n_classes, dtype=np.int64), n_per_class)
@@ -393,13 +396,11 @@ def load_dataset(path: str) -> LabeledDataset:
     if not isinstance(meta, dict):
         raise ValueError(f"{meta_path}: the root must be a JSON object")
     dims = _dims(meta.get("dims"), f"{meta_path}: key 'dims'")
-    n, labels = meta.get("n"), meta.get("labels")
-    for key, ok, rule in (
-            ("n", type(n) is int and n >= 0, "an integer >= 0"),
-            ("labels", isinstance(labels, list)
-             and all(type(t) in (int, float) for t in labels), "a list of numbers")):
-        if not ok:
-            raise ValueError(f"{meta_path}: key {key!r} must be {rule}")
+    n = _integer(meta.get("n"), 0, f"{meta_path}: key 'n'")
+    labels = meta.get("labels")
+    if not (isinstance(labels, list)
+            and all(type(t) in (int, float) for t in labels)):
+        raise ValueError(f"{meta_path}: key 'labels' must be a list of numbers")
     p = int(np.prod(dims))
     raw = np.fromfile(bin_path, dtype="<f8")
     if raw.size != n * p:

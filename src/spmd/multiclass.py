@@ -17,12 +17,13 @@ from itertools import combinations
 import numpy as np
 
 from .data import MulticlassDataset, _pair_view
+from .tensor import _integer
 from .trainer import TrainConfig, predict, train
 
 
 def pair_seed(global_seed: int, a: int, b: int) -> int:
     """Deterministic per-pair seed independent of training order."""
-    ss = np.random.SeedSequence([int(global_seed), int(a), int(b)])
+    ss = np.random.SeedSequence([_integer(global_seed, 0, "seed"), int(a), int(b)])
     return int(ss.generate_state(1)[0])
 
 
@@ -52,13 +53,12 @@ def ovo_train(data: MulticlassDataset, cfg: TrainConfig,
     """Train one binary model per class pair (class a -> +1, b -> -1).
 
     Pairs always train one at a time in the calling thread. ``workers``
-    must be at least 1 and changes neither the results nor the execution.
+    must be an integer >= 1 and changes neither the results nor the execution.
     The CLI no longer passes it; it stays only because the benchmark's
     one-vs-one job (``benchmarks/workloads.py::job_ovo``) still calls
     ``ovo_train(..., workers=2)``, and goes once that call drops it.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    _integer(workers, 1, "workers")
     classes = tuple(int(c) for c in np.unique(data.labels))
     if len(classes) < 2:
         raise ValueError(f"need at least 2 classes, found {classes}")

@@ -43,6 +43,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .tensor import _integer, _real
+
 
 @dataclass(frozen=True)
 class QpProblem:
@@ -62,12 +64,13 @@ class QpProblem:
             raise ValueError("B must be a D x N matrix")
         if g.size != B.shape[1]:
             raise ValueError(f"g has {g.size} entries, B has {B.shape[1]} columns")
-        if not np.isfinite(B).all() or not np.isfinite(g).all():
+        # min and max make no temporary the size of B
+        finite_b = B.size == 0 or (np.isfinite(B.min()) and np.isfinite(B.max()))
+        if not (finite_b and np.isfinite(g).all()):
             raise ValueError("non-finite entries in QP data")
-        if not (np.isfinite(self.upper) and self.upper > 0):
-            raise ValueError(f"upper bound must be finite and positive, got {self.upper}")
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "g", g)
+        object.__setattr__(self, "upper", _real(self.upper, "positive", "upper"))
 
     @property
     def n(self) -> int:
@@ -247,16 +250,14 @@ def solve_box_qp(problem: QpProblem, tol: float = 1e-8, max_passes: int = 4000,
     Parameters
     ----------
     tol : KKT residual to stop at, finite and positive.
-    max_passes : pass cap, at least 1.
+    max_passes : pass cap, an integer >= 1.
     alpha0 : warm-start point (finite; clipped into the box), zeros by
         default.
     """
     B, g, upper = problem.B, problem.g, problem.upper
     n = problem.n
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
-    if max_passes < 1:
-        raise ValueError(f"max_passes must be at least 1, got {max_passes}")
+    tol = _real(tol, "positive", "tol")
+    max_passes = _integer(max_passes, 1, "max_passes")
     rows = np.ascontiguousarray(B.T)  # rows[i] is the column b_i of B
     diag = np.einsum("ij,ij->i", rows, rows)
     alpha = np.zeros(n) if alpha0 is None else np.asarray(alpha0, dtype=np.float64).ravel()

@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import _split_per_class, synth_blobs
 from .margins import _moments, signed_margins
-from .tensor import DenseTensor, tucker_reconstruct
+from .tensor import DenseTensor, _integer, _real, tucker_reconstruct
 from .trainer import TrainConfig, TrainReport, train
 
 HOLDS_SLACK = 1e-12
@@ -63,20 +63,19 @@ def tucker_norm_inequality(core: DenseTensor, factors) -> BoundReport:
 
 
 def rademacher_bound(B: float, R: float, N: int) -> float:
-    """Capacity bound B*R/sqrt(N) for norm-B weights on norm-R samples."""
-    if not (B > 0 and R > 0):
-        raise ValueError("B and R must be positive")
-    if N < 1:
-        raise ValueError("N must be at least 1")
-    return B * R / math.sqrt(N)
+    """Capacity bound B*R/sqrt(N) for norm-B weights on norm-R samples.
+
+    B and R must be finite and positive, N an integer >= 1.
+    """
+    return (_real(B, "positive", "B") * _real(R, "positive", "R")
+            / math.sqrt(_integer(N, 1, "N")))
 
 
 def generalization_bound(empirical_margin_loss: float, B: float, R: float,
                          rho: float, delta: float, N: int,
                          holdout_loss: float | None = None) -> BoundReport:
     """Margin-loss generalization bound; optional held-out 0-1 loss to compare."""
-    if not rho > 0:
-        raise ValueError("rho must be positive")
+    _real(rho, "positive", "rho")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
     bound = (empirical_margin_loss
@@ -90,8 +89,7 @@ def generalization_bound(empirical_margin_loss: float, B: float, R: float,
 
 def cantelli_margin_tail(gamma_m: float, gamma_v: float, rho: float) -> float:
     """One-sided tail bound on P(margin <= rho) from the first two moments."""
-    if gamma_v < 0:
-        raise ValueError("gamma_v must be nonnegative")
+    _real(gamma_v, "nonnegative", "gamma_v")
     if rho >= gamma_m:
         raise ValueError(
             f"bound needs rho < gamma_m, got rho={rho}, gamma_m={gamma_m}"

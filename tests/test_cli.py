@@ -115,7 +115,8 @@ class TestResolveConfig:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert "--seed: must be an integer >= 0, got -2" in capsys.readouterr().err
+        assert ("argument --seed must be an integer >= 0, got -2"
+                in capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
 
     def test_negative_mu_rejected(self):
@@ -135,7 +136,8 @@ class TestResolveConfig:
             resolve_config(minimal(seed="0"))
 
     def test_ranks_must_be_positive_ints(self):
-        with pytest.raises(ConfigError, match="'ranks' must be a list"):
+        with pytest.raises(ConfigError,
+                           match=r"field 'ranks\[1\]' must be an integer >= 1, got 0"):
             resolve_config(minimal(ranks=[2, 0]))
         with pytest.raises(ConfigError, match="'ranks' must be a list"):
             resolve_config(minimal(ranks="2"))
@@ -176,14 +178,15 @@ class TestResolveConfig:
     def test_dims_fields_follow_the_dims_rule(self, tmp_path, capsys, key, dims):
         cfg = write_config(tmp_path, dataset=dict(SYNTH, **{key: dims}))
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert (f"field 'dataset.{key}' must be a list of positive integers"
-                in capsys.readouterr().err)
+        assert (f"field 'dataset.{key}' must be one or more positive integers, "
+                f"got {dims!r}" in capsys.readouterr().err)
 
     def test_idx_classes_follow_the_integer_rule(self):
         for classes in ([0, True], [0, 1.0], [-1, 2]):
             ds = {"source": "idx", "images": "im", "labels": "lb",
                   "classes": classes}
-            with pytest.raises(ConfigError, match="'dataset.classes' must be"):
+            with pytest.raises(ConfigError, match=r"field 'dataset.classes\[\d\]' "
+                                                  "must be an integer >= 0"):
                 resolve_config(minimal(dataset=ds))
 
     def test_synth_margin_validated(self):

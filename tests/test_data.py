@@ -182,6 +182,14 @@ class TestSelectBinary:
         with pytest.raises(ValueError, match="per_class must be an integer >= 1"):
             select_multiclass(data, [0, 2], per_class=per_class)
 
+    @pytest.mark.parametrize("seed", [None, True, 1.5, -1])
+    def test_multiclass_seed_follows_the_integer_rule(self, idx_pair, seed):
+        # None would draw from fresh entropy
+        data = load_idx(*idx_pair[:2])
+        with pytest.raises(ValueError,
+                           match=f"seed must be an integer >= 0, got {seed!r}"):
+            select_multiclass(data, [0, 2], per_class=2, seed=seed)
+
     def test_select_multiclass_subset(self, idx_pair):
         data = load_idx(*idx_pair[:2])
         sub = select_multiclass(data, [0, 2], per_class=2, seed=3)
@@ -317,6 +325,14 @@ class TestSynthBlobs:
             self.GENERATORS[generator](noise=noise)
         clean = self.GENERATORS[generator](noise=0)
         assert np.isfinite(clean.samples).all()
+
+    @pytest.mark.parametrize("generator", GENERATORS)
+    @pytest.mark.parametrize("seed", [None, True, 1.5, -1])
+    def test_seed_follows_the_integer_rule(self, generator, seed):
+        # None would draw from fresh entropy
+        with pytest.raises(ValueError,
+                           match=f"seed must be an integer >= 0, got {seed!r}"):
+            self.GENERATORS[generator](seed=seed)
 
     def test_empty_class_rejected(self):
         with pytest.raises(ValueError, match="n_per_class must be an integer >= 1, got 0"):

@@ -143,8 +143,18 @@ class TestOvoTrain:
 
     def test_worker_count_below_one_rejected(self):
         data = synth_multiclass((2, 2), 3, 6, margin=2.0, noise=0.3, seed=5)
-        with pytest.raises(ValueError, match="workers must be at least 1"):
-            ovo_train(data, TrainConfig(kind="rank1", lam=2.0), workers=0)
+        for workers in (0, 1.5, True):
+            with pytest.raises(ValueError,
+                               match=f"workers must be an integer >= 1, got {workers!r}"):
+                ovo_train(data, TrainConfig(kind="rank1", lam=2.0), workers=workers)
+
+    @pytest.mark.parametrize("seed", [1.5, True, -1])
+    def test_seed_follows_the_integer_rule(self, seed):
+        # pair seeds derive from it, so a whole-number cast would hide 1.5
+        data = synth_multiclass((2, 2), 3, 6, margin=2.0, noise=0.3, seed=5)
+        with pytest.raises(ValueError,
+                           match=f"seed must be an integer >= 0, got {seed!r}"):
+            ovo_train(data, TrainConfig(kind="rank1", lam=2.0, seed=seed))
 
     def test_rank1_ovo_sweep_count(self):
         # Sweeps to convergence over the 45 rank-1 pairs of a 10-class,

@@ -205,14 +205,21 @@ class TestRademacherBound:
             assert rademacher_bound(b, r, 4 * n) == pytest.approx(
                 0.5 * rademacher_bound(b, r, n), rel=1e-12)
 
-    @pytest.mark.parametrize("b, r", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)])
-    def test_nonpositive_scales_rejected(self, b, r):
-        with pytest.raises(ValueError, match="must be positive"):
+    @pytest.mark.parametrize("b, r, name", [
+        pytest.param(0.0, 1.0, "B", id="0.0-1.0"),
+        pytest.param(1.0, 0.0, "R", id="1.0-0.0"),
+        pytest.param(-1.0, 1.0, "B", id="-1.0-1.0"),
+        pytest.param(math.inf, 1.0, "B", id="inf-1.0"),
+        pytest.param(1.0, math.nan, "R", id="1.0-nan")])
+    def test_nonpositive_scales_rejected(self, b, r, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
             rademacher_bound(b, r, 4)
 
     def test_zero_samples_rejected(self):
-        with pytest.raises(ValueError, match="at least 1"):
-            rademacher_bound(1.0, 1.0, 0)
+        for n in (0, 2.5, True):
+            with pytest.raises(ValueError,
+                               match=f"N must be an integer >= 1, got {n!r}"):
+                rademacher_bound(1.0, 1.0, n)
 
 
 class TestGeneralizationBound:
@@ -251,8 +258,10 @@ class TestGeneralizationBound:
                               "N": 64, "empirical_margin_loss": 0.1}
 
     def test_nonpositive_rho_rejected(self):
-        with pytest.raises(ValueError, match="rho must be positive"):
-            generalization_bound(0.0, 1.0, 1.0, rho=0.0, delta=0.1, N=4)
+        for rho in (0.0, math.inf):
+            with pytest.raises(ValueError,
+                               match=f"rho must be finite and positive, got {rho!r}"):
+                generalization_bound(0.0, 1.0, 1.0, rho=rho, delta=0.1, N=4)
 
     @pytest.mark.parametrize("delta", [0.0, 1.0, 1.5, -0.1])
     def test_delta_outside_unit_interval_rejected(self, delta):
@@ -281,8 +290,10 @@ class TestCantelliMarginTail:
             cantelli_margin_tail(0.5, 1.0, 2.0)
 
     def test_negative_variance_rejected(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            cantelli_margin_tail(1.0, -1e-9, 0.0)
+        for gamma_v in (-1e-9, math.nan, math.inf):
+            with pytest.raises(ValueError,
+                               match=f"gamma_v must be finite and nonnegative, got {gamma_v!r}"):
+                cantelli_margin_tail(1.0, gamma_v, 0.0)
 
 
 class TestCantelliCheck:
