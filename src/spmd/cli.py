@@ -28,8 +28,8 @@ from .data import (_split_per_class, data_dir, find_mnist, load_dataset,
 from .margins import summarize_scores
 from .multiclass import ovo_train, pairwise_accuracy
 from .tensor import _dims, _integer, _real
-from .trainer import (TrainConfig, TrainingError, _biased_dims, _check_setting,
-                      _mode_ranks, load_model, predict, save_model, train)
+from .trainer import (TrainConfig, TrainingError, _check_setting, check_config,
+                      load_model, predict, save_model, train)
 
 METHODS = ("svm", "lmdm", "stm", "spmd-r1", "spmd-cp", "spmd-tucker")
 
@@ -54,32 +54,27 @@ class CheckFailure(RuntimeError):
 
 # --- config schema -----------------------------------------------------------
 
-_TOP_DEFAULTS = {
-    "method": None,
-    "methods": None,
-    "ranks": [],
-    "mu1": 1.0,
-    "mu2": 1.0,
-    "lambda": 1.0,
-    "epsilon": 1e-2,
-    "qp_tol": 1e-8,
-    "max_outer": 50,
-    "seed": 0,
-    "bias_feature": False,
-    "out_dir": None,
-    "dataset": None,
-}
-
 # config field -> the TrainConfig setting whose rule it follows
 _SETTING_FIELDS = {"mu1": "mu1", "mu2": "mu2", "lambda": "lam", "epsilon": "tol",
                    "qp_tol": "qp_tol", "max_outer": "max_outer", "seed": "seed"}
 
+_TRAIN_DEFAULTS = TrainConfig()
+_TOP_DEFAULTS = {
+    "method": None, "methods": None, "out_dir": None, "dataset": None,
+    "ranks": _TRAIN_DEFAULTS.ranks, "bias_feature": _TRAIN_DEFAULTS.bias_feature,
+    **{key: getattr(_TRAIN_DEFAULTS, s) for key, s in _SETTING_FIELDS.items()},
+}
+
+# dataset source -> its input path fields; those named test_* are optional
+_PATH_FIELDS = {"synth": (), "idx": ("images", "labels", "test_images", "test_labels"),
+                "dir": ("path", "test_path")}
+
 _DATASET_KEYS = {
     "synth": {"source", "shape", "n_per_class", "margin", "noise", "seed",
               "test_n_per_class", "n_classes", "reshape"},
-    "idx": {"source", "images", "labels", "classes", "per_class", "seed",
-            "test_images", "test_labels", "test_per_class", "reshape"},
-    "dir": {"source", "path", "test_path", "reshape"},
+    "idx": {"source", "classes", "per_class", "seed", "test_per_class", "reshape",
+            *_PATH_FIELDS["idx"]},
+    "dir": {"source", "reshape", *_PATH_FIELDS["dir"]},
 }
 
 # optional dataset integer field (absent or null: its default) -> least value
@@ -144,6 +139,10 @@ def resolve_config(raw: dict, need_method=True, need_methods=False) -> dict:
           f"field 'dataset.source' must be one of {sorted(_DATASET_KEYS)}, got {src!r}")
     unknown = set(ds) - _DATASET_KEYS[src]
     _need(not unknown, f"unknown dataset field(s) for source {src!r}: {sorted(unknown)}")
+    for key in _PATH_FIELDS[src]:
+        _need(isinstance(ds.get(key), str)
+              or (key.startswith("test_") and ds.get(key) is None),
+              f"field 'dataset.{key}' must be a path string")
 
     if src == "synth":
         _check(_dims, ds.get("shape"), "field 'dataset.shape'")
@@ -153,12 +152,6 @@ def resolve_config(raw: dict, need_method=True, need_methods=False) -> dict:
         for key, rule in (("margin", "positive"), ("noise", "nonnegative")):
             _check(_real, ds[key], rule, f"field 'dataset.{key}'")
     elif src == "idx":
-        for key in ("images", "labels"):
-            _need(isinstance(ds.get(key), str),
-                  f"field 'dataset.{key}' must be a path string")
-        for key in ("test_images", "test_labels"):
-            _need(ds.get(key) is None or isinstance(ds[key], str),
-                  f"field 'dataset.{key}' must be a path string")
         _need((ds.get("test_images") is None) == (ds.get("test_labels") is None),
               "fields 'dataset.test_images' and 'dataset.test_labels' must be "
               "given together")
@@ -168,10 +161,6 @@ def resolve_config(raw: dict, need_method=True, need_methods=False) -> dict:
         for i, c in enumerate(classes):
             _check(_integer, c, 0, f"field 'dataset.classes[{i}]'")
         _need(len(classes) >= 2 and len(set(classes)) == len(classes), need)
-    else:
-        _need(isinstance(ds.get("path"), str), "field 'dataset.path' must be a path string")
-        _need(ds.get("test_path") is None or isinstance(ds["test_path"], str),
-              "field 'dataset.test_path' must be a path string")
 
     for key, low in _DATASET_INTS.items():
         if ds.get(key) is not None:
@@ -197,10 +186,8 @@ def _dataset_paths(ds: dict) -> dict:
     """
     is_dir = ds["source"] == "dir"
     what, exists = ("directory", os.path.isdir) if is_dir else ("file", os.path.isfile)
-    keys = (("path", "test_path") if is_dir
-            else ("images", "labels", "test_images", "test_labels"))
     paths = {}
-    for key in (k for k in keys if ds.get(k) is not None):
+    for key in (k for k in _PATH_FIELDS[ds["source"]] if ds.get(k) is not None):
         p = ds[key]
         if p == "auto" and not is_dir:
             p = find_mnist().get(key if key.startswith("test_") else f"train_{key}")
@@ -225,6 +212,21 @@ def _idx_sets(ds: dict, select):
                              ds.get("test_per_class"), ds["seed"] + 1)
 
 
+def _split(drawn, n_classes: int, n_train: int, n_test: int):
+    """(train, test-or-None): each class's first n_train drawn rows, then n_test."""
+    if not n_test:
+        return drawn, None
+    train, test = _split_per_class(n_classes, n_train, n_test)
+    return drawn.subset(train), drawn.subset(test)
+
+
+def _reshaped(ds: dict, *sets):
+    """The sets (None stays None) in the dataset section's ``reshape`` dims, if any."""
+    dims = ds.get("reshape")
+    return tuple(reshape_samples(s, dims) if dims and s is not None else s
+                 for s in sets)
+
+
 def build_binary_dataset(ds: dict):
     """(train, test-or-None) LabeledDatasets from a dataset section."""
     src = ds["source"]
@@ -232,12 +234,9 @@ def build_binary_dataset(ds: dict):
         _need(ds.get("n_classes") in (None, 2),
               "binary commands need a 2-class dataset (drop 'n_classes')")
         n_train, n_test = ds["n_per_class"], ds.get("test_n_per_class") or 0
-        drawn = synth_blobs(ds["shape"], n_train + n_test, ds["margin"],
-                            ds["noise"], ds["seed"])
-        train_set, test_set = drawn, None
-        if n_test:
-            train, test = _split_per_class(2, n_train, n_test)
-            train_set, test_set = drawn.subset(train), drawn.subset(test)
+        train_set, test_set = _split(
+            synth_blobs(ds["shape"], n_train + n_test, ds["margin"], ds["noise"],
+                        ds["seed"]), 2, n_train, n_test)
     elif src == "idx":
         _need(len(ds["classes"]) == 2,
               "field 'dataset.classes' must name exactly 2 classes for binary runs")
@@ -249,11 +248,7 @@ def build_binary_dataset(ds: dict):
         train_set = load_dataset(paths["path"])
         test_set = (load_dataset(paths["test_path"]) if "test_path" in paths
                     else None)
-    if ds.get("reshape"):
-        train_set = reshape_samples(train_set, ds["reshape"])
-        if test_set is not None:
-            test_set = reshape_samples(test_set, ds["reshape"])
-    return train_set, test_set
+    return _reshaped(ds, train_set, test_set)
 
 
 def build_multiclass_dataset(ds: dict):
@@ -263,14 +258,12 @@ def build_multiclass_dataset(ds: dict):
         k = ds.get("n_classes") or 3
         n_train = ds["n_per_class"]
         n_test = ds.get("test_n_per_class")
-        if n_test is None:
-            n_test = n_train
+        n_test = n_train if n_test is None else n_test
         _need(n_test >= 1, "field 'dataset.test_n_per_class' must be at least 1 "
                            "for bench, which scores every pair on test rows")
-        drawn = synth_multiclass(ds["shape"], k, n_train + n_test,
-                                 ds["margin"], ds["noise"], ds["seed"])
-        train, test = _split_per_class(k, n_train, n_test)
-        train_set, test_set = drawn.subset(train), drawn.subset(test)
+        train_set, test_set = _split(
+            synth_multiclass(ds["shape"], k, n_train + n_test, ds["margin"],
+                             ds["noise"], ds["seed"]), k, n_train, n_test)
     elif src == "idx":
         _need(ds.get("test_images") is not None,
               "bench needs 'dataset.test_images'/'test_labels' for idx sources")
@@ -278,32 +271,21 @@ def build_multiclass_dataset(ds: dict):
             ds, lambda raw, n, seed: select_multiclass(raw, ds["classes"], n, seed))
     else:
         raise ConfigError("bench supports dataset sources 'synth' and 'idx'")
-    if ds.get("reshape"):
-        train_set = reshape_samples(train_set, ds["reshape"])
-        test_set = reshape_samples(test_set, ds["reshape"])
-    return train_set, test_set
+    return _reshaped(ds, train_set, test_set)
 
 
 def make_train_config(cfg: dict, method: str, dims: tuple) -> TrainConfig:
-    kind, ranks = _METHOD_KIND[method], list(cfg["ranks"])
-    if cfg["bias_feature"]:  # train checks the ranks on the biased shape
-        dims = _biased_dims(dims)
-    try:
-        _mode_ranks(kind, ranks, dims)
-    except ValueError as e:
-        raise ConfigError(f"field 'ranks' for method {method!r}: {e}")
+    """The method's TrainConfig, checked by :func:`check_config` for ``dims``."""
     settings = {setting: cfg[key] for key, setting in _SETTING_FIELDS.items()}
     if method in _ZERO_MU:
         settings.update(mu1=0.0, mu2=0.0)
-    return TrainConfig(kind=kind, ranks=ranks,
-                       bias_feature=cfg["bias_feature"], **settings)
-
-
-def _flatten_for(flat: bool, data):
-    """Flat samples for vector-space methods and order-1 models; else as is."""
-    if flat and data is not None and len(data.dims) > 1:
-        return reshape_samples(data, [int(np.prod(data.dims))])
-    return data
+    tc = TrainConfig(kind=_METHOD_KIND[method], ranks=list(cfg["ranks"]),
+                     bias_feature=cfg["bias_feature"], **settings)
+    try:
+        check_config(tc, dims)
+    except ValueError as e:
+        raise ConfigError(f"field 'ranks' for method {method!r}: {e}")
+    return tc
 
 
 # --- output helpers -----------------------------------------------------------
@@ -356,8 +338,6 @@ def cmd_train(args) -> int:
         cfg["seed"] = args.seed
     method = cfg["method"]
     train_set, test_set = build_binary_dataset(cfg["dataset"])
-    flat = _METHOD_KIND[method] == "vector"
-    train_set, test_set = _flatten_for(flat, train_set), _flatten_for(flat, test_set)
     tc = make_train_config(cfg, method, train_set.dims)
     out = _out_dir(args, cfg, "train")
 
@@ -381,7 +361,7 @@ def cmd_train(args) -> int:
     lines = [
         f"method          {method}",
         f"kind            {model.kind}",
-        f"shape           {'x'.join(map(str, train_set.dims))}",
+        f"shape           {'x'.join(map(str, model.input_shape))}",
         f"n_train         {len(train_set)}",
         f"converged       {report.converged}",
         f"iterations      {report.iterations}",
@@ -415,7 +395,6 @@ def cmd_eval(args) -> int:
         raise ConfigError(str(e))
     cfg = resolve_config(load_config(args.config), need_method=False)
     data, _ = build_binary_dataset(cfg["dataset"])
-    data = _flatten_for(len(model.shape) == 1, data)
     try:
         labels, scores = predict(model, data.samples, data.dims)
     except ValueError as e:
@@ -442,36 +421,30 @@ def cmd_bench(args) -> int:
     train_multi, test_multi = build_multiclass_dataset(cfg["dataset"])
     out = _out_dir(args, cfg, "bench")
 
-    rows, text_rows, timings = [], [], {}
+    rows, timings = [], {}  # bench.csv's columns, then wall ms for bench.txt
     for method in cfg["methods"]:
-        flat = _METHOD_KIND[method] == "vector"
-        mtrain, mtest = _flatten_for(flat, train_multi), _flatten_for(flat, test_multi)
-        tc = make_train_config(cfg, method, mtrain.dims)
+        tc = make_train_config(cfg, method, train_multi.dims)
         t0 = time.perf_counter()
-        ensemble = ovo_train(mtrain, tc)
-        acc_rows, mean_acc = pairwise_accuracy(ensemble, mtest)
+        ensemble = ovo_train(train_multi, tc)
+        acc_rows, mean_acc = pairwise_accuracy(ensemble, test_multi)
         wall = time.perf_counter() - t0
         timings[method] = {"total_s": wall}
         for r in acc_rows:
-            pair = r["pair"]
-            rep = ensemble.reports[pair]
-            rows.append([method, pair[0], pair[1], rep.n_train, r["n_test"],
-                         r["accuracy"], rep.iterations, rep.cap_hits])
-            text_rows.append((method, f"{pair[0]}v{pair[1]}", rep.n_train,
-                              r["n_test"], r["accuracy"], rep.iterations,
-                              rep.cap_hits, rep.wall_time * 1e3))
-        rows.append([method, "mean", "", "", "", mean_acc, "", ""])
-        text_rows.append((method, "mean", "", "", mean_acc, "", "", wall * 1e3))
+            rep = ensemble.reports[r["pair"]]
+            rows.append([method, *r["pair"], rep.n_train, r["n_test"], r["accuracy"],
+                         rep.iterations, rep.cap_hits, rep.wall_time * 1e3])
+        rows.append([method, "mean", "", "", "", mean_acc, "", "", wall * 1e3])
 
     write_csv(os.path.join(out, "bench.csv"),
               ["method", "class_a", "class_b", "n_train", "n_test", "accuracy",
-               "iterations", "cap_hits"], rows)
+               "iterations", "cap_hits"], [row[:-1] for row in rows])
     with open(os.path.join(out, "timings.json"), "w") as f:
         json.dump(timings, f, indent=2, sort_keys=True)
 
     header = f"{'method':<12} {'pair':>6} {'n_tr':>6} {'n_te':>6} {'accuracy':>9} {'iters':>6} {'cap_hits':>8} {'wall_ms':>9}"
     lines = [header, "-" * len(header)]
-    for method, pair, ntr, nte, acc, iters, caps, ms in text_rows:
+    for method, a, b, ntr, nte, acc, iters, caps, ms in rows:
+        pair = f"{a}v{b}" if b != "" else a
         lines.append(f"{method:<12} {pair:>6} {str(ntr):>6} {str(nte):>6} "
                      f"{acc:>9.4f} {str(iters):>6} {str(caps):>8} {ms:>9.1f}")
     table = "\n".join(lines) + "\n"

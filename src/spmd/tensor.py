@@ -39,12 +39,12 @@ def _integer(value, low: int = 1, name: str = "value") -> int:
 def _real(value, rule: str, name: str) -> float:
     """The one real-number rule: a finite real, not a bool, that is ``rule``.
 
-    ``rule`` is "positive" or "nonnegative". Anything else (NaN, inf, a
-    string, None) raises a ValueError naming ``name``.
+    ``rule`` is "positive", "nonnegative" or "real" (either sign). Anything
+    else (NaN, inf, a string, None) raises a ValueError naming ``name``.
     """
     if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
             and abs(value) <= sys.float_info.max
-            and (value >= 0 if rule == "nonnegative" else value > 0)):
+            and {"positive": value > 0, "nonnegative": value >= 0, "real": True}[rule]):
         raise ValueError(f"{name} must be finite and {rule}, got {value!r}")
     return float(value)
 

@@ -76,7 +76,7 @@ def generalization_bound(empirical_margin_loss: float, B: float, R: float,
                          holdout_loss: float | None = None) -> BoundReport:
     """Margin-loss generalization bound; optional held-out 0-1 loss to compare."""
     _real(rho, "positive", "rho")
-    if not 0 < delta < 1:
+    if not 0 < _real(delta, "real", "delta") < 1:
         raise ValueError("delta must lie in (0, 1)")
     bound = (empirical_margin_loss
              + 2.0 * rademacher_bound(B, R, N) / rho
@@ -88,9 +88,11 @@ def generalization_bound(empirical_margin_loss: float, B: float, R: float,
 
 
 def cantelli_margin_tail(gamma_m: float, gamma_v: float, rho: float) -> float:
-    """One-sided tail bound on P(margin <= rho) from the first two moments."""
+    """One-sided tail bound on P(margin <= rho) from the first two moments;
+    all three finite, gamma_v >= 0 and rho < gamma_m."""
+    _real(gamma_m, "real", "gamma_m")
     _real(gamma_v, "nonnegative", "gamma_v")
-    if rho >= gamma_m:
+    if _real(rho, "real", "rho") >= gamma_m:
         raise ValueError(
             f"bound needs rho < gamma_m, got rho={rho}, gamma_m={gamma_m}"
         )
@@ -134,7 +136,7 @@ def descent_certificate(report: TrainReport) -> bool:
 
 def lemma1_sweep(n_instances: int = 1000, seed: int = 0) -> list[BoundReport]:
     """Random Tucker instances (order <= 4, dims <= 6); the bound must always hold."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer(seed, 0, "seed"))
     out = []
     for _ in range(n_instances):
         order = int(rng.integers(1, 5))
@@ -154,7 +156,7 @@ def lemma2_check(seed: int = 0, n: int = 64, dim: int = 9,
     (B/N) E||sum s_i Z_i||; the Monte-Carlo mean is compared to the bound
     with a 3-sigma allowance folded into the reported bound inputs.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer(seed, 0, "seed"))
     b = 1.0
     z = rng.standard_normal((n, dim))
     z /= np.linalg.norm(z, axis=1, keepdims=True)  # every sample norm = R = 1
@@ -226,10 +228,12 @@ def theorem2_sweep(n_runs: int = 12, seed: int = 0) -> list[BoundReport]:
         data = synth_blobs((5, 4), 30, margin=1.5, noise=0.7, seed=seed + 31 * k)
         model, report = train(data, TrainConfig(kind=kind, ranks=ranks,
                                                 lam=2.0, seed=seed + k))
-        ok = descent_certificate(report)
+        # a failed certificate reads its worst rise, or inf if none (bad norms)
+        empirical = None
+        if not descent_certificate(report):
+            empirical = _worst_rise(report.objectives) or math.inf
         out.append(BoundReport.make(
-            f"descent_certificate[{kind}]", 0.0,
-            None if ok else _worst_rise(report.objectives),
+            f"descent_certificate[{kind}]", 0.0, empirical,
             inputs={"seed": seed + k, "iterations": report.iterations,
                     "converged": report.converged}))
     return out

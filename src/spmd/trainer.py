@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import qp as qpmod
-from .data import LabeledDataset
+from .data import LabeledDataset, reshape_samples
 from .margins import MarginSummary, summarize_scores
 from .tensor import (DenseTensor, _dims, _integer, _real, cp_reconstruct,
                      khatri_rao, kron_chain, tucker_reconstruct, unfold, unvec)
@@ -107,9 +107,9 @@ class TrainConfig:
     block dual is solved to; the pass cap of those solves is
     :func:`spmd.qp.solve_box_qp`'s default. lam, tol and qp_tol must be
     finite and positive, mu1 and mu2 finite and nonnegative, max_outer an
-    integer >= 1 and seed one >= 0 (no bools); :func:`train` rejects any
-    other value by its field name. seed draws only what the HOSVD start
-    (``_start_state``) cannot give.
+    integer >= 1 and seed one >= 0 (no bools); :func:`check_config`, which
+    :func:`train` runs first, rejects any other value by its field name.
+    seed draws only what the HOSVD start (``_start_state``) cannot give.
     """
 
     kind: str = "rank1"
@@ -139,6 +139,11 @@ class WeightModel:
     def reconstruct(self) -> DenseTensor:
         """The full weight tensor W, the one :func:`decision_scores` scores with."""
         return _reconstruct(list(self.factors), self.core)
+
+    @property
+    def input_shape(self) -> tuple[int, ...]:
+        """The sample shape the model was trained on: ``shape`` less any bias slab."""
+        return (self.shape[0] - self.bias_feature,) + self.shape[1:]
 
 
 @dataclass
@@ -176,18 +181,17 @@ def _check_setting(name: str, value, label: str | None = None) -> None:
 def _mode_ranks(kind: str, ranks, dims) -> tuple[int, ...]:
     """Per-mode factor column counts implied by kind and the ranks list.
 
-    ``dims`` is the sample shape the model is trained on (with the bias
-    slab, if any). A Tucker rank above its mode size is rejected: the mode-m
-    unfolding of W has rank at most I_m, so such a rank adds no reach. A CP
-    rank may exceed a mode size.
+    ``dims`` is the sample shape the model reads (see :func:`check_config`),
+    ``ranks`` a list or tuple of integers >= 1. A Tucker rank above its mode
+    size is rejected: the mode-m unfolding of W has rank at most I_m, so such
+    a rank adds no reach. A CP rank may exceed a mode size.
     """
     order = len(dims)
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
-    try:
-        ranks = [_integer(r) for r in ([] if ranks is None else ranks)]
-    except (TypeError, ValueError):
-        raise ValueError(f"ranks must be positive integers, got {ranks!r}") from None
+    if not isinstance(ranks, (list, tuple)):
+        raise ValueError(f"ranks must be a list or tuple, got {ranks!r}")
+    ranks = [_integer(r, 1, f"ranks[{i}]") for i, r in enumerate(ranks)]
     if kind in ("vector", "rank1"):
         if kind != "rank1" and order != 1:
             raise ValueError("vector kind needs order-1 samples; reshape first")
@@ -206,6 +210,20 @@ def _mode_ranks(kind: str, ranks, dims) -> tuple[int, ...]:
         if r > i:
             raise ValueError(f"tucker rank {r} of mode {mode} exceeds its size {i}")
     return tuple(ranks)
+
+
+def check_config(cfg: TrainConfig, dims) -> tuple[int, ...]:
+    """The per-mode ranks of ``cfg`` for samples of shape ``dims``, or a ValueError.
+
+    Each setting is checked first, by its field name, then the ranks by
+    :func:`_mode_ranks` on the shape training reads: the flat row for the
+    vector kind, and mode 1 one entry longer with the bias slab.
+    """
+    for name in ("mu1", "mu2", "lam", "tol", "qp_tol", "max_outer", "seed"):
+        _check_setting(name, getattr(cfg, name))
+    dims = (math.prod(dims),) if cfg.kind == "vector" else dims
+    dims = _biased_dims(dims) if cfg.bias_feature else dims
+    return _mode_ranks(cfg.kind, cfg.ranks, dims)
 
 
 def _with_ones_slab(samples: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
@@ -433,7 +451,8 @@ def _reconstruct(factors, core) -> DenseTensor:
 def train(data: LabeledDataset, cfg: TrainConfig):
     """Alternating block optimization; returns (WeightModel, TrainReport).
 
-    The settings are checked first, each by its field name. Training starts
+    :func:`check_config` runs first. The vector kind trains on the flat
+    rows of the samples, and a bias slab goes on last. Training starts
     from the truncated HOSVD of the class-mean difference (``_start_state``).
     Blocks sweep modes 1..M (plus the Tucker core, last) each outer
     iteration, except a Tucker mode whose rank equals its size: that factor
@@ -461,14 +480,14 @@ def train(data: LabeledDataset, cfg: TrainConfig):
     pass cap, or after cfg.max_outer sweeps (with a warning).
     """
     t0 = time.perf_counter()
-    for name in ("mu1", "mu2", "lam", "tol", "qp_tol", "max_outer", "seed"):
-        _check_setting(name, getattr(cfg, name))
+    mode_ranks = check_config(cfg, data.dims)
     if np.unique(data.labels).size < 2:
         raise ValueError("training needs at least one sample of each class")
+    if cfg.kind == "vector" and len(data.dims) > 1:
+        data = reshape_samples(data, [math.prod(data.dims)])
     if cfg.bias_feature:
         data = apply_bias(data)
     dims = data.dims
-    mode_ranks = _mode_ranks(cfg.kind, cfg.ranks, dims)
     for i, r in zip(dims, mode_ranks):
         if r > i:
             warnings.warn(f"rank {r} exceeds mode size {i}", stacklevel=2)
@@ -578,14 +597,17 @@ def decision_scores(model: WeightModel, samples: np.ndarray,
                     dims: tuple[int, ...]) -> np.ndarray:
     """<W, Z_i> for flat-row samples: one product with the reconstructed W.
 
+    An order-1 model reads every sample as its flat row, whatever ``dims``.
     A bias model also takes samples in its pre-bias shape and appends the
     constant-1 slab that :func:`apply_bias` appends in training.
     """
     dims = tuple(dims)
-    if model.bias_feature and dims and _biased_dims(dims) == model.shape:
+    if len(model.shape) == 1 and dims:
+        dims = (math.prod(dims),)
+    if model.bias_feature and dims == model.input_shape:
         samples, dims = _with_ones_slab(samples, dims), model.shape
     if dims != model.shape:
-        also = (f" or its pre-bias shape {(model.shape[0] - 1,) + model.shape[1:]}"
+        also = (f" or its pre-bias shape {model.input_shape}"
                 if model.bias_feature else "")
         raise ValueError(
             f"sample dims {dims}: the sample shape does not match model shape "

@@ -31,7 +31,7 @@ from spmd.data import (MNIST_FILES, MulticlassDataset, load_idx, reshape_samples
 from spmd.multiclass import ovo_train
 from spmd.margins import summarize_scores
 from spmd.theory import BoundReport
-from spmd.trainer import apply_bias, decision_scores, load_model
+from spmd.trainer import TrainConfig, apply_bias, decision_scores, load_model
 
 SYNTH = {"source": "synth", "shape": [2, 2], "n_per_class": 10,
          "margin": 3.0, "noise": 0.2, "seed": 0}
@@ -279,6 +279,13 @@ class TestMethodRanks:
         self.rejects("svm", [2], (4,))
         self.rejects("lmdm", [1, 1], (4,))
 
+    def test_vector_methods_read_the_flat_row(self):
+        # the trainer flattens, so the ranks are checked on the flat row
+        assert self.ranks("svm", [], (4, 3)) == []
+        assert self.ranks("lmdm", [1], (4, 3), bias_feature=True) == [1]
+        self.rejects("svm", [2, 2], (4, 4), match=(
+            "field 'ranks' for method 'svm': vector kind takes no ranks"))
+
     def test_rank_one_accepts_all_ones(self):
         assert self.ranks("spmd-r1", [1, 1], (3, 4)) == [1, 1]
         assert self.ranks("stm", [1], (3, 4)) == [1]
@@ -307,6 +314,10 @@ class TestMethodRanks:
 
 
 class TestMakeTrainConfig:
+    def test_defaults_are_train_configs(self):
+        cfg = resolve_config(minimal(method="spmd-r1"))
+        assert make_train_config(cfg, "spmd-r1", (2, 2)) == TrainConfig(kind="rank1")
+
     def test_baselines_zero_margin_terms(self):
         cfg = resolve_config(minimal(method="svm", mu1=2.0, mu2=3.0))
         tc = make_train_config(cfg, "svm", (4,))
@@ -989,8 +1000,6 @@ class TestReadmeConfigs:
             if "method" in block:
                 ds = cfg["dataset"]
                 dims = tuple(ds.get("reshape") or ds["shape"])
-                if block["method"] in ("svm", "lmdm"):
-                    dims = (int(np.prod(dims)),)
                 make_train_config(cfg, block["method"], dims)
 
     def test_synth_train_example_runs(self, tmp_path):

@@ -6,6 +6,7 @@ at full scale). Reference values for spectral norms come from numpy's SVD.
 """
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -268,6 +269,12 @@ class TestGeneralizationBound:
         with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\)"):
             generalization_bound(0.0, 1.0, 1.0, rho=1.0, delta=delta, N=4)
 
+    @pytest.mark.parametrize("delta", ["x", None, True, math.nan])
+    def test_delta_follows_the_real_rule(self, delta):
+        with pytest.raises(ValueError, match=re.escape(
+                f"delta must be finite and real, got {delta!r}")):
+            generalization_bound(0.0, 1.0, 1.0, rho=1.0, delta=delta, N=4)
+
 
 class TestCantelliMarginTail:
     def test_substitution(self):
@@ -294,6 +301,14 @@ class TestCantelliMarginTail:
             with pytest.raises(ValueError,
                                match=f"gamma_v must be finite and nonnegative, got {gamma_v!r}"):
                 cantelli_margin_tail(1.0, gamma_v, 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf, "1", True])
+    @pytest.mark.parametrize("name", ["gamma_m", "rho"])
+    def test_mean_and_rho_follow_the_real_rule(self, name, bad):
+        args = {"gamma_m": 1.0, "gamma_v": 1.0, "rho": 0.0, name: bad}
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name} must be finite and real, got {bad!r}")):
+            cantelli_margin_tail(**args)
 
 
 class TestCantelliCheck:
@@ -377,6 +392,16 @@ class TestNormInequalitySweep:
         a = lemma1_sweep(5, seed=0)
         b = lemma1_sweep(5, seed=1)
         assert [r.bound_value for r in a] != [r.bound_value for r in b]
+
+
+@pytest.mark.parametrize("seed", [None, True, 1.5, -1])
+@pytest.mark.parametrize("sweep", [lambda seed: lemma1_sweep(3, seed=seed),
+                                   lambda seed: lemma2_check(seed=seed)],
+                         ids=["lemma1", "lemma2"])
+def test_sampling_sweeps_check_seed_by_the_integer_rule(sweep, seed):
+    with pytest.raises(ValueError, match=re.escape(
+            f"seed must be an integer >= 0, got {seed!r}")):
+        sweep(seed)
 
 
 class TestCapacityCheck:
@@ -468,6 +493,17 @@ class TestDescentSweep:
             warnings.filterwarnings("error", message="coordinate descent stopped")
             reports = theorem2_sweep(12, seed=27)
         assert [r.name for r in reports if not r.holds] == []
+
+    def test_row_fails_with_its_certificate(self, monkeypatch):
+        # no objective rises, but the norms are not finite: the certificate
+        # fails, so the row must too; a rising run reads its worst rise
+        for objectives, norms, empirical in [([2.0, 1.0], [1.0, math.nan], math.inf),
+                                             ([1.0, 2.0], None, 2.0 - (1.0 + 2e-8))]:
+            report = fake_report(objectives, norms)
+            monkeypatch.setattr(theory, "train", lambda data, cfg: (None, report))
+            rep, = theorem2_sweep(n_runs=1, seed=0)
+            assert descent_certificate(report) is False
+            assert not rep.holds and rep.empirical_value == empirical
 
     def test_sweep_reproducible(self):
         a = theorem2_sweep(n_runs=2, seed=5)

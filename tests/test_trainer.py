@@ -17,13 +17,13 @@ import pytest
 
 from oracles import (batch_view, flatten_batch, hinge_objective, inner,
                      max_margin_reference, metric_root, vec)
-from spmd.data import LabeledDataset, synth_blobs
+from spmd.data import LabeledDataset, reshape_samples, synth_blobs
 from spmd.margins import summarize_scores
 from spmd.qp import assemble_dual, solve_box_qp
 from spmd.tensor import DenseTensor, unvec
 from spmd.trainer import (Hyper, MetricCollapseError, TrainConfig, WeightModel,
                           apply_bias, block_features, block_update,
-                          core_features, load_model,
+                          check_config, core_features, load_model,
                           predict, primal_objective, psd_root, decision_scores,
                           save_model, train, _class_mean_difference,
                           _mode_contract, _mode_ranks, _start_state)
@@ -82,17 +82,26 @@ class TestModeRanks:
 
     @pytest.mark.parametrize("kind", ["cp", "tucker"])
     def test_zero_rank_rejected(self, kind):
-        with pytest.raises(ValueError, match="ranks must be positive"):
-            _mode_ranks(kind, [0] if kind == "cp" else [2, 0], (2, 3))
+        ranks, entry = ([0], 0) if kind == "cp" else ([2, 0], 1)
+        with pytest.raises(ValueError, match=re.escape(
+                f"ranks[{entry}] must be an integer >= 1, got 0")):
+            _mode_ranks(kind, ranks, (2, 3))
 
     @pytest.mark.parametrize("ranks", [[2.0], [True], ["2"], [None]],
                              ids=["float", "bool", "string", "none"])
     def test_ranks_follow_the_integer_rule(self, ranks):
-        with pytest.raises(ValueError, match="ranks must be positive integers"):
+        found = re.escape(f"ranks[0] must be an integer >= 1, got {ranks[0]!r}")
+        with pytest.raises(ValueError, match=found):
             _mode_ranks("cp", ranks, (3, 4))
         data = synth_blobs((3, 4), 6, seed=3)
-        with pytest.raises(ValueError, match="ranks must be positive integers"):
+        with pytest.raises(ValueError, match=found):
             train(data, TrainConfig(kind="cp", ranks=ranks))
+
+    @pytest.mark.parametrize("ranks", [2, "22", None, np.array([2])],
+                             ids=["int", "string", "none", "array"])
+    def test_ranks_must_be_a_list_or_tuple(self, ranks):
+        with pytest.raises(ValueError, match="ranks must be a list or tuple"):
+            _mode_ranks("cp", ranks, (3, 4))
 
     def test_numpy_integer_ranks_become_ints(self):
         got = _mode_ranks("tucker", [np.int64(2), np.uint8(3)], (3, 4))
@@ -103,6 +112,35 @@ def dropped(roots):
     """Directions a block's inverse roots drop: prod of columns minus rows."""
     return (math.prod(r.shape[1] for r in roots)
             - math.prod(r.shape[0] for r in roots))
+
+
+class TestCheckConfig:
+    def test_tucker_rank_checked_on_the_biased_shape(self):
+        cfg = TrainConfig(kind="tucker", ranks=[4, 2], bias_feature=True)
+        assert check_config(cfg, (3, 4)) == (4, 2)
+        cfg.ranks = [5, 2]
+        with pytest.raises(ValueError,
+                           match="tucker rank 5 of mode 1 exceeds its size 4"):
+            check_config(cfg, (3, 4))
+
+    @pytest.mark.parametrize("bias", [False, True], ids=["plain", "bias"])
+    def test_vector_ranks_checked_on_the_flat_row(self, bias):
+        cfg = TrainConfig(kind="vector", bias_feature=bias)
+        assert check_config(cfg, (4, 3)) == (1,)
+        cfg.ranks = [1, 1]
+        with pytest.raises(ValueError, match="vector kind takes no ranks"):
+            check_config(cfg, (4, 3))
+
+    def test_settings_checked_before_ranks(self):
+        cfg = TrainConfig(kind="tucker", ranks=[9, 9], lam=0.0)
+        with pytest.raises(ValueError, match="lam must be finite and positive"):
+            check_config(cfg, (3, 4))
+
+    def test_train_checks_the_config_first(self):
+        # one class only, so any later step would fail on the labels
+        data = LabeledDataset(np.ones((3, 12)), (3, 4), np.ones(3))
+        with pytest.raises(ValueError, match="tucker rank 9 of mode 1"):
+            train(data, TrainConfig(kind="tucker", ranks=[9, 2]))
 
 
 class TestPsdRoot:
@@ -727,6 +765,21 @@ class TestTrain:
             decision_scores(m_vec, data.samples, data.dims),
             decision_scores(m_r1, data.samples, data.dims))
 
+    @pytest.mark.parametrize("bias", [False, True], ids=["plain", "bias"])
+    def test_vector_kind_trains_on_the_flat_rows(self, bias):
+        data = synth_blobs((4, 3), 10, margin=1.0, noise=0.5, seed=8)
+        flat = reshape_samples(data, [12])
+        cfg = TrainConfig(kind="vector", bias_feature=bias, seed=9)
+        m_data, r_data = train(data, cfg)
+        m_flat, r_flat = train(flat, cfg)
+        assert m_data.shape == m_flat.shape == (12 + bias,)
+        assert m_data.input_shape == (12,)
+        for got, want in zip(m_data.factors, m_flat.factors):
+            np.testing.assert_array_equal(got, want)
+        assert (m_data.ranks, m_data.hyper) == (m_flat.ranks, m_flat.hyper)
+        r_data.wall_time = r_flat.wall_time = 0.0
+        assert r_data == r_flat
+
     def test_full_rank_tucker_matches_vector_on_flat_data(self):
         data = synth_blobs((3, 3), 12, margin=1.0, noise=0.4, seed=6)
         flat = LabeledDataset(data.samples, (9,), data.labels)
@@ -1149,6 +1202,18 @@ class TestPrediction:
             np.testing.assert_array_equal(labels, np.where(want >= 0, 1.0, -1.0))
         assert len(set(labels.tolist())) == 2
 
+    @pytest.mark.parametrize("kind,bias", [("vector", False), ("rank1", False),
+                                           ("vector", True)],
+                             ids=["vector", "rank1", "vector-bias"])
+    def test_order1_model_reads_any_shape_of_its_size(self, kind, bias):
+        data = synth_blobs((12,), 8, margin=1.0, noise=0.4, seed=35)
+        model, _ = train(data, TrainConfig(kind=kind, bias_feature=bias, seed=36))
+        want = decision_scores(model, data.samples, (12,))
+        for dims in [(4, 3), (2, 3, 2), (12, 1)]:
+            np.testing.assert_array_equal(predict(model, data.samples, dims)[1], want)
+        with pytest.raises(ValueError, match=re.escape("sample dims (15,)")):
+            predict(model, np.zeros((1, 15)), (5, 3))
+
     def test_shape_mismatch(self):
         model = WeightModel("rank1", (2, 2), (1, 1),
                             (np.ones((2, 1)), np.ones((2, 1))), None, Hyper(1, 1, 1))
@@ -1281,7 +1346,7 @@ class TestPersistence:
     @pytest.mark.parametrize("tag,dims,ranks,found", [
         (2, (3, 4), (2, 3), r"ranks \[2, 3\] do not fit a cp model"),
         (3, (3, 4), (4, 2), "tucker rank 4 of mode 1 exceeds its size 3"),
-        (3, (3, 4), (0, 2), "ranks must be positive"),
+        (3, (3, 4), (0, 2), re.escape("ranks[0] must be an integer >= 1, got 0")),
         (0, (3, 4), (1, 1), "vector kind needs order-1 samples"),
     ], ids=["cp-unequal", "tucker-over-size", "zero-rank", "vector-order-2"])
     def test_ranks_follow_the_kind_rules(self, tmp_path, tag, dims, ranks, found):
