@@ -118,6 +118,8 @@ def resolve_config(raw: dict, need_method=True, need_methods=False) -> dict:
         _check(_check_setting, setting, cfg[key], f"field '{key}'")
         cfg[key] = type(_TOP_DEFAULTS[key])(cfg[key])  # as its default: float or int
     _need(isinstance(cfg["bias_feature"], bool), "field 'bias_feature' must be boolean")
+    _need(cfg["out_dir"] is None or isinstance(cfg["out_dir"], str),
+          "field 'out_dir' must be a path string or null")
     _need(isinstance(cfg["ranks"], list), "field 'ranks' must be a list")
     for i, r in enumerate(cfg["ranks"]):
         _check(_integer, r, 1, f"field 'ranks[{i}]'")
@@ -131,6 +133,7 @@ def resolve_config(raw: dict, need_method=True, need_methods=False) -> dict:
         for m in cfg["methods"]:
             _need(m in METHODS,
                   f"field 'methods' entry {m!r} must be one of {list(METHODS)}")
+            _need(cfg["methods"].count(m) == 1, f"field 'methods' repeats entry {m!r}")
 
     _need(isinstance(cfg["dataset"], dict), "field 'dataset' must be an object")
     ds = dict(cfg["dataset"])
@@ -221,10 +224,14 @@ def _split(drawn, n_classes: int, n_train: int, n_test: int):
 
 
 def _reshaped(ds: dict, *sets):
-    """The sets (None stays None) in the dataset section's ``reshape`` dims, if any."""
+    """The sets (None stays None) in the dataset section's ``reshape`` dims, if
+    any; a size the sets do not have, known only once loaded, is a config error."""
     dims = ds.get("reshape")
-    return tuple(reshape_samples(s, dims) if dims and s is not None else s
-                 for s in sets)
+    try:
+        return tuple(reshape_samples(s, dims) if dims and s is not None else s
+                     for s in sets)
+    except ValueError as e:
+        raise ConfigError(f"field 'dataset.reshape': {e}") from None
 
 
 def build_binary_dataset(ds: dict):

@@ -275,12 +275,10 @@ def reshape_samples(data, new_dims):
     Works on a LabeledDataset or a MulticlassDataset and returns the same type.
     """
     new_dims = _dims(new_dims)
-    old_dims = data.dims
-    if int(np.prod(new_dims)) != int(np.prod(old_dims)):
-        raise ValueError(
-            f"cannot reshape {old_dims} (size {int(np.prod(old_dims))}) "
-            f"to {new_dims} (size {int(np.prod(new_dims))})"
-        )
+    old, new = int(np.prod(data.dims)), int(np.prod(new_dims))
+    if old != new:
+        raise ValueError(f"cannot reshape {data.dims} (size {old}) "
+                         f"to {new_dims} (size {new})")
     return type(data)(data.samples, new_dims, data.labels)
 
 

@@ -151,6 +151,14 @@ def khatri_rao(mats: list[np.ndarray], empty_cols: int = 1) -> np.ndarray:
     return reduce(lambda a, b: (a[:, None, :] * b[None, :, :]).reshape(-1, r), mats)
 
 
+def _factor(v, m: int) -> np.ndarray:
+    """Factor ``m`` as a float64 matrix; any other number of axes is a ValueError."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim != 2:
+        raise ValueError(f"factor {m} must be a 2-D matrix, got shape {v.shape}")
+    return v
+
+
 def cp_reconstruct(factors: list[np.ndarray]) -> DenseTensor:
     """Sum of R rank-1 terms from factor matrices ``V_m`` of shape ``I_m x R``.
 
@@ -158,7 +166,7 @@ def cp_reconstruct(factors: list[np.ndarray]) -> DenseTensor:
     """
     if len(factors) == 0:
         raise ValueError("need at least one factor matrix")
-    mats = [np.atleast_2d(np.asarray(v, dtype=np.float64)) for v in factors]
+    mats = [_factor(v, m) for m, v in enumerate(factors, start=1)]
     if min(m.shape[1] for m in mats) < 1:
         raise ValueError("rank must be at least 1")
     return DenseTensor(tuple(m.shape[0] for m in mats),
@@ -174,15 +182,12 @@ def tucker_reconstruct(core: DenseTensor, factors: list[np.ndarray]) -> DenseTen
     so after M steps the axes are back in mode order.
     """
     if len(factors) != core.order:
-        raise ValueError(
-            f"got {len(factors)} factors for an order-{core.order} core"
-        )
+        raise ValueError(f"got {len(factors)} factors for an order-{core.order} core")
     t = core.to_array()
     for m, v in enumerate(factors, start=1):
-        v = np.atleast_2d(np.asarray(v, dtype=np.float64))
+        v = _factor(v, m)
         if v.shape[1] != core.dims[m - 1]:
-            raise ValueError(
-                f"factor {m} has {v.shape[1]} columns, core mode {m} has size {core.dims[m - 1]}"
-            )
+            raise ValueError(f"factor {m} has {v.shape[1]} columns, "
+                             f"core mode {m} has size {core.dims[m - 1]}")
         t = (t.reshape(t.shape[0], -1).T @ v.T).reshape(t.shape[1:] + v.shape[:1])
     return DenseTensor(t.shape, t)

@@ -595,23 +595,19 @@ def train(data: LabeledDataset, cfg: TrainConfig):
 
 def decision_scores(model: WeightModel, samples: np.ndarray,
                     dims: tuple[int, ...]) -> np.ndarray:
-    """<W, Z_i> for flat-row samples: one product with the reconstructed W.
+    """<W, Z_i> for flat-row samples of ``model.input_shape``: one product with W.
 
     An order-1 model reads every sample as its flat row, whatever ``dims``.
-    A bias model also takes samples in its pre-bias shape and appends the
-    constant-1 slab that :func:`apply_bias` appends in training.
+    A bias model appends the constant-1 slab that :func:`apply_bias`
+    appends in training; any other shape is a ValueError.
     """
-    dims = tuple(dims)
-    if len(model.shape) == 1 and dims:
-        dims = (math.prod(dims),)
-    if model.bias_feature and dims == model.input_shape:
-        samples, dims = _with_ones_slab(samples, dims), model.shape
-    if dims != model.shape:
-        also = (f" or its pre-bias shape {model.input_shape}"
-                if model.bias_feature else "")
+    dims = (math.prod(dims),) if len(model.shape) == 1 and dims else tuple(dims)
+    if dims != model.input_shape:
         raise ValueError(
             f"sample dims {dims}: the sample shape does not match model shape "
-            f"{model.shape}{also}")
+            f"{model.input_shape}")
+    if model.bias_feature:
+        samples = _with_ones_slab(samples, dims)
     return samples @ model.reconstruct().data
 
 
@@ -653,9 +649,9 @@ def save_model(path: str, model: WeightModel) -> None:
 def load_model(path: str) -> WeightModel:
     """Read a model file written by :func:`save_model`.
 
-    A header that breaks the rules :func:`train` builds by (dims, the
-    kind's ranks, the hyperparameters) or a non-finite factor or core value
-    raises ValueError.
+    A header that breaks the rules :func:`train` builds by (dims, also of
+    the input shape, the kind's ranks, the hyperparameters) or a non-finite
+    factor or core value raises ValueError.
     """
     with open(path, "rb") as f:
         blob = f.read()
@@ -684,6 +680,7 @@ def load_model(path: str) -> WeightModel:
     hyper = Hyper(*struct.unpack("<3d", take(24)))
     try:
         shape = _dims(shape)
+        _dims((shape[0] - bool(bias),) + shape[1:], "input shape")
         if _mode_ranks(kind, ranks[:1] if kind == "cp" else ranks, shape) != ranks:
             raise ValueError(f"ranks {list(ranks)} do not fit a {kind} model")
         for name, value in hyper._asdict().items():

@@ -260,6 +260,22 @@ class TestResolveConfig:
         with pytest.raises(ConfigError, match="'dataset.reshape'"):
             resolve_config(minimal(dataset=ds))
 
+    @pytest.mark.parametrize("command", ["train", "bench"])
+    def test_reshape_to_another_size_exits_2(self, tmp_path, capsys, command):
+        # it exited 3 as a runtime error
+        cfg = write_config(tmp_path, methods=["spmd-r1"],
+                           dataset=dict(SYNTH, shape=[4, 4], reshape=[5, 3]))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert ("config error: field 'dataset.reshape': cannot reshape (4, 4) "
+                "(size 16) to (5, 3) (size 15)") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [5, ["runs"], True])
+    def test_out_dir_must_be_a_path_string(self, tmp_path, capsys, value):
+        # 5 reached os.makedirs and crashed with a TypeError traceback
+        cfg = write_config(tmp_path, out_dir=value)
+        assert main(["train", "--config", cfg]) == 2
+        assert "field 'out_dir' must be a path string or null" in capsys.readouterr().err
+
 
 class TestMethodRanks:
     """make_train_config applies the trainer's rank rules to each method."""
@@ -479,6 +495,27 @@ class TestEvalCommand:
         assert main(["eval", "--config", other, "--model", model]) == 2
         assert "does not match model shape" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method,ranks,shape,other", [
+        ("spmd-tucker", [2, 2], [4, 3], [5, 3]), ("lmdm", [], [12], [13])],
+        ids=["tucker", "lmdm"])
+    def test_bias_model_refuses_its_biased_shape(self, tmp_path, capsys, method,
+                                                 ranks, shape, other):
+        # the biased shape used to be scored as rows already carrying the slab
+        cfg = write_config(tmp_path, method=method, ranks=ranks, bias_feature=True,
+                           dataset=dict(SYNTH, shape=shape))
+        trained = tmp_path / "trained"
+        assert main(["train", "--config", cfg, "--out", str(trained)]) == 0
+        model = str(trained / "model.spmd")
+        assert main(["eval", "--config", cfg, "--model", model,
+                     "--out", str(tmp_path / "same")]) == 0
+        other_cfg = write_config(tmp_path, name="other.json",
+                                 dataset=dict(SYNTH, shape=other))
+        capsys.readouterr()
+        assert main(["eval", "--config", other_cfg, "--model", model,
+                     "--out", str(tmp_path / "other")]) == 2
+        assert (f"does not match model shape {tuple(shape)}"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("eval_method", [None, "spmd-r1"])
     def test_vector_model_flattens_by_model_kind(self, tmp_path, capsys,
                                                  eval_method):
@@ -627,8 +664,8 @@ class TestBenchCommand:
             tc = make_train_config(resolved, method, mtrain.dims)
             ensemble = ovo_train(mtrain, tc)
             for (a, b), model in ensemble.models.items():
-                rows_ab = apply_bias(mtest.binary_view(a, b))
-                scores = decision_scores(model, rows_ab.samples, rows_ab.dims)
+                rows_ab = mtest.binary_view(a, b)
+                scores = apply_bias(rows_ab).samples @ model.reconstruct().data
                 want[(method, a, b)] = float(np.mean(
                     np.where(scores >= 0, 1.0, -1.0) == rows_ab.labels))
         assert got == want
@@ -651,6 +688,14 @@ class TestBenchCommand:
         assert main(["bench", "--config", cfg, "--out", str(out)]) == 2
         assert "'dataset.test_n_per_class'" in capsys.readouterr().err
         assert not (out / "bench.csv").exists()
+
+    def test_repeated_method_exits_2(self, tmp_path, capsys):
+        # it trained twice, wrote its rows twice and kept one timings entry
+        cfg = self.bench_config(tmp_path, methods=["svm", "spmd-r1", "svm"])
+        out = tmp_path / "out"
+        assert main(["bench", "--config", cfg, "--out", str(out)]) == 2
+        assert "field 'methods' repeats entry 'svm'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_empty_method_list_exits_2(self, tmp_path, capsys):
         cfg = self.bench_config(tmp_path, methods=[])
@@ -914,6 +959,13 @@ class TestDirSource:
         assert str(meta_path) in err and "Traceback" not in err
         assert ("root must be a JSON object" if key == "root"
                 else f"key {key!r} must be") in err
+
+    def test_reshape_to_another_size_exits_2(self, tmp_path, capsys):
+        # only the loaded directory knows its size, (2, 2)
+        cfg = self.config(tmp_path, reshape=[3])
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert ("field 'dataset.reshape': cannot reshape (2, 2) (size 4) "
+                "to (3,) (size 3)") in capsys.readouterr().err
 
     @pytest.mark.parametrize("field", ["path", "test_path"])
     def test_missing_directory_exits_2_naming_its_field(self, tmp_path, capsys,

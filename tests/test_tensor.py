@@ -7,6 +7,7 @@ entry-by-entry summation.
 """
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -353,6 +354,12 @@ class TestCpReconstruct:
         with pytest.raises(ValueError, match="rank must be at least 1"):
             cp_reconstruct([np.zeros((2, 0)), np.zeros((3, 0))])
 
+    def test_vector_factor_rejected(self):
+        # read as a 1 x I row, it gave a (1, 1) tensor [3.]
+        with pytest.raises(ValueError, match=re.escape(
+                "factor 1 must be a 2-D matrix, got shape (3,)")):
+            cp_reconstruct([np.ones(3), np.arange(3.0)])
+
 
 class TestTuckerReconstruct:
     def test_identity_factors(self):
@@ -416,3 +423,9 @@ class TestTuckerReconstruct:
         with pytest.raises(ValueError):
             tucker_reconstruct(core, [np.zeros((3, 3)), np.eye(2)])
 
+    def test_vector_factor_rejected(self):
+        # read as a 1 x 2 row, it gave dims (1, 3)
+        core = DenseTensor((2, 3), np.arange(6.0))
+        with pytest.raises(ValueError, match=re.escape(
+                "factor 1 must be a 2-D matrix, got shape (2,)")):
+            tucker_reconstruct(core, [np.ones(2), np.eye(3)])

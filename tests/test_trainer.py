@@ -1194,13 +1194,14 @@ class TestPrediction:
         model, _ = train(data, TrainConfig(kind=kind, ranks=ranks,
                                            bias_feature=bias, max_outer=3,
                                            tol=1e-3, seed=34))
-        # a bias model scores pre-bias rows and augmented rows alike
-        for rows in [data] + ([apply_bias(data)] if bias else []):
-            labels, scores = predict(model, rows.samples, rows.dims)
-            want = decision_scores(model, rows.samples, rows.dims)
-            np.testing.assert_array_equal(scores, want)
-            np.testing.assert_array_equal(labels, np.where(want >= 0, 1.0, -1.0))
+        labels, scores = predict(model, data.samples, data.dims)
+        want = decision_scores(model, data.samples, data.dims)
+        np.testing.assert_array_equal(scores, want)
+        np.testing.assert_array_equal(labels, np.where(want >= 0, 1.0, -1.0))
         assert len(set(labels.tolist())) == 2
+        if bias:  # the model appends the slab that training appended
+            np.testing.assert_array_equal(
+                scores, apply_bias(data).samples @ model.reconstruct().data)
 
     @pytest.mark.parametrize("kind,bias", [("vector", False), ("rank1", False),
                                            ("vector", True)],
@@ -1250,18 +1251,33 @@ class TestBias:
         data = synth_blobs((3, 2), 10, margin=1.5, noise=0.2, seed=25)
         model, _ = train(data, TrainConfig(kind="rank1", bias_feature=True,
                                            seed=26))
-        assert model.shape == (4, 2)
+        assert model.shape == (4, 2) and model.input_shape == (3, 2)
+        labels, scores = predict(model, data.samples[:3], data.dims)
+        want = apply_bias(data).samples[:3] @ model.reconstruct().data
+        np.testing.assert_array_equal(scores, want)
+        np.testing.assert_array_equal(labels, np.where(want >= 0, 1.0, -1.0))
+
+    @pytest.mark.parametrize("kind,dims", [("rank1", (3, 2)), ("vector", (6,))],
+                             ids=["rank1", "vector"])
+    def test_biased_rows_are_another_shape(self, kind, dims):
+        # rows that already carry the slab used to be scored as such, so a
+        # sample one mode-1 entry too long had that entry read as the bias
+        data = synth_blobs(dims, 8, margin=1.5, noise=0.2, seed=27)
+        model, _ = train(data, TrainConfig(kind=kind, bias_feature=True,
+                                           max_outer=2, tol=1.0, seed=28))
         aug = apply_bias(data)
-        l_raw, s_raw = predict(model, data.samples[:3], data.dims)
-        l_aug, s_aug = predict(model, aug.samples[:3], aug.dims)
-        np.testing.assert_array_equal(s_raw, s_aug)
-        np.testing.assert_array_equal(l_raw, l_aug)
+        with pytest.raises(ValueError, match=re.escape(
+                f"sample dims {aug.dims}: the sample shape does not match "
+                f"model shape {dims}")):
+            predict(model, aug.samples, aug.dims)
 
     def test_bias_shape_mismatch_message(self):
         data = synth_blobs((3, 2), 8, margin=1.5, noise=0.2, seed=27)
         model, _ = train(data, TrainConfig(kind="rank1", bias_feature=True,
                                            max_outer=2, tol=1.0, seed=28))
-        with pytest.raises(ValueError, match="pre-bias"):
+        with pytest.raises(ValueError, match=re.escape(
+                "sample dims (5, 2): the sample shape does not match model "
+                "shape (3, 2)")):
             predict(model, np.zeros((1, 10)), (5, 2))
 
 
@@ -1354,6 +1370,18 @@ class TestPersistence:
         path.write_bytes(self.header(tag, dims, ranks))
         with pytest.raises(ValueError, match=found):
             load_model(str(path))
+
+    def test_bias_model_without_input_entries_rejected(self, tmp_path):
+        # mode 1 is only the slab, so no sample shape fits the model
+        model = WeightModel("rank1", (1, 3), (1, 1),
+                            (np.ones((1, 1)), np.ones((3, 1))), None,
+                            Hyper(1, 1, 1), bias_feature=True)
+        path = str(tmp_path / "slab.spmd")
+        save_model(path, model)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: input shape must be one or more positive integers, "
+                "got (0, 3)")):
+            load_model(path)
 
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "short.spmd"
