@@ -298,18 +298,12 @@ def make_train_config(cfg: dict, method: str, dims: tuple) -> TrainConfig:
 # --- output helpers -----------------------------------------------------------
 
 
-def _fmt_full(x) -> str:
-    """Full-precision CSV cell: repr for floats (round-trip exact)."""
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def write_csv(path: str, header: list, rows: list) -> None:
+    """One ``str`` per cell: a float's (or np.float64's) str is its repr."""
     with open(path, "w") as f:
         f.write(",".join(header) + "\n")
         for row in rows:
-            f.write(",".join(_fmt_full(c) for c in row) + "\n")
+            f.write(",".join(str(c) for c in row) + "\n")
 
 
 def write_run_json(out_dir: str, command: str, resolved: dict, extra: dict | None = None):
@@ -426,11 +420,12 @@ def cmd_bench(args) -> int:
     if args.seed is not None:
         cfg["seed"] = args.seed
     train_multi, test_multi = build_multiclass_dataset(cfg["dataset"])
+    # every method's config is checked before any output or training
+    configs = {m: make_train_config(cfg, m, train_multi.dims) for m in cfg["methods"]}
     out = _out_dir(args, cfg, "bench")
 
     rows, timings = [], {}  # bench.csv's columns, then wall ms for bench.txt
-    for method in cfg["methods"]:
-        tc = make_train_config(cfg, method, train_multi.dims)
+    for method, tc in configs.items():
         t0 = time.perf_counter()
         ensemble = ovo_train(train_multi, tc)
         acc_rows, mean_acc = pairwise_accuracy(ensemble, test_multi)

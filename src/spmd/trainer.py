@@ -8,14 +8,13 @@ objective restricted to that block:
 
     mode m:  P = coefficient of V_m in the mode-m unfolding, A = P P' = L L',
              v = vec(V_m L),  z_i = vec(U_i P' L^+')
-    core:    K = kron of factor Grams V_m'V_m (highest mode leftmost) = L L',
-             L = kron of the Grams' roots L_m,  f~ = L' vec(F),
-             z_i = vec(X_i x_1 (V_1 L_1^+')' ... x_M (V_M L_M^+')')
+    core:    v = vec(C),  z_i = vec(X_i x_1 V_1' ... x_M V_M')
 
 L is the range root of the block metric, R x r for a metric of rank r;
-only its left inverse L^+ (see psd_root) is formed, and for the core only
-per factor. With symmetric full-rank roots these are the usual A^{1/2}
-whitenings.
+only its left inverse L^+ (see psd_root) is formed. With a symmetric
+full-rank root this is the usual A^{1/2} whitening. The core needs no
+root: its metric, the Kronecker product of the factor Grams, is I in the
+orthonormal gauge that :func:`train` keeps.
 
 Both satisfy <W, Z_i> = v'z_i and ||W||_F^2 = v'v, so every block update
 minimizes the full objective over that block. An update that does not
@@ -302,43 +301,35 @@ def _core_design(samples: np.ndarray, dims: tuple[int, ...], factors) -> np.ndar
     return (factors[-1].T @ t.transpose(0, 2, 1)).reshape(samples.shape[0], -1)
 
 
-def core_features(data: LabeledDataset, factors):
-    """Whitened core features and the inverse roots of the core metric.
+def core_features(data: LabeledDataset, factors) -> np.ndarray:
+    """prod(R) x N core features vec(X_i x_1 V_1' ... x_M V_M').
 
-    The core metric is kron of the factor Grams V_m'V_m, highest mode
-    leftmost (Kolda & Bader, SIAM Review 2009), so the Kronecker product of
-    their inverse range roots L_m^+ (mode order, one per factor) is its
-    inverse root. Each factor is whitened on its own, V_m L_m^+', so no
-    eigendecomposition is larger than one mode's Gram and no matrix with
-    prod(R) rows is formed.
+    The core metric is the Kronecker product of the factor Grams V_m'V_m
+    (Kolda & Bader, SIAM Review 2009), I for the orthonormal factors
+    :func:`train` keeps, so the features need no whitening.
     """
-    roots = [psd_root(v.T @ v, context=f"core metric, mode {m} Gram")
-             for m, v in enumerate(factors, start=1)]
-    design = _core_design(data.samples, data.dims,
-                          [v @ r.T for v, r in zip(factors, roots)])
-    return design.T, roots
+    return _core_design(data.samples, data.dims, factors).T
 
 
 def block_features(data: LabeledDataset, factors, core, block: int):
-    """Whitened D x N features of one block and its inverse roots.
+    """Whitened D x N features of one block and its inverse root L^+.
 
     ``block`` is a mode 1..M, or 0 for the Tucker core (``core`` is None for
-    CP and rank-1 weights). The Kronecker product of the inverse roots,
-    highest mode leftmost, is the block's L^+: ``[L^+]`` for a mode, one
-    L_m^+ per factor for the core. A solution v maps back as ``V_m =
-    unvec(v) @ L^+`` (unvec to L^+'s r rows) or ``F = v x_1 L_1^+' ... x_M
-    L_M^+'``. The identity block (order-1 data, one column, no core) has
-    the raw samples, a view, as features and a 1 x 1 identity root. No
-    block copies the N x P samples; only its D x N features are new arrays.
+    CP and rank-1 weights). A mode solution v maps back as ``V_m =
+    unvec(v) @ L^+`` (unvec to L^+'s r rows). The core's root is None: its
+    v is vec(C), with <W, Z_i> = v'z_i for any factors and ||W||^2 = v'v
+    for orthonormal ones. The identity block (order-1 data, one column, no
+    core) has the raw samples, a view, as features and a 1 x 1 identity
+    root. No block copies the N x P samples, only its D x N features.
     """
     if block == 0:
-        return core_features(data, factors)
+        return core_features(data, factors), None
     if core is None and len(data.dims) == 1 and factors[0].shape[1] == 1:
-        return data.samples.T, [np.eye(1)]
+        return data.samples.T, np.eye(1)
     p = _mode_coefficient(factors, core, block)
     root = psd_root(p @ p.T, context=f"mode {block} metric")
     feats = _mode_contract(data.samples, data.dims, block, p.T @ root.T)
-    return feats.reshape(len(data), -1).T, [root]
+    return feats.reshape(len(data), -1).T, root
 
 
 def block_update(features: np.ndarray, labels: np.ndarray, hyper: Hyper,
@@ -459,6 +450,10 @@ def train(data: LabeledDataset, cfg: TrainConfig):
     is square and invertible, so C x_m V_m is just another core and the
     core block reaches every W the mode block could. Such a factor keeps
     its orthogonal start. A Tucker rank above its mode size is rejected.
+    Every Tucker factor stays orthonormal, the gauge HOOI keeps (De
+    Lathauwer, De Moor & Vandewalle, SIAM J. Matrix Anal. Appl. 2000): an
+    accepted mode update replaces V_m by the Q of its thin QR and folds R
+    into the core (C <- C x_m R), which leaves W as it was.
     A block update is kept only if J falls, so the objective trace never
     rises and the iterate returned is the best one seen; a tie keeps the
     old block, so a flat J (a zero optimal W, say) ends the run at once.
@@ -517,13 +512,13 @@ def train(data: LabeledDataset, cfg: TrainConfig):
     for outer in range(1, cfg.max_outer + 1):
         sweep_caps = 0
         for i, b in enumerate(blocks):
-            feats, roots = block_features(data, factors, core, b)
+            feats, root = block_features(data, factors, core, b)
             v, sol = block_update(
                 feats, data.labels, hyper, cfg.qp_tol,
                 warm_alpha=latest if warm[i] is None else warm[i])
             label = "core" if b == 0 else f"mode{b}"
-            clamp_events += (math.prod(r.shape[1] for r in roots)
-                             - math.prod(r.shape[0] for r in roots))
+            if root is not None:
+                clamp_events += root.shape[1] - root.shape[0]
             warm[i] = latest = sol.alpha
             qp_passes += sol.iterations
             sweep_caps += not sol.converged
@@ -539,12 +534,13 @@ def train(data: LabeledDataset, cfg: TrainConfig):
             if j_new < j:  # a block that does not lower J is not kept
                 j, summ = j_new, summ_new
                 if b == 0:
-                    core = tucker_reconstruct(
-                        DenseTensor([r.shape[0] for r in roots], v),
-                        [r.T for r in roots])
+                    core = DenseTensor(mode_ranks, v)
                 else:
-                    factors[b - 1] = (unvec(v, (dims[b - 1], roots[0].shape[0]))
-                                      @ roots[0])
+                    factors[b - 1] = unvec(v, (dims[b - 1], root.shape[0])) @ root
+                    if tucker:  # the gauge: V_m = QR, C <- C x_m R
+                        factors[b - 1], r = np.linalg.qr(factors[b - 1])
+                        core = DenseTensor(mode_ranks, np.moveaxis(
+                            np.tensordot(r, core.to_array(), (1, b - 1)), 0, b - 1))
                 weight_norms.append(float(np.sqrt(sq_norm)))
             else:
                 weight_norms.append(weight_norms[-1])
@@ -674,6 +670,8 @@ def load_model(path: str) -> WeightModel:
         raise ValueError(f"{path}: unsupported model version {version}")
     if tag >= len(KINDS):
         raise ValueError(f"{path}: unknown kind tag {tag}")
+    if bias > 1:
+        raise ValueError(f"{path}: bias flag {bias} is not 0 or 1")
     kind = KINDS[tag]
     shape = struct.unpack(f"<{m}I", take(4 * m))
     ranks = struct.unpack(f"<{m}I", take(4 * m))

@@ -15,11 +15,10 @@ bit-exact reference for the solver's single-division form. ``batch_view``
 and ``flatten_batch`` map flat column-major sample rows to (N, I1, ..., IM)
 arrays and back through a reversed-axis transpose, the reference for the
 data layer's in-place builders. ``metric_root`` rebuilds a block metric's
-root from the inverse roots the trainer returns, by pseudo-inverse.
+root from the inverse root the trainer returns, by pseudo-inverse.
 """
 
 import itertools
-from functools import reduce
 
 import numpy as np
 
@@ -29,13 +28,9 @@ def vec(mat):
     return np.asarray(mat, dtype=np.float64).ravel(order="F")
 
 
-def metric_root(inv_roots):
-    """The range root L of a block metric from its inverse roots L_m^+.
-
-    L is the Kronecker product of the pseudo-inverses, highest mode
-    leftmost, as the trainer's inverse roots combine.
-    """
-    return reduce(np.kron, [np.linalg.pinv(r) for r in reversed(inv_roots)])
+def metric_root(inv_root):
+    """The range root L of a block metric from its inverse root L^+."""
+    return np.linalg.pinv(inv_root)
 
 
 def inner(a, b):

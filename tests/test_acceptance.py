@@ -56,7 +56,8 @@ def test_criterion_1_reparameterization_identities():
         dims = tuple(int(d) for d in rng.integers(2, 7, size=order))
         kind = ("rank1", "cp", "tucker")[trial % 3]
         if kind == "tucker":
-            ranks = tuple(int(r) for r in rng.integers(1, 4, size=order))
+            ranks = tuple(min(int(r), d) for r, d in
+                          zip(rng.integers(1, 4, size=order), dims))
         elif kind == "cp":
             ranks = (int(rng.integers(1, 4)),) * order
         else:
@@ -64,6 +65,8 @@ def test_criterion_1_reparameterization_identities():
         factors = [rng.standard_normal((d, r)) for d, r in zip(dims, ranks)]
         core = None
         if kind == "tucker":
+            # the orthonormal factors train keeps, so the core needs no root
+            factors = [np.linalg.qr(v)[0] for v in factors]
             core = DenseTensor(ranks, rng.standard_normal(int(np.prod(ranks))))
         w = _reconstruct(factors, core)
         n = int(rng.integers(2, 7))
@@ -75,11 +78,10 @@ def test_criterion_1_reparameterization_identities():
 
         blocks = []
         for mode in range(1, order + 1):
-            feats, roots = block_features(data, factors, core, mode)
-            blocks.append((feats, vec(factors[mode - 1] @ metric_root(roots))))
+            feats, root = block_features(data, factors, core, mode)
+            blocks.append((feats, vec(factors[mode - 1] @ metric_root(root))))
         if kind == "tucker":
-            feats, roots = block_features(data, factors, core, 0)
-            blocks.append((feats, metric_root(roots).T @ core.data))
+            blocks.append((block_features(data, factors, core, 0)[0], core.data))
 
         for feats, v in blocks:
             ips = feats.T @ v

@@ -25,6 +25,7 @@ from spmd.cli import (
     main,
     make_train_config,
     resolve_config,
+    write_csv,
 )
 from spmd.data import (MNIST_FILES, MulticlassDataset, load_idx, reshape_samples,
                        save_dataset, select_binary, synth_blobs)
@@ -61,6 +62,15 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_csv_cells_are_str_of_the_value(tmp_path):
+    # a float's str is its repr; numpy 2's repr of np.float64(0.1) is
+    # "np.float64(0.1)", which must not reach a CSV
+    path = tmp_path / "cells.csv"
+    write_csv(str(path), ["a", "b", "c", "d"],
+              [[np.float64(0.1), 0.1, 1 / 3, np.int64(3)]])
+    assert path.read_text() == "a,b,c,d\n0.1,0.1,0.3333333333333333,3\n"
 
 
 class TestResolveConfig:
@@ -696,6 +706,23 @@ class TestBenchCommand:
         assert main(["bench", "--config", cfg, "--out", str(out)]) == 2
         assert "field 'methods' repeats entry 'svm'" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_every_method_config_checked_before_training(self, tmp_path,
+                                                          capsys, monkeypatch):
+        # spmd-cp took ranks [2] and trained all its pairs before
+        # spmd-tucker's ranks were refused, leaving an empty output directory
+        import spmd.cli as cli
+        trained = []
+        monkeypatch.setattr(cli, "ovo_train",
+                            lambda *a, **k: trained.append(a) or ovo_train(*a, **k))
+        ds = {"source": "synth", "shape": [4, 4], "n_per_class": 8,
+              "n_classes": 3, "seed": 0}
+        cfg = self.bench_config(tmp_path, methods=["spmd-cp", "spmd-tucker"],
+                                ranks=[2], dataset=ds)
+        out = tmp_path / "out"
+        assert main(["bench", "--config", cfg, "--out", str(out)]) == 2
+        assert "'spmd-tucker'" in capsys.readouterr().err
+        assert trained == [] and not out.exists()
 
     def test_empty_method_list_exits_2(self, tmp_path, capsys):
         cfg = self.bench_config(tmp_path, methods=[])

@@ -6,7 +6,6 @@ checked against analytic optima; the zero-mu path is checked against the
 KKT-verified max-margin reference.
 """
 
-import math
 import re
 import tracemalloc
 import warnings
@@ -27,7 +26,7 @@ from spmd.trainer import (Hyper, MetricCollapseError, TrainConfig, WeightModel,
                           predict, primal_objective, psd_root, decision_scores,
                           save_model, train, _class_mean_difference,
                           _mode_contract, _mode_ranks, _start_state)
-from spmd.tensor import cp_reconstruct, kron_chain, tucker_reconstruct, unfold
+from spmd.tensor import cp_reconstruct, tucker_reconstruct, unfold
 
 
 def random_dataset(rng, dims, n):
@@ -108,10 +107,38 @@ class TestModeRanks:
         assert got == (2, 3) and all(type(r) is int for r in got)
 
 
-def dropped(roots):
-    """Directions a block's inverse roots drop: prod of columns minus rows."""
-    return (math.prod(r.shape[1] for r in roots)
-            - math.prod(r.shape[0] for r in roots))
+def dropped(root):
+    """Directions a block's inverse root drops: columns minus rows (the
+    core's None root drops none)."""
+    return 0 if root is None else root.shape[1] - root.shape[0]
+
+
+def train_recording_blocks(monkeypatch, dims, ranks, seed, max_outer):
+    """Tucker training on a small draw, with each block update's
+    [block, factors, core, root, v], as block_features and block_update
+    saw them; returns (model, report, records)."""
+    import spmd.trainer as trainer
+    real_features, real_update = trainer.block_features, trainer.block_update
+    records = []
+
+    def features(data, factors, core, block):
+        feats, root = real_features(data, factors, core, block)
+        records.append([block, [v.copy() for v in factors], core, root])
+        return feats, root
+
+    def update(*args, **kwargs):
+        v, sol = real_update(*args, **kwargs)
+        records[-1].append(v)
+        return v, sol
+
+    monkeypatch.setattr(trainer, "block_features", features)
+    monkeypatch.setattr(trainer, "block_update", update)
+    data = synth_blobs(dims, 15, margin=1.5, noise=0.5, seed=seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        model, report = train(data, TrainConfig(kind="tucker", ranks=ranks,
+                                                max_outer=max_outer, seed=seed))
+    return model, report, records
 
 
 class TestCheckConfig:
@@ -165,7 +192,7 @@ class TestPsdRoot:
         np.testing.assert_allclose(A @ inv.T @ inv @ A, A, rtol=0,
                                    atol=1e-12 * np.abs(A).max())
         # norms built through the root are exact: V P and (V L) agree
-        half = metric_root([inv])
+        half = metric_root(inv)
         V = rng.standard_normal((5, 4))
         lhs = float(vec(V @ half) @ vec(V @ half))
         rhs = float(np.sum((V @ p) ** 2))
@@ -261,9 +288,9 @@ class TestModeFeatureIdentities:
         data = random_dataset(rng, (3, 4), 5)
         v1, v2 = rng.standard_normal(3), rng.standard_normal(4)
         w = cp_reconstruct([v1[:, None], v2[:, None]])
-        feats, roots = block_features(data, [v1[:, None], v2[:, None]],
-                                      None, 1)
-        vv = vec(v1[:, None] @ metric_root(roots))
+        feats, root = block_features(data, [v1[:, None], v2[:, None]],
+                                     None, 1)
+        vv = vec(v1[:, None] @ metric_root(root))
         for i in range(5):
             x = DenseTensor(data.dims, data.samples[i])
             z = x.to_array()
@@ -289,8 +316,8 @@ class TestModeFeatureIdentities:
             data = random_dataset(rng, dims, 4)
             wn = float(w.data @ w.data)
             for m in range(1, order + 1):
-                feats, roots = block_features(data, factors, core, m)
-                v = vec(factors[m - 1] @ metric_root(roots))
+                feats, root = block_features(data, factors, core, m)
+                v = vec(factors[m - 1] @ metric_root(root))
                 assert float(v @ v) == pytest.approx(wn, abs=1e-10 * (1 + wn))
                 ips = feats.T @ v
                 for i in range(4):
@@ -300,22 +327,20 @@ class TestModeFeatureIdentities:
 
 class TestCoreFeatures:
     def test_orthonormal_factors_whiten_by_rotation(self):
-        # orthonormal factors give K = I up to round-off; the whitening is
-        # then an orthogonal map, so features keep the raw Gram exactly
+        # orthonormal factors give the core metric I: the features are the
+        # raw core design, with no root, and keep ||W||^2 = vec(C)'vec(C)
         rng = np.random.default_rng(7)
         data = random_dataset(rng, (4, 3), 4)
         q1, _ = np.linalg.qr(rng.standard_normal((4, 2)))
         q2, _ = np.linalg.qr(rng.standard_normal((3, 2)))
-        feats, roots = block_features(data, [q1, q2], None, 0)
-        half, inv = metric_root(roots), kron_chain(roots[::-1])
-        np.testing.assert_allclose(half @ half.T, np.eye(4),
-                                   rtol=0, atol=1e-12)
-        np.testing.assert_allclose(inv @ inv.T, np.eye(4),
-                                   rtol=0, atol=1e-12)
+        feats, root = block_features(data, [q1, q2], None, 0)
+        assert root is None
         raw = np.stack([vec(q1.T @ DenseTensor(data.dims, data.samples[i]).to_array() @ q2)
                         for i in range(4)], axis=1)
-        np.testing.assert_allclose(feats.T @ feats, raw.T @ raw,
-                                   rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(feats, raw, rtol=1e-12, atol=1e-12)
+        core = DenseTensor((2, 2), rng.standard_normal(4))
+        w = tucker_reconstruct(core, [q1, q2])
+        assert w.data @ w.data == pytest.approx(core.data @ core.data, rel=1e-12)
 
     def test_identity_factors_give_vec_sample(self):
         rng = np.random.default_rng(8)
@@ -325,40 +350,22 @@ class TestCoreFeatures:
             np.testing.assert_allclose(feats[:, i], data.samples[i],
                                        rtol=1e-12, atol=1e-12)
 
-    def test_root_is_kron_of_factor_gram_roots(self):
-        # factors that are not orthonormal: the Kronecker root reproduces
-        # the dense core metric, highest mode leftmost, without forming it
+    @pytest.mark.parametrize("rank_deficient", [False, True],
+                             ids=["full-rank", "rank-deficient"])
+    def test_core_inner_products_hold_for_any_factors(self, rank_deficient):
+        # <W, Z_i> = vec(C)'z_i needs no gauge: factors that are neither
+        # orthonormal nor (a rank-1 factor with 2 columns) of full rank
         rng = np.random.default_rng(31)
         dims, ranks = (5, 4, 3), (3, 2, 2)
         factors = [rng.standard_normal((d, r)) for d, r in zip(dims, ranks)]
-        data = random_dataset(rng, dims, 4)
-        _, roots = block_features(data, factors, None, 0)
-        assert [r.shape for r in roots] == [(3, 3), (2, 2), (2, 2)]
-        half, inv = metric_root(roots), kron_chain(roots[::-1])
-        metric = kron_chain([v.T @ v for v in reversed(factors)])
-        np.testing.assert_allclose(half @ half.T, metric, rtol=0,
-                                   atol=1e-12 * np.abs(metric).max())
-        np.testing.assert_allclose(inv @ half, np.eye(12),
-                                   rtol=0, atol=1e-12)
-        assert dropped(roots) == 0
-
-    def test_rank_deficient_factor_drops_its_null_directions(self):
-        # a factor of rank 1 with 2 columns leaves 1 x 2 x 2 core directions
-        rng = np.random.default_rng(32)
-        v1 = np.outer(rng.standard_normal(3), [1.0, 2.0])
-        factors = [v1, rng.standard_normal((4, 2)), rng.standard_normal((2, 2))]
-        core = DenseTensor((2, 2, 2), rng.standard_normal(8))
+        if rank_deficient:
+            factors[1] = np.outer(rng.standard_normal(4), [1.0, 2.0])
+        core = DenseTensor(ranks, rng.standard_normal(12))
         w = tucker_reconstruct(core, factors)
-        data = random_dataset(rng, (3, 4, 2), 5)
-        feats, roots = block_features(data, factors, core, 0)
-        assert feats.shape == (4, 5) and dropped(roots) == 4
-        half = metric_root(roots)
-        np.testing.assert_allclose(kron_chain(roots[::-1]) @ half, np.eye(4),
-                                   rtol=0, atol=1e-12)
-        f = half.T @ core.data
-        wn = float(w.data @ w.data)
-        assert float(f @ f) == pytest.approx(wn, rel=1e-12)
-        np.testing.assert_allclose(feats.T @ f, data.samples @ w.data,
+        data = random_dataset(rng, dims, 5)
+        feats, root = block_features(data, factors, core, 0)
+        assert feats.shape == (12, 5) and root is None
+        np.testing.assert_allclose(feats.T @ core.data, data.samples @ w.data,
                                    rtol=1e-12, atol=1e-12)
 
     def test_peak_memory_has_no_dense_kronecker_root(self):
@@ -366,64 +373,44 @@ class TestCoreFeatures:
         # and its left inverse as much again; the features take 0.3 MB
         data = synth_blobs((16, 16, 16), 10, seed=1)
         rng = np.random.default_rng(34)
-        factors = [rng.standard_normal((16, 12)) for _ in range(3)]
+        factors = [np.linalg.qr(rng.standard_normal((16, 12)))[0]
+                   for _ in range(3)]
         tracemalloc.start()
         try:
-            feats, roots = core_features(data, factors)
+            feats = core_features(data, factors)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert feats.shape == (12 ** 3, len(data))
-        assert [r.shape for r in roots] == [(12, 12)] * 3
         assert peak < 8e6, peak
 
     @pytest.mark.parametrize("dims,ranks,seed", [
         ((5, 4), [2, 2], 0), ((4, 3, 2), [3, 1, 2], 5)],
         ids=["5x4", "rank-deficient-4x3x2"])
-    def test_core_maps_back_through_its_inverse_roots(self, monkeypatch, dims,
-                                                       ranks, seed):
+    def test_core_is_its_last_solution(self, monkeypatch, dims, ranks, seed):
         # one sweep ends with the core, so the returned core is the last core
-        # solution mapped back: kron(L_M^+, ..., L_1^+)' v, formed densely here
-        import spmd.trainer as trainer
-        real_features, real_update = trainer.block_features, trainer.block_update
-        solved = []
-
-        def features(data, factors, core, block):
-            feats, roots = real_features(data, factors, core, block)
-            solved.append([block, roots])
-            return feats, roots
-
-        def update(*args, **kwargs):
-            v, sol = real_update(*args, **kwargs)
-            solved[-1].append(v)
-            return v, sol
-
-        monkeypatch.setattr(trainer, "block_features", features)
-        monkeypatch.setattr(trainer, "block_update", update)
-        data = synth_blobs(dims, 15, margin=1.5, noise=0.5, seed=seed)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            model, report = train(data, TrainConfig(kind="tucker", ranks=ranks,
-                                                    max_outer=1, seed=seed))
-        block, roots, v = solved[-1]
-        assert block == 0 and report.objectives[-1] < report.objectives[-2]
-        want = kron_chain(roots[::-1]).T @ v
-        np.testing.assert_allclose(model.core.data, want, rtol=0,
-                                   atol=1e-12 * np.abs(want).max())
-        assert report.clamp_events == sum(dropped(r) for _, r, _ in solved)
+        # solution itself; only mode roots count clamped directions
+        model, report, records = train_recording_blocks(monkeypatch, dims,
+                                                        ranks, seed, 1)
+        block, _, _, root, v = records[-1]
+        assert block == 0 and root is None
+        assert report.objectives[-1] < report.objectives[-2]
+        np.testing.assert_array_equal(model.core.data, v)
+        assert report.clamp_events == sum(dropped(r[3]) for r in records)
 
     def test_no_metric_root_larger_than_a_mode_rank(self, monkeypatch):
-        # the core's root is built from its factors' Gram roots, so the
-        # headline Tucker shape takes no metric eigh above 4 x 4 (the dense
-        # core metric would be 256 x 256); the wide core block (256 features,
-        # 20 samples) takes the root of its 20 x 20 Gram
+        # the orthonormal gauge makes the core metric I, so the headline
+        # Tucker shape takes no root for the core metric and no metric eigh
+        # above 4 x 4 (the dense core metric would be 256 x 256); the wide
+        # core block (256 features, 20 samples) is solved on the root of its
+        # 20 x 20 sample Gram, by block_update
         import spmd.trainer as trainer
         real = trainer.psd_root
         sizes = {"metric": [], "wide": []}
 
         def spy(a, context="block"):
             wide = context == "wide block Gram"
-            assert wide or context.startswith(("mode ", "core metric")), context
+            assert wide or re.fullmatch(r"mode \d metric", context), context
             sizes["wide" if wide else "metric"].append(np.shape(a))
             return real(a, context)
 
@@ -436,19 +423,59 @@ class TestCoreFeatures:
         assert sizes["wide"] and set(sizes["wide"]) == {(20, 20)}
 
     def test_identities_random(self):
+        # orthonormal factors, as train keeps them: both identities hold
+        # with v = vec(C)
         rng = np.random.default_rng(9)
         dims, ranks = (3, 4, 2), (2, 2, 2)
-        factors = [rng.standard_normal((d, r)) for d, r in zip(dims, ranks)]
+        factors = [np.linalg.qr(rng.standard_normal((d, r)))[0]
+                   for d, r in zip(dims, ranks)]
         core = DenseTensor(ranks, rng.standard_normal(8))
         w = tucker_reconstruct(core, factors)
         data = random_dataset(rng, dims, 5)
-        feats, roots = block_features(data, factors, core, 0)
-        f = metric_root(roots).T @ core.data
+        feats, _ = block_features(data, factors, core, 0)
+        f = core.data
         wn = float(w.data @ w.data)
         assert float(f @ f) == pytest.approx(wn, abs=1e-10 * (1 + wn))
         for i in range(5):
             want = inner(w, DenseTensor(data.dims, data.samples[i]))
             assert feats[:, i] @ f == pytest.approx(want, abs=1e-10 * (1 + abs(want)))
+
+
+class TestGauge:
+    """train keeps every Tucker factor orthonormal, and the gauge keeps W."""
+
+    @pytest.mark.parametrize("dims,ranks,seed", [
+        ((4, 3, 2), [3, 1, 2], 0), ((4, 3, 2), [3, 1, 2], 3),
+        ((3, 4), [3, 2], 1)], ids=["4x3x2-seed0", "4x3x2-seed3", "3x4-square"])
+    def test_trained_factors_are_orthonormal(self, dims, ranks, seed):
+        data = synth_blobs(dims, 15, margin=1.5, noise=0.5, seed=seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            model, report = train(data, TrainConfig(kind="tucker", ranks=ranks,
+                                                    seed=seed))
+        assert any(lab.startswith("mode") for lab in report.block_labels)
+        for v in model.factors:
+            gap = np.abs(v.T @ v - np.eye(v.shape[1])).max()
+            assert gap <= 1e-12, gap
+
+    def test_gauge_step_leaves_w_unchanged(self, monkeypatch):
+        # each accepted mode update is V_m = unvec(v) L^+ with the old core;
+        # the factors and core the next block sees must give that same W
+        dims = (4, 3, 2)
+        _, report, records = train_recording_blocks(monkeypatch, dims,
+                                                    [3, 1, 2], 2, 4)
+        checked = 0
+        for k, (block, factors, core, root, v) in enumerate(records[:-1]):
+            if block == 0 or not report.objectives[k + 1] < report.objectives[k]:
+                continue
+            factors[block - 1] = unvec(v, (dims[block - 1], root.shape[0])) @ root
+            want = tucker_reconstruct(core, factors).data
+            _, after, core_after, _, _ = records[k + 1]
+            got = tucker_reconstruct(core_after, after).data
+            np.testing.assert_allclose(got, want, rtol=0,
+                                       atol=1e-12 * np.abs(want).max())
+            checked += 1
+        assert checked >= 2
 
 
 class TestBlockUpdate:
@@ -811,11 +838,11 @@ class TestTrain:
         assert report.converged
         w_before = model.reconstruct()
         factors = [f.copy() for f in model.factors]
-        feats, roots = block_features(
+        feats, root = block_features(
             LabeledDataset(data.samples, data.dims, data.labels), factors,
             None, 1)
         v, _ = block_update(feats, data.labels, model.hyper, qp_tol=1e-10)
-        factors[0] = unvec(v, (3, 1)) @ roots[0]
+        factors[0] = unvec(v, (3, 1)) @ root
         w_after = cp_reconstruct(factors)
         drift = float(np.linalg.norm(w_after.data - w_before.data))
         assert drift <= 1e-2 * (1 + w_before.norm())
@@ -1325,6 +1352,22 @@ class TestPersistence:
         path.write_bytes(b"SPMD" + struct.pack("<IBBB", 1, 99, 0, 1))
         with pytest.raises(ValueError, match="unknown kind tag 99"):
             load_model(str(path))
+
+    def test_bias_flag_must_be_0_or_1(self, tmp_path):
+        # any other byte read as True, turning a (3, 2) model into a bias
+        # model of input shape (2, 2)
+        model = WeightModel("rank1", (3, 2), (1, 1),
+                            (np.ones((3, 1)), np.ones((2, 1))), None,
+                            Hyper(1, 1, 1))
+        path = str(tmp_path / "flag.spmd")
+        save_model(path, model)
+        blob = bytearray(Path(path).read_bytes())
+        assert blob[9] == 0
+        blob[9] = 7
+        Path(path).write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: bias flag 7 is not 0 or 1")):
+            load_model(path)
 
     def test_truncated(self, tmp_path):
         data = synth_blobs((4,), 6, margin=1.0, noise=0.2, seed=31)
